@@ -4,11 +4,12 @@ __version__ = "0.1.0"
 
 from .comparison import FcrResult, FrameworkResult, Granularity, fcr
 from .concordance import (
+    COEFFICIENTS,
     CoefficientResult,
-    ConcordanceStats,
-    kendall_w_test,
-    kendall_w_tied_test,
-    w_randomness,
+    coefficients_for,
+    kendall_w,
+    kendall_w_tied,
+    randomness,
 )
 from .ranking import (
     RankMatrix,
@@ -31,24 +32,17 @@ from .results import (
     resolve_failures,
 )
 from .synthgen import SynthConfig, generate
-from .wasserstein import (
-    RankDistribution,
-    WassersteinResult,
-    w1_distance,
-    ww_randomness,
-    ww_test,
-)
+from .wasserstein import wasserstein_w
 
 __all__ = [
+    "COEFFICIENTS",
     "CoefficientResult",
-    "ConcordanceStats",
     "ConvergenceReport",
     "Direction",
     "FcrResult",
     "FrameworkResult",
     "Granularity",
     "MetricSpec",
-    "RankDistribution",
     "RankMatrix",
     "ResultRecord",
     "ResultTable",
@@ -57,20 +51,18 @@ __all__ = [
     "TestId",
     "TiePolicy",
     "ValidationError",
-    "WassersteinResult",
     "build_rank_matrices",
+    "coefficients_for",
     "count_ties",
     "fcr",
     "generate",
     "ingest",
-    "kendall_w_test",
-    "kendall_w_tied_test",
+    "kendall_w",
+    "kendall_w_tied",
     "parse_registry",
+    "randomness",
     "rank_row",
     "resolve_failures",
     "subsample_convergence",
-    "w1_distance",
-    "w_randomness",
-    "ww_randomness",
-    "ww_test",
+    "wasserstein_w",
 ]

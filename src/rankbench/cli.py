@@ -3,7 +3,10 @@
 Subcommands: validate, rank, coeff, fcr, converge, synth. Reports embed
 every setting and input digest needed to rerun the analysis; two runs
 with identical inputs and flags produce byte-identical JSON. Exit codes:
-0 success, 1 runtime/I-O error, 2 validation error.
+0 success, 1 runtime/I-O error, 2 validation error. Every usage error,
+including flag combinations, exits 2 before any input is read; the one
+exception is a ``--sizes`` entry larger than the number of tests, which
+is known only after ingest and exits 2 right after it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .comparison import FrameworkResult, Granularity, fcr
-from .concordance import w_randomness
+from .concordance import COEFFICIENTS, coefficients_for, randomness
 from .plotting import render_convergence_svg
 from .ranking import TiePolicy, build_rank_matrices, count_ties, matrices_to_csv
-from .resampling import COEFFICIENTS, plot_data_csv, subsample_convergence, summary_csv
+from .resampling import plot_data_csv, subsample_convergence, summary_csv
 from .results import (
     ValidationError,
     ingest,
@@ -33,7 +36,6 @@ from .results import (
     to_csv,
 )
 from .synthgen import SynthConfig, generate
-from .wasserstein import ww_randomness
 
 log = logging.getLogger("rankbench")
 
@@ -42,18 +44,23 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _load_registry(path: str) -> dict:
-    return parse_registry(Path(path).read_text(encoding="utf-8"))
+    return parse_registry(Path(path).read_text(encoding="utf-8-sig"))
+
+
+def _read_table_file(path: str) -> tuple[str, str]:
+    # utf-8-sig: a byte-order mark must fail neither the exact CSV header
+    # check nor json.loads. The bytes are dropped on return, before
+    # ingest builds the records.
+    data = Path(path).read_bytes()
+    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
 
 def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
-    p = Path(path)
-    fmt = "json" if p.suffix.lower() == ".json" else "csv"
-    return ingest(p.read_text(encoding="utf-8"), fmt, registry, drop_incomplete)
+    """Ingest a table file; returns the table and the sha256 of the bytes parsed."""
+    fmt = "json" if Path(path).suffix.lower() == ".json" else "csv"
+    text, digest = _read_table_file(path)
+    return ingest(text, fmt, registry, drop_incomplete), digest
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -67,9 +74,8 @@ def _tie_policy(name: str) -> TiePolicy:
     return TiePolicy.MEAN_OF_TIED if name == "mean" else TiePolicy.LOWEST_SHARED_RANK
 
 
-def _base_report(args) -> dict:
-    registry = _load_registry(args.registry)
-    report = {
+def _base_report(registry: dict, inputs: dict[str, str]) -> dict:
+    return {
         "tool": "rankbench",
         "version": __version__,
         "registry": {
@@ -79,10 +85,9 @@ def _base_report(args) -> dict:
             }
             for name, spec in sorted(registry.items())
         },
-        "inputs": {},
+        "inputs": inputs,
         "warnings": [],
     }
-    return report
 
 
 def _emit_report(report: dict, args) -> None:
@@ -116,53 +121,38 @@ def _report_csv(report: dict) -> str:
 
 
 def cmd_validate(args) -> int:
-    registry = _load_registry(args.registry)
-    _load_table(args.input, registry)
+    _load_table(args.input, _load_registry(args.registry))
     print(f"{args.input}: valid complete grid")
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
-    registry = _load_registry(args.registry)
-    table = resolve_failures(_load_table(args.input, registry, args.drop_incomplete))
-    matrices = build_rank_matrices(table, _tie_policy(args.tie_policy), args.tie_epsilon)
+    table, _ = _load_table(args.input, _load_registry(args.registry), args.drop_incomplete)
+    matrices = build_rank_matrices(
+        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
+    )
     _write_output(matrices_to_csv(matrices), args.output)
     return EXIT_OK
 
 
 def cmd_coeff(args) -> int:
     registry = _load_registry(args.registry)
-    table = resolve_failures(_load_table(args.input, registry, args.drop_incomplete))
-    policy = _tie_policy(args.tie_policy)
-    matrices = build_rank_matrices(table, policy, args.tie_epsilon)
+    table, digest = _load_table(args.input, registry, args.drop_incomplete)
+    matrices = build_rank_matrices(
+        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
+    )
+    n_ties = count_ties(matrices)
+    results = [randomness(matrices, name) for name in args.coefficients]
 
-    report = _base_report(args)
-    report["inputs"][args.input] = _sha256(Path(args.input))
+    report = _base_report(registry, {args.input: digest})
     report["settings"] = {
         "tie_policy": args.tie_policy,
         "tie_epsilon": args.tie_epsilon,
         "coefficients": args.coefficients,
     }
-    report["n_ties"] = count_ties(matrices)
-    report["coefficients"] = []
-    for name in args.coefficients:
-        if name == "w":
-            result = w_randomness(matrices, tied=False)
-            frag = result.fragment(n_ties=report["n_ties"])
-            report["warnings"].extend(result.warnings)
-        elif name == "w_tied":
-            if policy is not TiePolicy.MEAN_OF_TIED:
-                raise ValidationError("w_tied requires --tie-policy mean")
-            result = w_randomness(matrices, tied=True)
-            frag = result.fragment(n_ties=report["n_ties"])
-            report["warnings"].extend(result.warnings)
-        elif name == "w_wasserstein":
-            result = ww_randomness(matrices)
-            frag = result.fragment()
-            report["warnings"].extend(result.warnings)
-        else:
-            raise ValidationError(f"unknown coefficient {name!r}")
-        report["coefficients"].append(frag)
+    report["n_ties"] = n_ties
+    report["coefficients"] = [r.fragment(n_ties) for r in results]
+    report["warnings"].extend(w for r in results for w in r.warnings)
     _emit_report(report, args)
     return EXIT_OK
 
@@ -170,14 +160,12 @@ def cmd_coeff(args) -> int:
 def cmd_fcr(args) -> int:
     registry = _load_registry(args.registry)
     frameworks = []
-    report = _base_report(args)
-    for spec in args.framework:
-        if "=" not in spec:
-            raise ValidationError(f"--framework expects label=path, got {spec!r}")
-        label, _, path = spec.partition("=")
-        frameworks.append(FrameworkResult(label, _load_table(path, registry)))
-        report["inputs"][path] = _sha256(Path(path))
+    inputs = {}
+    for label, path in args.framework:
+        table, inputs[path] = _load_table(path, registry)
+        frameworks.append(FrameworkResult(label, table))
     result = fcr(frameworks, Granularity(args.granularity))
+    report = _base_report(registry, inputs)
     report["settings"] = {"granularity": args.granularity}
     report["fcr"] = result.fragment()
     _emit_report(report, args)
@@ -186,19 +174,23 @@ def cmd_fcr(args) -> int:
 
 def cmd_converge(args) -> int:
     registry = _load_registry(args.registry)
-    table = resolve_failures(_load_table(args.input, registry, args.drop_incomplete))
-    matrices = build_rank_matrices(table, _tie_policy(args.tie_policy), args.tie_epsilon)
-    sizes = _parse_sizes(args.sizes, len(matrices)) if args.sizes else None
+    table, digest = _load_table(args.input, registry, args.drop_incomplete)
+    if args.sizes and max(args.sizes) > len(table.suite):
+        raise ValidationError(
+            f"--sizes {max(args.sizes)} exceeds the number of tests ({len(table.suite)})"
+        )
+    matrices = build_rank_matrices(
+        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
+    )
     conv = subsample_convergence(
         matrices,
         coefficients=args.coefficients,
-        sizes=sizes,
+        sizes=args.sizes,
         repeats=args.repeats,
         rng_seed=args.rng_seed,
     )
 
-    report = _base_report(args)
-    report["inputs"][args.input] = _sha256(Path(args.input))
+    report = _base_report(registry, {args.input: digest})
     report["settings"] = {
         "tie_policy": args.tie_policy,
         "tie_epsilon": args.tie_epsilon,
@@ -206,6 +198,7 @@ def cmd_converge(args) -> int:
         "rng_seed": args.rng_seed,
     }
     report["convergence"] = conv.fragment()
+    report["warnings"].extend(conv.warnings)
     _emit_report(report, args)
     if args.plot_out:
         Path(args.plot_out).write_text(plot_data_csv(conv), encoding="utf-8")
@@ -235,21 +228,67 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(spec: str, n_tests: int) -> list[int]:
-    sizes = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, _, hi = part.partition(":")
-            sizes.extend(range(int(lo), int(hi) + 1))
-        else:
-            sizes.append(int(part))
-    return sizes
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError, so that main returns exit code 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _parse_sizes(spec: str) -> list[int]:
+    """'1:3,8' -> [1, 2, 3, 8]; each size >= 1, each range nonempty."""
+    sizes = []
+    for part in spec.split(","):
+        lo, colon, hi = part.strip().partition(":")
+        try:
+            span = range(int(lo), int(hi) + 1) if colon else [int(lo)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad size {part!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty range {part!r}")
+        if min(span) < 1:
+            raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {part!r}")
+        sizes.extend(span)
+    return sizes
+
+
+def _coefficient_names(spec: str) -> list[str]:
+    names = spec.split(",")
+    for name in names:
+        if name not in COEFFICIENTS:
+            raise argparse.ArgumentTypeError(
+                f"unknown coefficient {name!r}; choose from {','.join(COEFFICIENTS)}"
+            )
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"repeated coefficient in {spec!r}")
+    return names
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _framework(spec: str) -> tuple[str, str]:
+    label, eq, path = spec.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expects LABEL=PATH, got {spec!r}")
+    return label, path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,14 +299,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ranked = argparse.ArgumentParser(add_help=False)
     ranked.add_argument("--tie-policy", choices=["mean", "lowest"], default="mean")
-    ranked.add_argument("--tie-epsilon", type=float, default=0.0)
+    ranked.add_argument("--tie-epsilon", type=_nonnegative_float, default=0.0)
     ranked.add_argument(
         "--drop-incomplete",
         action="store_true",
         help="drop tests with missing cells instead of failing",
     )
 
-    parser = argparse.ArgumentParser(
+    coefficients = argparse.ArgumentParser(add_help=False)
+    coefficients.add_argument(
+        "--coefficients",
+        type=_coefficient_names,
+        default=None,
+        help=f"comma-separated subset of {','.join(COEFFICIENTS)} "
+        "(default: every one the tie policy supports)",
+    )
+
+    parser = _Parser(
         prog="rankbench",
         description="Quantify seed-to-seed randomness in benchmark rankings.",
     )
@@ -282,14 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("coeff", parents=[common, ranked], help="randomness coefficients")
-    p.add_argument("input")
-    p.add_argument(
-        "--coefficients",
-        type=lambda s: s.split(","),
-        default=list(COEFFICIENTS),
-        help="comma-separated subset of w,w_tied,w_wasserstein",
+    p = sub.add_parser(
+        "coeff", parents=[common, ranked, coefficients], help="randomness coefficients"
     )
+    p.add_argument("input")
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("fcr", parents=[common], help="framework comparison rank")
@@ -297,6 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--framework",
         action="append",
         required=True,
+        type=_framework,
         metavar="LABEL=PATH",
         help="repeatable; at least two",
     )
@@ -307,14 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fcr)
 
-    p = sub.add_parser("converge", parents=[common, ranked], help="subsampling study")
-    p.add_argument("input")
-    p.add_argument("--sizes", default=None, help="e.g. '1:44' or '1,5,10'")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument(
-        "--coefficients", type=lambda s: s.split(","), default=list(COEFFICIENTS)
+    p = sub.add_parser(
+        "converge", parents=[common, ranked, coefficients], help="subsampling study"
     )
+    p.add_argument("input")
+    p.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. '1:44' or '1,5,10'")
+    p.add_argument("--repeats", type=_positive_int, default=10)
+    p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--plot-out", default=None, help="plot-data CSV path")
     p.add_argument("--summary-out", default=None, help="summary CSV path")
     p.add_argument("--svg-out", default=None, help="SVG chart path")
@@ -337,14 +381,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str] | None):
+    """Parse argv and check the flags that depend on each other."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "coefficients"):
+        supported = coefficients_for(_tie_policy(args.tie_policy))
+        if args.coefficients is None:
+            args.coefficients = list(supported)
+        for name in args.coefficients:
+            if name not in supported:
+                parser.error(f"coefficient {name} requires --tie-policy mean")
+    if hasattr(args, "framework") and len(args.framework) < 2:
+        parser.error("fcr needs at least two --framework")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("RANKBENCH_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Convergence study: coefficient spread under test subsampling.
 
 For each subsample size k, k distinct tests are drawn uniformly without
-replacement, each requested coefficient is recomputed on the subsample,
-and the draw is repeated (ten times by default). Small-k spread shows
-how quickly a coefficient converges to its full-suite value as the
-test suite grows.
+replacement and the draw is repeated (ten times by default). Every
+coefficient is one minus the mean of per-test terms that do not depend
+on the subsample, so each is computed once over the full suite with
+``concordance.randomness`` and a subsample's value is one minus the
+mean over its drawn terms. Small-k spread shows how quickly a
+coefficient converges to its full-suite value as the suite grows.
 """
 
 from __future__ import annotations
@@ -13,23 +15,14 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .concordance import kendall_w_test, kendall_w_tied_test
+from .concordance import coefficients_for, randomness
 from .ranking import RankMatrix
-from .wasserstein import ww_test
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
-
-COEFFICIENTS = ("w", "w_tied", "w_wasserstein")
-
-_PER_TEST_TERM: dict[str, Callable[[RankMatrix], float]] = {
-    "w": lambda m: kendall_w_test(m).per_test_w,
-    "w_tied": lambda m: kendall_w_tied_test(m).per_test_w,
-    "w_wasserstein": lambda m: ww_test(m).per_test_w,
-}
 
 
 @dataclass(frozen=True)
@@ -51,6 +44,7 @@ class ConvergenceReport:
     provenance: str  # sha256 of the canonical rank-matrix serialization
     full_suite_value: dict[str, float]
     cells: tuple[ConvergenceCell, ...]
+    warnings: tuple[str, ...]  # kernel warnings of the full-suite terms
 
     def cell(self, size: int, coefficient: str) -> ConvergenceCell:
         for c in self.cells:
@@ -90,7 +84,7 @@ def _digest(matrices: Sequence[RankMatrix]) -> str:
 
 def subsample_convergence(
     matrices: Sequence[RankMatrix],
-    coefficients: Sequence[str] = COEFFICIENTS,
+    coefficients: Sequence[str] | None = None,
     sizes: Sequence[int] | None = None,
     repeats: int = 10,
     rng_seed: int = 0,
@@ -100,15 +94,15 @@ def subsample_convergence(
     Deterministic for a given rng_seed: each (size, repeat) pair gets
     its own RNG stream derived from the seed, so the draws do not depend
     on evaluation order. At k = len(matrices) every repeat reproduces
-    the full-suite value exactly.
+    the full-suite value exactly. By default every coefficient defined
+    for the matrices' tie policy is studied.
     """
     if not matrices:
         raise ValueError("empty suite")
+    if coefficients is None:
+        coefficients = coefficients_for(matrices[0].policy)
     if not coefficients:
         raise ValueError("empty coefficient set")
-    for c in coefficients:
-        if c not in _PER_TEST_TERM:
-            raise ValueError(f"unknown coefficient {c!r}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     n_tests = len(matrices)
@@ -119,13 +113,8 @@ def subsample_convergence(
         if not 1 <= k <= n_tests:
             raise ValueError(f"subsample size {k} out of range [1, {n_tests}]")
 
-    ordered = sorted(matrices, key=lambda m: m.test)
-    # Per-test concordance terms are subsample-independent, so a
-    # subsample's coefficient is just 1 - mean over the drawn terms.
-    terms = {
-        c: np.array([_PER_TEST_TERM[c](m) for m in ordered]) for c in coefficients
-    }
-    full = {c: 1.0 - float(np.mean(terms[c])) for c in coefficients}
+    results = [randomness(matrices, c) for c in coefficients]
+    terms = {r.coefficient: np.array(r.per_test) for r in results}
 
     cells = []
     for k in sizes:
@@ -158,8 +147,9 @@ def subsample_convergence(
         rng_seed=rng_seed,
         rng_algorithm=RNG_ALGORITHM,
         provenance=_digest(matrices),
-        full_suite_value=full,
+        full_suite_value={r.coefficient: r.value for r in results},
         cells=tuple(cells),
+        warnings=tuple(w for r in results for w in r.warnings),
     )
 
 

@@ -1,61 +1,20 @@
-"""Wasserstein randomness coefficient over empirical rank distributions.
+"""Per-test Wasserstein kernel of the W_w randomness coefficient.
 
 Each algorithm's ranks across seeds on one test form an empirical
-distribution. The W1 distance between two such equal-size distributions
-is the area between their CDFs, which reduces to the mean absolute
-difference of sorted samples. Per test, pairwise distances are summed
-and normalised by the value attained when every seed produces the same
-distinct ranking (no overlap at all); the randomness coefficient is one
-minus the mean of that ratio over the suite.
+distribution. The W1 distance between two equal-size distributions is
+the area between their CDFs, which equals the mean absolute difference
+of their order statistics. Per test, the W1 distances of all algorithm
+pairs are summed and normalised by the value attained when every seed
+produces the same distinct ranking (no overlap at all). The W_w
+coefficient, one minus the suite mean of that ratio, is served by
+``concordance.randomness`` like the other coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .ranking import RankMatrix
-from .results import TestId
-
-
-@dataclass(frozen=True)
-class RankDistribution:
-    """One algorithm's multiset of ranks across seeds on one test."""
-
-    test: TestId
-    algorithm: str
-    samples: tuple[float, ...]
-
-
-def w1_distance(d1: RankDistribution, d2: RankDistribution) -> float:
-    """W1 distance between two equal-size empirical rank distributions.
-
-    Computed by quantile matching: mean |sorted1[k] - sorted2[k]|,
-    exact for equal sample counts.
-    """
-    if d1.test != d2.test:
-        raise ValueError("distributions belong to different tests")
-    if len(d1.samples) != len(d2.samples):
-        raise ValueError(
-            f"unequal sample counts: {len(d1.samples)} vs {len(d2.samples)}"
-        )
-    s1 = np.sort(np.asarray(d1.samples, dtype=float))
-    s2 = np.sort(np.asarray(d2.samples, dtype=float))
-    return float(np.mean(np.abs(s1 - s2)))
-
-
-def rank_distributions(matrix: RankMatrix) -> list[RankDistribution]:
-    """One RankDistribution per algorithm column."""
-    return [
-        RankDistribution(
-            test=matrix.test,
-            algorithm=alg,
-            samples=tuple(float(r) for r in matrix.ranks[:, j]),
-        )
-        for j, alg in enumerate(matrix.algorithms)
-    ]
 
 
 def ww_normalizer(a: int) -> float:
@@ -63,68 +22,25 @@ def ww_normalizer(a: int) -> float:
     return a * (a - 1) * (a + 1) / 6.0
 
 
-@dataclass(frozen=True)
-class WassersteinStats:
-    test: TestId
-    pairwise_sum: float
-    per_test_w: float  # normalised ratio, 1 = fully separated distributions
-    warnings: tuple[str, ...] = ()
+def wasserstein_w(matrix: RankMatrix) -> tuple[float, str | None]:
+    """Normalised pairwise W1 sum of one test; 1 = fully separated distributions.
 
-
-@dataclass(frozen=True)
-class WassersteinResult:
-    value: float
-    per_test: tuple[WassersteinStats, ...]
-    warnings: tuple[str, ...] = ()
-
-    def fragment(self) -> dict:
-        return {
-            "coefficient": "w_wasserstein",
-            "value": self.value,
-            "per_test": [
-                {"dataset": s.test.dataset, "metric": s.test.metric, "w": s.per_test_w}
-                for s in self.per_test
-            ],
-        }
-
-
-def ww_test(matrix: RankMatrix) -> WassersteinStats:
-    """Normalised pairwise W1 sum for one test."""
+    Sorting each column along the seeds gives every algorithm's
+    quantiles. At one quantile level, sorted across algorithms into
+    x_(1) <= ... <= x_(a), the pairwise gaps sum to
+    sum_k (2k - a - 1) x_(k); summed over levels and divided by the
+    number of seeds, that is the sum of W1 over all pairs without a
+    loop over pairs.
+    """
     n, a = matrix.ranks.shape
-    if a < 2:
-        raise ValueError("need at least 2 algorithms")
-    dists = rank_distributions(matrix)
-    pairwise = sum(
-        w1_distance(dists[i], dists[j]) for i in range(a) for j in range(i)
-    )
-    ratio = pairwise / ww_normalizer(a)
-    warnings = []
+    levels = np.sort(np.sort(matrix.ranks, axis=0), axis=1)
+    weights = 2.0 * np.arange(1, a + 1) - a - 1
+    ratio = float((levels @ weights).sum()) / n / ww_normalizer(a)
     if ratio > 1.0 + 1e-12:
         # Only reachable when ranks were not a permutation per row
         # (lowest-shared policy); reported, never clamped.
-        warnings.append(
-            f"test {matrix.test.dataset}/{matrix.test.metric}: normalised "
-            f"Wasserstein ratio {ratio:.6g} exceeds 1 (tie policy {matrix.policy.value})"
+        return ratio, (
+            f"normalised Wasserstein ratio {ratio:.6g} exceeds 1 "
+            f"(tie policy {matrix.policy.value})"
         )
-    return WassersteinStats(
-        test=matrix.test,
-        pairwise_sum=float(pairwise),
-        per_test_w=float(ratio),
-        warnings=tuple(warnings),
-    )
-
-
-def ww_randomness(matrices: Sequence[RankMatrix]) -> WassersteinResult:
-    """1 - mean normalised pairwise W1 over the suite, TestId order.
-
-    0 means every test fully separates the algorithms' rank
-    distributions; values near 1 mean heavy overlap.
-    """
-    if not matrices:
-        raise ValueError("empty suite")
-    per_test = tuple(
-        ww_test(m) for m in sorted(matrices, key=lambda m: m.test)
-    )
-    value = 1.0 - float(np.mean([s.per_test_w for s in per_test]))
-    warnings = tuple(w for s in per_test for w in s.warnings)
-    return WassersteinResult(value=value, per_test=per_test, warnings=warnings)
+    return ratio, None

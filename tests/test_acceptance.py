@@ -13,23 +13,21 @@ from scipy.stats import spearmanr
 
 from rankbench import (
     SynthConfig,
-    TestId,
     TiePolicy,
     build_rank_matrices,
     count_ties,
     fcr,
     generate,
-    kendall_w_test,
-    kendall_w_tied_test,
+    kendall_w,
+    kendall_w_tied,
+    randomness,
     resolve_failures,
     subsample_convergence,
-    w1_distance,
-    w_randomness,
-    ww_randomness,
+    wasserstein_w,
 )
 from rankbench.cli import main as cli_main
 from rankbench.comparison import FrameworkResult
-from rankbench.wasserstein import RankDistribution, ww_normalizer
+from rankbench.wasserstein import ww_normalizer
 
 from oracles import brute_force_pairwise_rank_distance, brute_force_w, brute_force_w1
 from test_comparison import table_from_grid, shifted, BASE
@@ -60,7 +58,7 @@ def test_01_concordance_oracle():
         a = int(rng.integers(2, 6))
         n = int(rng.integers(1, 5))
         rows = [list(rng.permutation(a) + 1) for _ in range(n)]
-        got = kendall_w_test(matrix_from_rows(rows)).per_test_w
+        got, _ = kendall_w(matrix_from_rows(rows))
         assert abs(got - float(brute_force_w(rows))) < 1e-12
     assert time.time() - start < 10
 
@@ -68,44 +66,52 @@ def test_01_concordance_oracle():
 @criterion(2, "tie-correction fixture")
 def test_02_tie_correction():
     fixture = matrix_from_rows([[1.5, 1.5, 3], [1, 2, 3], [1, 2, 3]])
-    assert abs(kendall_w_tied_test(fixture).per_test_w - 186 / 198) < 1e-12
+    assert abs(kendall_w_tied(fixture)[0] - 186 / 198) < 1e-12
     rng = np.random.default_rng(20260102)
     for _ in range(1000):
         a = int(rng.integers(2, 6))
         n = int(rng.integers(1, 5))
         m = matrix_from_rows([list(rng.permutation(a) + 1) for _ in range(n)])
-        assert abs(
-            kendall_w_tied_test(m).per_test_w - kendall_w_test(m).per_test_w
-        ) < 1e-12
+        assert abs(kendall_w_tied(m)[0] - kendall_w(m)[0]) < 1e-12
 
 
 @criterion(3, "wasserstein oracle and metric axioms")
 def test_03_wasserstein_oracle():
     rng = np.random.default_rng(20260103)
-    t = TestId("d", "m")
 
     def random_multiset(n, a):
         # Rank-like values including mid-rank halves.
         return [float(v) for v in rng.integers(2, 2 * a + 1, size=n) / 2.0]
 
+    def pairwise_sum(columns):
+        # Per-test W_w ratio times its normaliser: the W1 sum over all
+        # column pairs. With two columns the normaliser is 1.
+        ratio, _ = wasserstein_w(matrix_from_rows(np.column_stack(columns)))
+        return ratio * ww_normalizer(len(columns))
+
     for _ in range(1000):
         a = int(rng.integers(2, 9))
         n = int(rng.integers(1, 11))
         s1, s2 = random_multiset(n, a), random_multiset(n, a)
-        d1 = RankDistribution(t, "x", tuple(s1))
-        d2 = RankDistribution(t, "y", tuple(s2))
-        got = w1_distance(d1, d2)
+        got = pairwise_sum([s1, s2])
         assert abs(got - float(brute_force_w1(s1, s2))) < 1e-12
+    for a in range(2, 9):
+        for _ in range(50):
+            n = int(rng.integers(1, 11))
+            columns = [random_multiset(n, a) for _ in range(a)]
+            want = sum(
+                brute_force_w1(columns[i], columns[j])
+                for i in range(a)
+                for j in range(i)
+            )
+            assert abs(pairwise_sum(columns) - float(want)) < 1e-12
     for _ in range(300):
         n = int(rng.integers(1, 8))
-        s = [
-            RankDistribution(t, str(i), tuple(random_multiset(n, 6)))
-            for i in range(3)
-        ]
-        d01, d10 = w1_distance(s[0], s[1]), w1_distance(s[1], s[0])
+        s = [random_multiset(n, 6) for _ in range(3)]
+        d01, d10 = pairwise_sum([s[0], s[1]]), pairwise_sum([s[1], s[0]])
         assert d01 == d10
-        assert (d01 == 0) == (sorted(s[0].samples) == sorted(s[1].samples))
-        assert w1_distance(s[0], s[2]) <= d01 + w1_distance(s[1], s[2]) + 1e-12
+        assert (d01 == 0) == (sorted(s[0]) == sorted(s[1]))
+        assert pairwise_sum([s[0], s[2]]) <= d01 + pairwise_sum([s[1], s[2]]) + 1e-12
 
 
 @criterion(4, "normalizer identity")
@@ -119,9 +125,9 @@ def test_04_normalizer_identity():
 def _coeffs(config):
     matrices = build_rank_matrices(resolve_failures(generate(config)))
     return {
-        "w": w_randomness(matrices).value,
-        "w_tied": w_randomness(matrices, tied=True).value,
-        "w_wasserstein": ww_randomness(matrices).value,
+        "w": randomness(matrices, "w").value,
+        "w_tied": randomness(matrices, "w_tied").value,
+        "w_wasserstein": randomness(matrices, "w_wasserstein").value,
     }
 
 
@@ -296,7 +302,7 @@ def test_11_tie_policy_divergence(tmp_path):
     values = {}
     for policy in (TiePolicy.MEAN_OF_TIED, TiePolicy.LOWEST_SHARED_RANK):
         matrices = build_rank_matrices(table, policy)
-        values[policy] = w_randomness(matrices).value
+        values[policy] = randomness(matrices, "w").value
     assert values[TiePolicy.MEAN_OF_TIED] != values[TiePolicy.LOWEST_SHARED_RANK]
 
     # Both values surface in CLI reports.

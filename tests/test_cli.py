@@ -1,7 +1,10 @@
+import codecs
+import hashlib
 import json
 
 import pytest
 
+from rankbench import cli
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 REGISTRY_TEXT = (
@@ -249,3 +252,111 @@ def test_converge_sizes_spec(tmp_path):
     )
     report = json.loads(out.read_text())
     assert report["convergence"]["sizes"] == [1, 2, 3, 8]
+
+
+CONVERGE_OUTPUTS = ["--plot-out", "{d}/plot.csv", "--summary-out", "{d}/summary.csv", "--svg-out", "{d}/x.svg"]
+
+# argv after the registry and --output flags; True where the error can
+# only be seen once the table is ingested.
+USAGE_ERRORS = {
+    "repeats-zero": (["converge", "--repeats", "0", *CONVERGE_OUTPUTS, "{table}"], False),
+    "sizes-empty-range": (["converge", "--sizes", "5:1", *CONVERGE_OUTPUTS, "{table}"], False),
+    "sizes-not-a-number": (["converge", "--sizes", "a", *CONVERGE_OUTPUTS, "{table}"], False),
+    "sizes-zero": (["converge", "--sizes", "0,1", *CONVERGE_OUTPUTS, "{table}"], False),
+    "sizes-above-tests": (["converge", "--sizes", "1,2", *CONVERGE_OUTPUTS, "{table}"], True),
+    "unknown-coefficient": (["converge", "--coefficients", "foo", *CONVERGE_OUTPUTS, "{table}"], False),
+    "empty-coefficient": (["converge", "--coefficients", "", *CONVERGE_OUTPUTS, "{table}"], False),
+    "repeated-coefficient": (["coeff", "--coefficients", "w,w", "{table}"], False),
+    "negative-epsilon": (["coeff", "--tie-epsilon", "-1", "{table}"], False),
+    "w-tied-lowest-coeff": (
+        ["coeff", "--tie-policy", "lowest", "--coefficients", "w_tied", "{table}"], False
+    ),
+    "w-tied-lowest-converge": (
+        ["converge", "--tie-policy", "lowest", "--coefficients", "w,w_tied", "{table}"], False
+    ),
+    "one-framework": (["fcr", "--framework", "p={table}"], False),
+    "framework-without-label": (["fcr", "--framework", "p={table}", "--framework", "{table}"], False),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, after_ingest", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys()
+)
+def test_usage_error_exits_2_before_computation(
+    argv, after_ingest, registry, table, tmp_path, monkeypatch
+):
+    stages = []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            stages.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("ingest", "build_rank_matrices", "fcr"):
+        monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
+    full = [argv[0], "--registry", registry, "--output", "{d}/report.json", *argv[1:]]
+    full = [a.format(d=tmp_path, table=table) for a in full]
+    assert main(full) == EXIT_VALIDATION
+    assert stages == (["ingest"] if after_ingest else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
+
+
+@pytest.mark.parametrize("command", ["coeff", "converge"])
+def test_default_coefficients_follow_tie_policy(command, registry, table, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(
+        [command, "--registry", registry, "--tie-policy", "lowest", "--output", str(out), table]
+    ) == EXIT_OK
+    report = json.loads(out.read_text())
+    if command == "coeff":
+        names = [frag["coefficient"] for frag in report["coefficients"]]
+    else:
+        names = report["convergence"]["coefficients"]
+    assert names == ["w", "w_wasserstein"]
+
+
+def test_bom_prefixed_inputs(tmp_path):
+    registry = tmp_path / "registry.txt"
+    registry.write_bytes(codecs.BOM_UTF8 + REGISTRY_TEXT.encode())
+    data = codecs.BOM_UTF8 + GOOD_CSV.encode()
+    path = tmp_path / "results.csv"
+    path.write_bytes(data)
+    assert main(["validate", "--registry", str(registry), str(path)]) == EXIT_OK
+    out = tmp_path / "report.json"
+    assert main(["coeff", "--registry", str(registry), "--output", str(out), str(path)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["inputs"] == {str(path): hashlib.sha256(data).hexdigest()}
+    assert [frag["n_ties"] for frag in report["coefficients"]] == [report["n_ties"]] * 3
+
+
+def test_coeff_and_converge_report_the_same_warnings(registry, tmp_path):
+    # Three algorithms tie at the top on both seeds: lowest-shared ranks
+    # 1 1 1 4 give per-test W = 1.8, outside [0, 1].
+    path = tmp_path / "ties.csv"
+    path.write_text(
+        "algorithm,dataset,metric,seed,value,status\n"
+        + "".join(
+            f"{alg},cora,f1,{seed},{value},ok\n"
+            for alg, value in (("a", 0.9), ("b", 0.9), ("c", 0.9), ("d", 0.1))
+            for seed in (0, 1)
+        )
+    )
+    reports = {}
+    for command in ("coeff", "converge"):
+        out = tmp_path / f"{command}.json"
+        assert main(
+            [
+                command,
+                "--registry", registry,
+                "--tie-policy", "lowest",
+                "--coefficients", "w",
+                "--output", str(out),
+                str(path),
+            ]
+        ) == EXIT_OK
+        reports[command] = json.loads(out.read_text())
+    assert reports["coeff"]["coefficients"][0]["per_test"][0]["w"] == 1.8
+    assert reports["coeff"]["warnings"]
+    assert reports["converge"]["warnings"] == reports["coeff"]["warnings"]

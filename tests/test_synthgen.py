@@ -1,10 +1,9 @@
 import pytest
 
-from rankbench.concordance import w_randomness
+from rankbench.concordance import randomness
 from rankbench.ranking import build_rank_matrices, count_ties
 from rankbench.results import Status, resolve_failures, to_csv
 from rankbench.synthgen import SynthConfig, generate
-from rankbench.wasserstein import ww_randomness
 
 
 def coefficients(config):
@@ -12,9 +11,9 @@ def coefficients(config):
         resolve_failures(generate(config))
     )
     return (
-        w_randomness(matrices).value,
-        w_randomness(matrices, tied=True).value,
-        ww_randomness(matrices).value,
+        randomness(matrices, "w").value,
+        randomness(matrices, "w_tied").value,
+        randomness(matrices, "w_wasserstein").value,
         matrices,
     )
 
@@ -64,7 +63,7 @@ def test_all_failures_fully_tied():
     # Identical rank distributions are total overlap for the
     # Wasserstein coefficient, the opposite reading of the same ties.
     assert ww == 1.0
-    result = w_randomness(matrices, tied=True)
+    result = randomness(matrices, "w_tied")
     assert result.warnings  # degenerate convention path
 
 

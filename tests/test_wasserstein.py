@@ -2,43 +2,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankbench.concordance import randomness
 from rankbench.ranking import TiePolicy
 from rankbench.results import TestId
-from rankbench.wasserstein import (
-    RankDistribution,
-    w1_distance,
-    ww_normalizer,
-    ww_randomness,
-    ww_test,
-)
+from rankbench.wasserstein import wasserstein_w, ww_normalizer
 
 from oracles import brute_force_pairwise_rank_distance, brute_force_w1
 from test_concordance import matrix_from_rows
 
-T = TestId("d", "m")
 
+def w1(samples1, samples2):
+    """W1 of two equal-size samples: the W_w ratio of their 2-column rank matrix.
 
-def dist(samples, alg="a", test=T):
-    return RankDistribution(test=test, algorithm=alg, samples=tuple(samples))
+    With two algorithms the normaliser is 1, so the ratio is the single
+    pairwise distance.
+    """
+    ratio, _ = wasserstein_w(matrix_from_rows(np.column_stack([samples1, samples2])))
+    return ratio
 
 
 class TestW1Distance:
     def test_point_masses(self):
-        assert w1_distance(dist([1, 1]), dist([2, 2], "b")) == 1.0
+        assert w1([1, 1], [2, 2]) == 1.0
 
     def test_identity(self):
-        assert w1_distance(dist([1, 3, 2]), dist([3, 1, 2], "b")) == 0.0
+        assert w1([1, 3, 2], [3, 1, 2]) == 0.0
 
     def test_cdf_crossing_case(self):
-        assert w1_distance(dist([1, 3]), dist([2, 2], "b")) == 1.0
-
-    def test_unequal_sizes_rejected(self):
-        with pytest.raises(ValueError, match="unequal"):
-            w1_distance(dist([1, 2]), dist([1], "b"))
-
-    def test_different_tests_rejected(self):
-        with pytest.raises(ValueError, match="different tests"):
-            w1_distance(dist([1]), dist([1], test=TestId("other", "m")))
+        assert w1([1, 3], [2, 2]) == 1.0
 
 
 rank_multiset = st.lists(
@@ -53,7 +44,7 @@ rank_multiset = st.lists(
 def test_quantile_formula_matches_cdf_integration(s1, data):
     s2 = data.draw(st.lists(st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.5, 8.0]),
                             min_size=len(s1), max_size=len(s1)))
-    got = w1_distance(dist(s1), dist(s2, "b"))
+    got = w1(s1, s2)
     assert got == pytest.approx(float(brute_force_w1(s1, s2)), abs=1e-12)
 
 
@@ -64,10 +55,10 @@ def test_metric_axioms(s1, data):
     grid = st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0])
     s2 = data.draw(st.lists(grid, min_size=k, max_size=k))
     s3 = data.draw(st.lists(grid, min_size=k, max_size=k))
-    d12 = w1_distance(dist(s1), dist(s2, "b"))
-    d21 = w1_distance(dist(s2, "b"), dist(s1))
-    d13 = w1_distance(dist(s1), dist(s3, "c"))
-    d23 = w1_distance(dist(s2, "b"), dist(s3, "c"))
+    d12 = w1(s1, s2)
+    d21 = w1(s2, s1)
+    d13 = w1(s1, s3)
+    d23 = w1(s2, s3)
     assert d12 == d21
     assert d12 >= 0
     assert (d12 == 0) == (sorted(s1) == sorted(s2))
@@ -83,19 +74,18 @@ def test_normalizer_identity(a):
 
 class TestWwTest:
     def test_deterministic_distinct_ranks_saturate(self):
-        stats = ww_test(matrix_from_rows([[1, 2, 3]] * 4))
-        assert stats.pairwise_sum == 4.0
-        assert stats.per_test_w == 1.0
+        ratio, _ = wasserstein_w(matrix_from_rows([[1, 2, 3]] * 4))
+        assert ratio == 1.0
 
     def test_identical_distributions_zero(self):
         # Both algorithms see ranks {1, 2} across seeds.
-        stats = ww_test(matrix_from_rows([[1, 2], [2, 1]]))
-        assert stats.per_test_w == 0.0
+        ratio, _ = wasserstein_w(matrix_from_rows([[1, 2], [2, 1]]))
+        assert ratio == 0.0
 
     def test_lowest_policy_can_exceed_one(self):
         m = matrix_from_rows([[1, 1, 1, 4]] * 2, policy=TiePolicy.LOWEST_SHARED_RANK)
         # Not reachable with permutation rows; constructed matrix only.
-        assert not ww_test(m).warnings  # ratio is 9/10 here, no warning
+        assert wasserstein_w(m)[1] is None  # ratio is 9/10 here, no warning
 
 
 class TestWwRandomness:
@@ -104,22 +94,22 @@ class TestWwRandomness:
             matrix_from_rows([[1, 2, 3]] * 5, test=TestId(f"d{i}", "m"))
             for i in range(4)
         ]
-        assert ww_randomness(ms).value == 0.0
+        assert randomness(ms, "w_wasserstein").value == 0.0
 
     def test_identical_distributions_one(self):
         ms = [
             matrix_from_rows([[1, 2], [2, 1]], test=TestId(f"d{i}", "m"))
             for i in range(3)
         ]
-        assert ww_randomness(ms).value == 1.0
+        assert randomness(ms, "w_wasserstein").value == 1.0
 
     def test_row_order_never_matters(self):
         rng = np.random.default_rng(11)
         rows = [list(rng.permutation(5) + 1) for _ in range(6)]
-        base = ww_test(matrix_from_rows(rows)).per_test_w
-        shuffled = ww_test(
+        base, _ = wasserstein_w(matrix_from_rows(rows))
+        shuffled, _ = wasserstein_w(
             matrix_from_rows([rows[i] for i in rng.permutation(6)])
-        ).per_test_w
+        )
         assert base == shuffled
 
     def test_unit_interval_on_permutation_rows(self):
@@ -128,8 +118,8 @@ class TestWwRandomness:
             a = int(rng.integers(2, 7))
             n = int(rng.integers(1, 6))
             m = matrix_from_rows([list(rng.permutation(a) + 1) for _ in range(n)])
-            assert 0.0 <= ww_test(m).per_test_w <= 1.0
+            assert 0.0 <= wasserstein_w(m)[0] <= 1.0
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ww_randomness([])
+            randomness([], "w_wasserstein")
