@@ -19,6 +19,8 @@ import json
 import logging
 import os
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -56,11 +58,38 @@ def _read_table_file(path: str) -> tuple[str, str]:
     return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
 
+@contextmanager
+def _stage(name: str):
+    """Log the wall time of the enclosed pipeline stage at INFO."""
+    start = time.perf_counter()
+    yield
+    log.info("%s: %.3f s", name, time.perf_counter() - start)
+
+
 def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
     """Ingest a table file; returns the table and the sha256 of the bytes parsed."""
     fmt = "json" if Path(path).suffix.lower() == ".json" else "csv"
-    text, digest = _read_table_file(path)
-    return ingest(text, fmt, registry, drop_incomplete), digest
+    with _stage(f"ingest {path}"):
+        text, digest = _read_table_file(path)
+        return ingest(text, fmt, registry, drop_incomplete), digest
+
+
+def _ranked(table, args):
+    """Resolve failures, then rank under the tie flags of ``args``."""
+    with _stage("resolve failures"):
+        resolved = resolve_failures(table)
+    with _stage("rank"):
+        return build_rank_matrices(resolved, _tie_policy(args.tie_policy), args.tie_epsilon)
+
+
+def _ranked_settings(args, table) -> dict:
+    """Report settings shared by the commands that rank one table."""
+    return {
+        "tie_policy": args.tie_policy,
+        "tie_epsilon": args.tie_epsilon,
+        "drop_incomplete": args.drop_incomplete,
+        "dropped_tests": [[t.dataset, t.metric] for t in table.dropped],
+    }
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -91,10 +120,11 @@ def _base_report(registry: dict, inputs: dict[str, str]) -> dict:
 
 
 def _emit_report(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        _write_output(_report_csv(report), args.output)
-    else:
-        _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+    with _stage("write report"):
+        if getattr(args, "format", "json") == "csv":
+            _write_output(_report_csv(report), args.output)
+        else:
+            _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
 
 
 def _report_csv(report: dict) -> str:
@@ -128,28 +158,22 @@ def cmd_validate(args) -> int:
 
 def cmd_rank(args) -> int:
     table, _ = _load_table(args.input, _load_registry(args.registry), args.drop_incomplete)
-    matrices = build_rank_matrices(
-        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
-    )
-    _write_output(matrices_to_csv(matrices), args.output)
+    matrices = _ranked(table, args)
+    with _stage("write ranks"):
+        _write_output(matrices_to_csv(matrices), args.output)
     return EXIT_OK
 
 
 def cmd_coeff(args) -> int:
     registry = _load_registry(args.registry)
     table, digest = _load_table(args.input, registry, args.drop_incomplete)
-    matrices = build_rank_matrices(
-        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
-    )
+    matrices = _ranked(table, args)
     n_ties = count_ties(matrices)
-    results = [randomness(matrices, name) for name in args.coefficients]
+    with _stage("coefficients"):
+        results = [randomness(matrices, name) for name in args.coefficients]
 
     report = _base_report(registry, {args.input: digest})
-    report["settings"] = {
-        "tie_policy": args.tie_policy,
-        "tie_epsilon": args.tie_epsilon,
-        "coefficients": args.coefficients,
-    }
+    report["settings"] = {**_ranked_settings(args, table), "coefficients": args.coefficients}
     report["n_ties"] = n_ties
     report["coefficients"] = [r.fragment(n_ties) for r in results]
     report["warnings"].extend(w for r in results for w in r.warnings)
@@ -164,10 +188,12 @@ def cmd_fcr(args) -> int:
     for label, path in args.framework:
         table, inputs[path] = _load_table(path, registry)
         frameworks.append(FrameworkResult(label, table))
-    result = fcr(frameworks, Granularity(args.granularity))
+    with _stage("fcr"):
+        result = fcr(frameworks, Granularity(args.granularity))
     report = _base_report(registry, inputs)
     report["settings"] = {"granularity": args.granularity}
     report["fcr"] = result.fragment()
+    report["warnings"].extend(result.warnings)
     _emit_report(report, args)
     return EXIT_OK
 
@@ -179,33 +205,32 @@ def cmd_converge(args) -> int:
         raise ValidationError(
             f"--sizes {max(args.sizes)} exceeds the number of tests ({len(table.suite)})"
         )
-    matrices = build_rank_matrices(
-        resolve_failures(table), _tie_policy(args.tie_policy), args.tie_epsilon
-    )
-    conv = subsample_convergence(
-        matrices,
-        coefficients=args.coefficients,
-        sizes=args.sizes,
-        repeats=args.repeats,
-        rng_seed=args.rng_seed,
-    )
+    matrices = _ranked(table, args)
+    with _stage("convergence"):
+        conv = subsample_convergence(
+            matrices,
+            coefficients=args.coefficients,
+            sizes=args.sizes,
+            repeats=args.repeats,
+            rng_seed=args.rng_seed,
+        )
 
     report = _base_report(registry, {args.input: digest})
     report["settings"] = {
-        "tie_policy": args.tie_policy,
-        "tie_epsilon": args.tie_epsilon,
+        **_ranked_settings(args, table),
         "repeats": args.repeats,
         "rng_seed": args.rng_seed,
     }
     report["convergence"] = conv.fragment()
     report["warnings"].extend(conv.warnings)
     _emit_report(report, args)
-    if args.plot_out:
-        Path(args.plot_out).write_text(plot_data_csv(conv), encoding="utf-8")
-    if args.summary_out:
-        Path(args.summary_out).write_text(summary_csv(conv), encoding="utf-8")
-    if args.svg_out:
-        Path(args.svg_out).write_text(render_convergence_svg(conv), encoding="utf-8")
+    with _stage("write plot files"):
+        if args.plot_out:
+            Path(args.plot_out).write_text(plot_data_csv(conv), encoding="utf-8")
+        if args.summary_out:
+            Path(args.summary_out).write_text(summary_csv(conv), encoding="utf-8")
+        if args.svg_out:
+            Path(args.svg_out).write_text(render_convergence_svg(conv), encoding="utf-8")
     return EXIT_OK
 
 

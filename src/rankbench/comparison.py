@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .ranking import TiePolicy, rank_row
-from .results import ResultTable, ValidationError, resolve_failures, scores_for_test
+from .ranking import rank_cube
+from .results import ResultTable, ValidationError, resolve_failures
 
 
 class Granularity(Enum):
@@ -34,12 +34,15 @@ class FcrResult:
     ranks: dict[str, float]  # label -> mean rank
     units: int
     granularity: Granularity
+    seeds: dict[str, int]  # label -> number of seeds averaged per unit
+    warnings: tuple[str, ...] = ()
 
     def fragment(self) -> dict:
         return {
             "fcr": dict(self.ranks),
             "units": self.units,
             "granularity": self.granularity.value,
+            "seeds": dict(self.seeds),
         }
 
 
@@ -80,33 +83,29 @@ def fcr(
 
     tables = [resolve_failures(f.table) for f in frameworks]
 
-    # unit -> per-framework score, ordered as `frameworks`
-    unit_scores: list[tuple[object, str, list[float]]] = []
-    for test in ref.suite:
-        per_table = [scores_for_test(t, test) for t in tables]
-        if granularity is Granularity.PER_ALGORITHM_TEST:
-            for j, alg in enumerate(ref.algorithms):
-                scores = [
-                    float(np.mean([rows[seed][j] for seed in t.seeds]))
-                    for t, rows in zip(tables, per_table)
-                ]
-                unit_scores.append(((test, alg), test.metric, scores))
-        else:
-            scores = [
-                float(np.mean([rows[seed] for seed in t.seeds]))
-                for t, rows in zip(tables, per_table)
-            ]
-            unit_scores.append((test, test.metric, scores))
-
-    totals = np.zeros(len(frameworks))
-    for _, metric, scores in unit_scores:
-        ranks, _ = rank_row(
-            scores, ref.registry[metric].direction, TiePolicy.MEAN_OF_TIED, 0.0
+    # Seed means per unit, one column per framework. Each mean reduces a
+    # contiguous last axis, the same summation as np.mean over that unit's
+    # seed vector.
+    higher_better = ref.higher_better
+    if granularity is Granularity.PER_ALGORITHM_TEST:
+        means = [np.ascontiguousarray(t.values.transpose(0, 2, 1)).mean(axis=-1) for t in tables]
+        higher_better = higher_better[:, None]
+    else:
+        means = [t.values.reshape(len(t.suite), -1).mean(axis=-1) for t in tables]
+    ranks, _, _ = rank_cube(np.stack(means, axis=-1), higher_better)
+    ranks = ranks.reshape(-1, len(frameworks))
+    mean_ranks = ranks.sum(axis=0) / len(ranks)
+    seeds = {f.label: t.n_seeds for f, t in zip(frameworks, tables)}
+    warnings = ()
+    if len({t.seeds for t in tables}) > 1:
+        warnings = (
+            "frameworks were run on different seed sets; each framework's "
+            "scores are averaged over its own seeds",
         )
-        totals += np.array(ranks)
-    means = totals / len(unit_scores)
     return FcrResult(
-        ranks={label: float(r) for label, r in zip(labels, means)},
-        units=len(unit_scores),
+        ranks={label: float(r) for label, r in zip(labels, mean_ranks)},
+        units=len(ranks),
         granularity=granularity,
+        seeds=seeds,
+        warnings=warnings,
     )

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .results import Direction, ResultTable, TestId, ValidationError, scores_for_test
+from .results import OK, Direction, ResultTable, TestId, ValidationError
+
+log = logging.getLogger(__name__)
 
 
 class TiePolicy(Enum):
@@ -50,6 +52,68 @@ class RankMatrix:
         return self.ranks.shape[1]
 
 
+class NonFiniteValue(ValueError):
+    """A score that cannot be ranked; ``row`` indexes the leading axes of the input."""
+
+    def __init__(self, row: tuple[int, ...], value: float) -> None:
+        super().__init__(f"non-finite value {value!r}")
+        self.row = row
+
+
+def rank_cube(
+    values: np.ndarray,
+    higher_better: np.ndarray | bool,
+    policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
+    tie_epsilon: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank every row along the last axis at once; the best value gets rank 1.
+
+    ``higher_better`` broadcasts against ``values.shape[:-1]``. Each row
+    is put in best-first order by one stable argsort, so exact ties keep
+    input order; a new tie group starts wherever neighbours in that order
+    differ by more than ``tie_epsilon``, which chains eps-close values
+    (transitive closure). Returns the ranks (shape of ``values``), and
+    for every tie group of size >= 2, in row-major then best-first order,
+    its row (flat index over the leading axes) and its size. Raises
+    :class:`NonFiniteValue` for the first row, in row-major order, that
+    holds a non-finite value.
+    """
+    values = np.asarray(values, dtype=float)
+    a = values.shape[-1] if values.ndim else 0
+    if a < 2:
+        raise ValueError("need at least 2 values to rank")
+    if tie_epsilon < 0:
+        raise ValueError("tie_epsilon must be nonnegative")
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows_finite = finite.all(axis=-1)
+        row = np.unravel_index(int(np.argmin(rows_finite)), rows_finite.shape)
+        raise NonFiniteValue(
+            tuple(int(i) for i in row), float(values[row][np.argmin(finite[row])])
+        )
+
+    keys = np.where(np.asarray(higher_better)[..., None], -values, values).reshape(-1, a)
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = np.take_along_axis(keys, order, axis=1)
+    starts = np.ones(keys.shape, dtype=bool)
+    with np.errstate(over="ignore"):  # a gap too wide for a float is still a boundary
+        starts[:, 1:] = np.diff(ordered, axis=1) > tie_epsilon
+    # Tie groups are the runs between starts; no run crosses a row, since
+    # every row begins with a start.
+    group_starts = np.flatnonzero(starts)
+    sizes = np.diff(group_starts, append=starts.size)
+    group = np.cumsum(starts.ravel()) - 1
+    first = (group_starts % a)[group]  # 0-based position where each cell's group begins
+    if policy is TiePolicy.LOWEST_SHARED_RANK:
+        ordered_ranks = first + 1.0
+    else:
+        ordered_ranks = first + (sizes[group] + 1) / 2
+    ranks = np.empty(keys.shape)
+    np.put_along_axis(ranks, order, ordered_ranks.reshape(keys.shape), axis=1)
+    tied = sizes >= 2
+    return ranks.reshape(values.shape), group_starts[tied] // a, sizes[tied]
+
+
 def rank_row(
     values: Sequence[float],
     direction: Direction,
@@ -59,39 +123,12 @@ def rank_row(
     """Rank one score vector; best value gets rank 1.
 
     Returns the rank for each input position plus the sizes of tied
-    groups (>= 2). Raises on non-finite values.
+    groups (>= 2), best group first. Raises on non-finite values.
     """
-    a = len(values)
-    if a < 2:
-        raise ValueError("need at least 2 values to rank")
-    if tie_epsilon < 0:
-        raise ValueError("tie_epsilon must be nonnegative")
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v!r}")
-
-    # Sort so the best value comes first, then chain eps-close neighbours
-    # into tie groups (transitive closure on the sorted order).
-    sign = -1.0 if direction is Direction.HIGHER_BETTER else 1.0
-    order = sorted(range(a), key=lambda i: sign * values[i])
-    ranks = [0.0] * a
-    group_sizes: list[int] = []
-    pos = 0
-    while pos < a:
-        end = pos + 1
-        while end < a and abs(
-            sign * values[order[end]] - sign * values[order[end - 1]]
-        ) <= tie_epsilon:
-            end += 1
-        t = end - pos
-        p = pos + 1  # 1-based first position of the block
-        rank = p if policy is TiePolicy.LOWEST_SHARED_RANK else (2 * p + t - 1) / 2
-        for k in range(pos, end):
-            ranks[order[k]] = float(rank)
-        if t >= 2:
-            group_sizes.append(t)
-        pos = end
-    return ranks, group_sizes
+    ranks, _, sizes = rank_cube(
+        values, direction is Direction.HIGHER_BETTER, policy, tie_epsilon
+    )
+    return ranks.tolist(), sizes.tolist()
 
 
 def build_rank_matrices(
@@ -101,32 +138,40 @@ def build_rank_matrices(
 ) -> list[RankMatrix]:
     """One RankMatrix per test, in TestId order.
 
-    Rows follow the table's seed order, columns its algorithm order.
-    The table must be failure-resolved (every record has a value).
+    Rows follow the table's seed order, columns its algorithm order;
+    every matrix's ranks are a slice of one rank cube. The table must be
+    failure-resolved (every cell has a value).
     """
-    matrices = []
-    for test in table.suite:
-        direction = table.registry[test.metric].direction
-        rows = []
-        groups = []
-        for seed, values in scores_for_test(table, test).items():
-            try:
-                ranks, sizes = rank_row(values, direction, policy, tie_epsilon)
-            except ValueError as exc:
-                raise ValidationError(f"test {test}, seed {seed}: {exc}") from exc
-            rows.append(ranks)
-            groups.append(tuple(sizes))
-        matrices.append(
-            RankMatrix(
-                test=test,
-                ranks=np.array(rows, dtype=float),
-                tie_groups=tuple(groups),
-                algorithms=table.algorithms,
-                seeds=table.seeds,
-                policy=policy,
-            )
+    unresolved = np.isnan(table.values) & (table.status != OK)
+    if unresolved.any():
+        t, s, a = np.argwhere(unresolved)[0]
+        key = (table.algorithms[a], *table.suite[t], table.seeds[s])
+        raise ValidationError(f"record {key} has no value; run resolve_failures first")
+    try:
+        ranks, group_rows, sizes = rank_cube(
+            table.values, table.higher_better[:, None], policy, tie_epsilon
         )
-    return matrices
+    except NonFiniteValue as exc:
+        t, s = exc.row
+        raise ValidationError(f"test {table.suite[t]}, seed {table.seeds[s]}: {exc}") from exc
+
+    n_rows = ranks.shape[0] * ranks.shape[1]
+    log.info("ranked %d rows: %d tie groups", n_rows, len(sizes))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group_rows, minlength=n_rows))))
+    sizes, bounds = sizes.tolist(), bounds.tolist()
+    row_groups = [tuple(sizes[bounds[r] : bounds[r + 1]]) for r in range(n_rows)]
+    n_seeds = table.n_seeds
+    return [
+        RankMatrix(
+            test=test,
+            ranks=ranks[t],
+            tie_groups=tuple(row_groups[t * n_seeds : (t + 1) * n_seeds]),
+            algorithms=table.algorithms,
+            seeds=table.seeds,
+            policy=policy,
+        )
+        for t, test in enumerate(table.suite)
+    ]
 
 
 def count_ties(matrices: Iterable[RankMatrix]) -> int:

@@ -1,10 +1,14 @@
 """Canonical data model for benchmark results.
 
 A result table is a complete grid of scores indexed by
-(algorithm, dataset, metric, seed). Each cell carries a status; failed
-runs (out-of-memory, timeout, error) may have no score until
-:func:`resolve_failures` maps them to the worst possible value for their
-metric, so that failures participate in rankings as bottom ties.
+(algorithm, dataset, metric, seed), held as one float cube of shape
+tests × seeds × algorithms plus an int8 status cube of the same shape.
+Failed runs (out-of-memory, timeout, error) may have no score (NaN in
+the cube) until :func:`resolve_failures` maps them to the worst possible
+value for their metric, so that failures participate in rankings as
+bottom ties. Per-cell :class:`ResultRecord` objects exist only for
+callers that ask for them (:attr:`ResultTable.records`,
+:meth:`ResultTable.record`); the pipeline never builds them.
 """
 
 from __future__ import annotations
@@ -12,9 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+import logging
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class ValidationError(Exception):
@@ -31,6 +42,13 @@ class Status(Enum):
     OUT_OF_MEMORY = "oom"
     TIMEOUT = "timeout"
     ERROR = "error"
+
+
+# A status cube holds each cell's index into STATUSES; OK is 0.
+STATUSES: tuple[Status, ...] = tuple(Status)
+_STATUS_CODE = {s: i for i, s in enumerate(STATUSES)}
+_STATUS_TEXT_CODE = {s.value: i for i, s in enumerate(STATUSES)}
+OK = _STATUS_CODE[Status.OK]
 
 
 @dataclass(frozen=True)
@@ -93,27 +111,24 @@ class ResultRecord:
         return TestId(self.dataset, self.metric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
     """Validated complete grid of benchmark results.
 
-    Immutable after construction; derived lists are sorted and
-    independent of input row order.
+    ``values[t, s, a]`` is the score of ``algorithms[a]`` on test
+    ``suite[t]`` under ``seeds[s]``, NaN where a failed run has no
+    score; ``status`` holds each cell's index into :data:`STATUSES`.
+    Labels are sorted, so the cubes do not depend on input row order.
+    ``dropped`` names the tests that ``drop_incomplete`` removed.
     """
 
-    records: tuple[ResultRecord, ...]
+    suite: tuple[TestId, ...]
+    seeds: tuple[int, ...]
+    algorithms: tuple[str, ...]
+    values: np.ndarray
+    status: np.ndarray
     registry: dict[str, MetricSpec]
-    suite: tuple[TestId, ...] = field(init=False)
-    algorithms: tuple[str, ...] = field(init=False)
-    seeds: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        suite = tuple(sorted({r.test for r in self.records}))
-        algorithms = tuple(sorted({r.algorithm for r in self.records}))
-        seeds = tuple(sorted({r.seed for r in self.records}))
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "algorithms", algorithms)
-        object.__setattr__(self, "seeds", seeds)
+    dropped: tuple[TestId, ...] = ()
 
     @property
     def n_algorithms(self) -> int:
@@ -123,16 +138,35 @@ class ResultTable:
     def n_seeds(self) -> int:
         return len(self.seeds)
 
-    def record(self, algorithm: str, dataset: str, metric: str, seed: int) -> ResultRecord:
-        return self._index[(algorithm, dataset, metric, seed)]
-
     @property
-    def _index(self) -> dict[tuple[str, str, str, int], ResultRecord]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {r.key: r for r in self.records}
-            self.__dict__["_index_cache"] = cached
-        return cached
+    def higher_better(self) -> np.ndarray:
+        """Per test, whether its metric ranks higher values first."""
+        return np.array(
+            [self.registry[t.metric].direction is Direction.HIGHER_BETTER for t in self.suite],
+            dtype=bool,
+        )
+
+    @cached_property
+    def records(self) -> tuple[ResultRecord, ...]:
+        """Every cell as a record, in key order; built on first access."""
+        values = self.values.transpose(2, 0, 1).tolist()
+        codes = self.status.transpose(2, 0, 1).tolist()
+        return tuple(
+            _record(alg, test, seed, value, code)
+            for alg, alg_values, alg_codes in zip(self.algorithms, values, codes)
+            for test, test_values, test_codes in zip(self.suite, alg_values, alg_codes)
+            for seed, value, code in zip(self.seeds, test_values, test_codes)
+        )
+
+    def record(self, algorithm: str, dataset: str, metric: str, seed: int) -> ResultRecord:
+        try:
+            t = self.suite.index(TestId(dataset, metric))
+            s = self.seeds.index(seed)
+            a = self.algorithms.index(algorithm)
+        except ValueError:
+            raise KeyError((algorithm, dataset, metric, seed)) from None
+        value, code = float(self.values[t, s, a]), int(self.status[t, s, a])
+        return _record(algorithm, self.suite[t], seed, value, code)
 
     @classmethod
     def build(
@@ -150,53 +184,135 @@ class ResultTable:
         if not isinstance(registry, dict):
             registry = {m.name: m for m in registry}
         records = list(records)
-        if not records:
-            raise ValidationError("no records")
+        return _from_columns(
+            [r.algorithm for r in records],
+            [r.dataset for r in records],
+            [r.metric for r in records],
+            [r.seed for r in records],
+            [r.value for r in records],
+            [_STATUS_CODE[r.status] for r in records],
+            registry,
+            drop_incomplete,
+        )
 
-        seen: dict[tuple[str, str, str, int], ResultRecord] = {}
-        for rec in records:
-            if rec.status is Status.OK and rec.value is None:
-                raise ValidationError(f"record {rec.key}: status ok but no value")
-            spec = registry.get(rec.metric)
-            if spec is None:
-                raise ValidationError(f"unknown metric {rec.metric!r} (record {rec.key})")
-            if rec.value is not None and spec.bounds is not None:
-                lo, hi = spec.bounds
-                if not lo <= rec.value <= hi:
-                    raise ValidationError(
-                        f"record {rec.key}: value {rec.value} outside bounds [{lo}, {hi}]"
-                    )
-            if rec.key in seen:
-                raise ValidationError(f"duplicate record for {rec.key}")
-            seen[rec.key] = rec
 
-        algorithms = sorted({r.algorithm for r in records})
-        tests = sorted({r.test for r in records})
-        seeds = sorted({r.seed for r in records})
-        if len(algorithms) < 2:
-            raise ValidationError("need at least 2 algorithms")
+def _record(algorithm: str, test: TestId, seed: int, value: float, code: int) -> ResultRecord:
+    status = STATUSES[code]
+    if status is not Status.OK and math.isnan(value):
+        value = None
+    return ResultRecord(algorithm, test.dataset, test.metric, seed, value, status)
 
-        missing = [
-            (alg, t.dataset, t.metric, s)
-            for t in tests
-            for alg in algorithms
-            for s in seeds
-            if (alg, t.dataset, t.metric, s) not in seen
-        ]
-        if missing:
-            if drop_incomplete:
-                bad_tests = {TestId(d, m) for _, d, m, _ in missing}
-                seen = {k: r for k, r in seen.items() if r.test not in bad_tests}
-                if not seen:
-                    raise ValidationError("every test has missing cells; nothing left")
-            else:
-                cells = ", ".join(
-                    f"(algorithm={a}, dataset={d}, metric={m}, seed={s})"
-                    for a, d, m, s in missing
-                )
-                raise ValidationError(f"incomplete grid, missing cells: {cells}")
 
-        return cls(records=tuple(seen.values()), registry=dict(registry))
+def _codes(column: Sequence) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct labels of a column and each entry's index into them."""
+    labels = tuple(sorted(set(column)))
+    index = {x: i for i, x in enumerate(labels)}
+    return labels, np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def _from_columns(
+    algorithm_column: list[str],
+    dataset_column: list[str],
+    metric_column: list[str],
+    seed_column: list[int],
+    value_column: list[float | None],
+    status_column: list[int],
+    registry: dict[str, MetricSpec],
+    drop_incomplete: bool,
+) -> ResultTable:
+    """Validate parsed columns (one entry per record) into the cubes.
+
+    Record-level errors name the first offending record in input order,
+    with the same check order as a record-by-record scan: status ok
+    without a value, unknown metric, value outside bounds, duplicate key.
+    """
+    n = len(algorithm_column)
+    if not n:
+        raise ValidationError("no records")
+    algorithms, alg = _codes(algorithm_column)
+    datasets, dataset = _codes(dataset_column)
+    metrics, metric = _codes(metric_column)
+    seeds, seed = _codes(seed_column)
+    values = np.array(value_column, dtype=float)  # None becomes NaN
+    status = np.array(status_column, dtype=np.int8)
+    has_value = np.array([v is not None for v in value_column], dtype=bool)
+
+    specs = [registry.get(m) for m in metrics]
+    known = np.array([spec is not None for spec in specs])[metric]
+    lo = np.array([spec.bounds[0] if spec and spec.bounds else -np.inf for spec in specs])
+    hi = np.array([spec.bounds[1] if spec and spec.bounds else np.inf for spec in specs])
+    bounded = np.array([bool(spec and spec.bounds) for spec in specs])[metric]
+    with np.errstate(invalid="ignore"):
+        in_bounds = (lo[metric] <= values) & (values <= hi[metric])
+
+    test_codes, test = np.unique(dataset * len(metrics) + metric, return_inverse=True)
+    t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
+    cell = (test * s_n + seed) * a_n + alg
+    counts = np.bincount(cell, minlength=t_n * s_n * a_n)
+    repeated = np.zeros(n, dtype=bool)
+    if counts.max() > 1:
+        repeated[:] = True
+        repeated[np.unique(cell, return_index=True)[1]] = False
+
+    no_value = ~has_value & (status == OK)
+    out_of_bounds = has_value & bounded & ~in_bounds
+    invalid = no_value | ~known | out_of_bounds | repeated
+    if invalid.any():
+        i = int(np.argmax(invalid))
+        key = (algorithm_column[i], dataset_column[i], metric_column[i], seed_column[i])
+        if no_value[i]:
+            raise ValidationError(f"record {key}: status ok but no value")
+        if not known[i]:
+            raise ValidationError(f"unknown metric {key[2]!r} (record {key})")
+        if out_of_bounds[i]:
+            lo_i, hi_i = specs[metric[i]].bounds
+            raise ValidationError(
+                f"record {key}: value {value_column[i]} outside bounds [{lo_i}, {hi_i}]"
+            )
+        raise ValidationError(f"duplicate record for {key}")
+
+    if len(algorithms) < 2:
+        raise ValidationError("need at least 2 algorithms")
+
+    suite = tuple(
+        TestId(datasets[c // len(metrics)], metrics[c % len(metrics)]) for c in test_codes.tolist()
+    )
+    missing = (counts == 0).reshape(t_n, s_n, a_n)
+    dropped: tuple[TestId, ...] = ()
+    keep = slice(None)
+    if missing.any():
+        if not drop_incomplete:
+            cells = ", ".join(
+                f"(algorithm={algorithms[a]}, dataset={suite[t].dataset}, "
+                f"metric={suite[t].metric}, seed={seeds[s]})"
+                for t, a, s in zip(*np.nonzero(missing.transpose(0, 2, 1)))
+            )
+            raise ValidationError(f"incomplete grid, missing cells: {cells}")
+        incomplete = missing.any(axis=(1, 2))
+        if incomplete.all():
+            raise ValidationError("every test has missing cells; nothing left")
+        dropped = tuple(t for t, bad_test in zip(suite, incomplete) if bad_test)
+        suite = tuple(t for t, bad_test in zip(suite, incomplete) if not bad_test)
+        keep = ~incomplete
+        log.info(
+            "dropped %d incomplete tests: %s",
+            len(dropped),
+            ", ".join(f"{t.dataset}/{t.metric}" for t in dropped),
+        )
+
+    value_cube = np.full(t_n * s_n * a_n, np.nan)
+    value_cube[cell] = values
+    status_cube = np.zeros(t_n * s_n * a_n, dtype=np.int8)
+    status_cube[cell] = status
+    return ResultTable(
+        suite=suite,
+        seeds=seeds,
+        algorithms=algorithms,
+        values=value_cube.reshape(t_n, s_n, a_n)[keep],
+        status=status_cube.reshape(t_n, s_n, a_n)[keep],
+        registry=dict(registry),
+        dropped=dropped,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +369,63 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-def _parse_row(row: dict[str, str], rowno: int) -> ResultRecord:
-    try:
-        status = Status(row["status"].strip().lower())
-    except ValueError:
-        raise ValidationError(f"row {rowno}: bad status {row['status']!r}") from None
-    raw_value = (row["value"] or "").strip()
-    if raw_value == "":
-        if status is Status.OK:
+def _csv_rows(reader) -> Iterable[list[str]]:
+    """Data rows after the header; blank lines are skipped and not numbered."""
+    for rowno, row in enumerate(filter(None, reader), start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValidationError(f"row {rowno}: wrong number of fields")
+        yield row
+
+
+def _json_rows(items: list) -> Iterable[tuple[str, ...]]:
+    """Rows of text fields, as a CSV reader would give them; stops at the first bad item."""
+    columns = set(CSV_COLUMNS)
+    bad = next(
+        (
+            i
+            for i, item in enumerate(items)
+            if not isinstance(item, dict) or not item.keys() <= columns
+        ),
+        len(items),
+    )
+    fields = [
+        ["" if v is None else str(v) for v in (item.get(c) for item in items[:bad])]
+        for c in CSV_COLUMNS
+    ]
+    yield from zip(*fields)
+    if bad < len(items):
+        raise ValidationError(f"JSON item {bad}: unexpected shape")
+
+
+def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
+    """Parse text rows into the six record columns; row numbers count from ``start``."""
+    columns = algorithms, datasets, metrics, seeds, values, statuses = [], [], [], [], [], []
+    for rowno, (algorithm, dataset, metric, seed, value, status) in enumerate(rows, start):
+        code = _STATUS_TEXT_CODE.get(status.strip().lower())
+        if code is None:
+            raise ValidationError(f"row {rowno}: bad status {status!r}")
+        raw_value = value.strip()
+        if raw_value:
+            try:
+                values.append(float(raw_value))
+            except ValueError:
+                raise ValidationError(f"row {rowno}: bad value {raw_value!r}") from None
+        elif code == OK:
             raise ValidationError(f"row {rowno}: status ok requires a value")
-        value = None
-    else:
+        else:
+            values.append(None)
         try:
-            value = float(raw_value)
+            seeds.append(int(seed))
         except ValueError:
-            raise ValidationError(f"row {rowno}: bad value {raw_value!r}") from None
-    try:
-        seed = int(row["seed"])
-    except ValueError:
-        raise ValidationError(f"row {rowno}: bad seed {row['seed']!r}") from None
-    algorithm = row["algorithm"].strip()
-    dataset = row["dataset"].strip()
-    metric = row["metric"].strip()
-    if not (algorithm and dataset and metric):
-        raise ValidationError(f"row {rowno}: empty identifier")
-    return ResultRecord(algorithm, dataset, metric, seed, value, status)
+            raise ValidationError(f"row {rowno}: bad seed {seed!r}") from None
+        algorithm, dataset, metric = algorithm.strip(), dataset.strip(), metric.strip()
+        if not (algorithm and dataset and metric):
+            raise ValidationError(f"row {rowno}: empty identifier")
+        algorithms.append(algorithm)
+        datasets.append(dataset)
+        metrics.append(metric)
+        statuses.append(code)
+    return columns
 
 
 def ingest(
@@ -299,17 +447,14 @@ def ingest(
         data = source.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
 
-    records: list[ResultRecord] = []
     if fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
             raise ValidationError(
-                f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {reader.fieldnames}"
+                f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {header}"
             )
-        for rowno, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
-                raise ValidationError(f"row {rowno}: wrong number of fields")
-            records.append(_parse_row(row, rowno))
+        columns = _parse_rows(_csv_rows(reader), start=2)
     elif fmt == "json":
         try:
             items = json.loads(text)
@@ -317,15 +462,12 @@ def ingest(
             raise ValidationError(f"bad JSON: {exc}") from None
         if not isinstance(items, list):
             raise ValidationError("JSON input must be an array of objects")
-        for i, item in enumerate(items):
-            if not isinstance(item, dict) or set(item) - set(CSV_COLUMNS):
-                raise ValidationError(f"JSON item {i}: unexpected shape")
-            row = {c: "" if item.get(c) is None else str(item.get(c)) for c in CSV_COLUMNS}
-            records.append(_parse_row(row, i))
+        columns = _parse_rows(_json_rows(items), start=0)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
-    return ResultTable.build(records, registry, drop_incomplete=drop_incomplete)
+    log.info("parsed %d rows", len(columns[0]))
+    return _from_columns(*columns, registry, drop_incomplete)
 
 
 def to_csv(table: ResultTable) -> str:
@@ -333,7 +475,7 @@ def to_csv(table: ResultTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in sorted(table.records, key=lambda r: r.key):
+    for rec in table.records:
         writer.writerow(
             [
                 rec.algorithm,
@@ -363,7 +505,7 @@ def registry_to_text(registry: dict[str, MetricSpec]) -> str:
 
 
 def resolve_failures(table: ResultTable) -> ResultTable:
-    """Give every failed record the worst possible value for its metric.
+    """Give every failed cell the worst possible value for its metric.
 
     Bounded metrics use the worst endpoint; unbounded metrics use a
     sentinel strictly worse than every Ok value on the same test
@@ -371,48 +513,30 @@ def resolve_failures(table: ResultTable) -> ResultTable:
     higher-better), so all failures on one test tie at the bottom.
     Idempotent, and never changes Ok values.
     """
-    sentinels: dict[TestId, float] = {}
-    for test in table.suite:
+    ok = (table.status == OK).reshape(len(table.suite), -1)
+    values = table.values.reshape(ok.shape)
+    any_ok = ok.any(axis=1)
+    highest = np.fmax.reduce(np.where(ok, values, -np.inf), axis=1)
+    lowest = np.fmin.reduce(np.where(ok, values, np.inf), axis=1)
+    sentinels = np.empty(len(table.suite))
+    for t, test in enumerate(table.suite):
         spec = table.registry[test.metric]
         worst = spec.worst_value()
         if worst is not None:
-            sentinels[test] = worst
-            continue
-        ok_values = [
-            r.value
-            for r in table.records
-            if r.test == test and r.status is Status.OK and r.value is not None
-        ]
-        if spec.direction is Direction.LOWER_BETTER:
-            sentinels[test] = (max(ok_values) + 1.0) if ok_values else 1.0
+            sentinels[t] = worst
+        elif spec.direction is Direction.LOWER_BETTER:
+            sentinels[t] = highest[t] + 1.0 if any_ok[t] else 1.0
         else:
-            sentinels[test] = (min(ok_values) - 1.0) if ok_values else -1.0
-
-    resolved = [
-        rec if rec.status is Status.OK else replace(rec, value=sentinels[rec.test])
-        for rec in table.records
-    ]
-    return ResultTable(records=tuple(resolved), registry=table.registry)
-
-
-def scores_for_test(table: ResultTable, test: TestId) -> "dict[int, list[float]]":
-    """Per-seed score vectors for one test, in algorithm order.
-
-    Requires a failure-resolved table (every record has a value).
-    """
-    idx = table._index
-    out: dict[int, list[float]] = {}
-    for seed in table.seeds:
-        row = []
-        for alg in table.algorithms:
-            rec = idx[(alg, test.dataset, test.metric, seed)]
-            if rec.value is None:
-                raise ValidationError(
-                    f"record {rec.key} has no value; run resolve_failures first"
-                )
-            row.append(rec.value)
-        out[seed] = row
-    return out
+            sentinels[t] = lowest[t] - 1.0 if any_ok[t] else -1.0
+    if log.isEnabledFor(logging.INFO):
+        counts = np.bincount(table.status.ravel(), minlength=len(STATUSES))
+        log.info(
+            "resolved %d failed cells: %s",
+            ok.size - counts[OK],
+            ", ".join(f"{s.value}={n}" for s, n in zip(STATUSES, counts) if s is not Status.OK),
+        )
+    resolved = np.where(ok, values, sentinels[:, None]).reshape(table.values.shape)
+    return replace(table, values=resolved)
 
 
 # Keep pytest from trying to collect the TestId tuple as a test class.

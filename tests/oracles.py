@@ -42,3 +42,30 @@ def brute_force_w1(samples1, samples2):
 def brute_force_pairwise_rank_distance(a):
     """Sum of |i - j| over all pairs of distinct ranks 1..a."""
     return sum(abs(i - j) for i in range(1, a + 1) for j in range(1, i))
+
+
+def loop_rank_row(values, higher_better, lowest_shared, tie_epsilon):
+    """One row ranked by a plain loop: sort best-first, chain eps-close neighbours.
+
+    Returns (ranks, tie-group sizes >= 2 in best-first order); the
+    reference for the vectorised ranking kernel.
+    """
+    sign = -1.0 if higher_better else 1.0
+    order = sorted(range(len(values)), key=lambda i: sign * values[i])
+    ranks = [0.0] * len(values)
+    sizes = []
+    pos = 0
+    while pos < len(order):
+        end = pos + 1
+        while end < len(order) and abs(
+            sign * values[order[end]] - sign * values[order[end - 1]]
+        ) <= tie_epsilon:
+            end += 1
+        size = end - pos
+        rank = pos + 1 if lowest_shared else (2 * (pos + 1) + size - 1) / 2
+        for k in range(pos, end):
+            ranks[order[k]] = float(rank)
+        if size >= 2:
+            sizes.append(size)
+        pos = end
+    return ranks, sizes

@@ -1,11 +1,19 @@
 import codecs
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rankbench import cli
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from rankbench.results import ResultTable
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 REGISTRY_TEXT = (
     "metric.f1.direction = higher\n"
@@ -360,3 +368,123 @@ def test_coeff_and_converge_report_the_same_warnings(registry, tmp_path):
     assert reports["coeff"]["coefficients"][0]["per_test"][0]["w"] == 1.8
     assert reports["coeff"]["warnings"]
     assert reports["converge"]["warnings"] == reports["coeff"]["warnings"]
+
+
+# The conductance test misses (b, seed 1), so --drop-incomplete removes it.
+INCOMPLETE_CSV = GOOD_CSV + (
+    "a,cora,conductance,0,0.1,ok\n"
+    "a,cora,conductance,1,0.2,ok\n"
+    "b,cora,conductance,0,0.3,ok\n"
+)
+
+
+@pytest.mark.parametrize("command", ["coeff", "converge"])
+def test_reports_record_drop_incomplete(command, registry, tmp_path):
+    path = tmp_path / "incomplete.csv"
+    path.write_text(INCOMPLETE_CSV)
+    out = tmp_path / "report.json"
+    argv = [command, "--registry", registry, "--output", str(out), str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert main(argv + ["--drop-incomplete"]) == EXIT_OK
+    settings = json.loads(out.read_text())["settings"]
+    assert settings["drop_incomplete"] is True
+    assert settings["dropped_tests"] == [["cora", "conductance"]]
+
+    complete = tmp_path / "complete.csv"
+    complete.write_text(GOOD_CSV)
+    assert main([command, "--registry", registry, "--output", str(out), str(complete)]) == EXIT_OK
+    settings = json.loads(out.read_text())["settings"]
+    assert settings["drop_incomplete"] is False
+    assert settings["dropped_tests"] == []
+
+
+def _fcr_report(registry, tmp_path, tuned_csv):
+    default, tuned = tmp_path / "default.csv", tmp_path / "tuned.csv"
+    default.write_text(GOOD_CSV)
+    tuned.write_text(tuned_csv)
+    out = tmp_path / "fcr.json"
+    assert main(
+        ["fcr", "--registry", registry, "--framework", f"p={default}",
+         "--framework", f"q={tuned}", "--output", str(out)]
+    ) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+def test_fcr_reports_shared_seed_sets(registry, tmp_path):
+    report = _fcr_report(registry, tmp_path, GOOD_CSV.replace("0.5", "0.7"))
+    assert report["fcr"]["seeds"] == {"p": 2, "q": 2}
+    assert report["warnings"] == []
+
+
+def test_fcr_warns_when_seed_sets_differ(registry, tmp_path):
+    # q was run on seeds 0, 1 and 2; p on seeds 0 and 1.
+    tuned = GOOD_CSV + "a,cora,f1,2,0.9,ok\nb,cora,f1,2,0.1,ok\n"
+    report = _fcr_report(registry, tmp_path, tuned)
+    assert report["fcr"]["seeds"] == {"p": 2, "q": 3}
+    assert len(report["warnings"]) == 1
+    assert "own seeds" in report["warnings"][0]
+
+
+def test_cli_pipeline_builds_no_per_cell_records(registry, tmp_path, monkeypatch):
+    """coeff, converge, fcr and rank work on the cubes alone."""
+
+    def forbidden(self):
+        raise AssertionError("per-cell records built on the CLI path")
+
+    monkeypatch.setattr(ResultTable, "records", property(forbidden))
+    path = tmp_path / "grid.csv"
+    path.write_text(GOOD_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom"))
+    common = ["--registry", registry, "--output", str(tmp_path / "out")]
+    for argv in (
+        ["coeff", *common, str(path)],
+        ["converge", *common, str(path)],
+        ["rank", *common, str(path)],
+        ["fcr", *common, "--framework", f"p={path}", "--framework", f"q={path}"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+
+
+def test_synth_output_digest_is_pinned(capsys):
+    # Digest of this exact output before the table became a cube; any
+    # change to the generator's RNG stream or the CSV writer shows here.
+    argv = ["synth", "--algorithms", "6", "--datasets", "3", "--metrics", "2", "--seeds", "4",
+            "--noise-scale", "0.5", "--tie-prob", "0.2", "--fail-prob", "0.1"]
+    assert main(argv) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "db957289fa88607e5f3b13e5589f161cf5bf5a65abe395f0b0638a987dcaaf02"
+
+
+def _run_cli(argv, cwd, level=None):
+    """Run the CLI in a fresh interpreter, so that logging is configured as in real use."""
+    env = {k: v for k, v in os.environ.items() if k != "RANKBENCH_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    if level is not None:
+        env["RANKBENCH_LOG"] = level
+    return subprocess.run(
+        [sys.executable, "-m", "rankbench.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_info_logging_reports_stages_and_counts(registry, tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text(INCOMPLETE_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,timeout"))
+    argv = ["coeff", "--registry", registry, "--drop-incomplete", "--output"]
+    quiet = _run_cli([*argv, "quiet.json", str(path)], tmp_path)
+    assert quiet.returncode == EXIT_OK
+    assert quiet.stderr == ""
+
+    loud = _run_cli([*argv, "loud.json", str(path)], tmp_path, level="INFO")
+    assert loud.returncode == EXIT_OK
+    lines = loud.stderr.splitlines()
+    assert all(line.startswith("INFO rankbench") for line in lines)
+    for expected in (
+        "parsed 7 rows",
+        "dropped 1 incomplete tests: cora/conductance",
+        "resolved 1 failed cells: oom=0, timeout=1, error=0",
+        "ranked 2 rows: 0 tie groups",
+    ):
+        assert any(line.endswith(expected) for line in lines), expected
+    for stage in ("ingest", "resolve failures", "rank", "coefficients", "write report"):
+        assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
+    assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import loop_rank_row
 from rankbench.ranking import (
     TiePolicy,
     build_rank_matrices,
     count_ties,
     matrices_to_csv,
+    rank_cube,
     rank_row,
 )
 from rankbench.results import (
@@ -202,3 +204,97 @@ def test_debug_csv_export():
     lines = text.splitlines()
     assert lines[0] == "dataset,metric,seed,algorithm,rank"
     assert "d,m,0,b,1.0" in lines
+
+
+# Scores on a coarse grid, so that exact ties (and eps-chains) are common.
+tied_scores = st.integers(-4, 4).map(lambda k: k * 0.25)
+
+
+@st.composite
+def score_cubes(draw):
+    tests, seeds, algorithms = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    size = tests * seeds * algorithms
+    values = draw(st.lists(tied_scores, min_size=size, max_size=size))
+    higher = draw(st.lists(st.booleans(), min_size=tests, max_size=tests))
+    return np.array(values).reshape(tests, seeds, algorithms), np.array(higher)
+
+
+@given(
+    score_cubes(),
+    st.sampled_from(list(TiePolicy)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_cube_ranking_matches_row_by_row(cube, policy, eps):
+    values, higher = cube
+    ranks, group_rows, sizes = rank_cube(values, higher[:, None], policy, eps)
+    lowest = policy is TiePolicy.LOWEST_SHARED_RANK
+    tests, seeds, _ = values.shape
+    for t in range(tests):
+        direction = Direction.HIGHER_BETTER if higher[t] else Direction.LOWER_BETTER
+        for s in range(seeds):
+            row = values[t, s].tolist()
+            row_ranks, row_sizes = rank_row(row, direction, policy, eps)
+            assert ranks[t, s].tolist() == row_ranks
+            assert sizes[group_rows == t * seeds + s].tolist() == row_sizes
+            assert (row_ranks, row_sizes) == loop_rank_row(row, higher[t], lowest, eps)
+
+
+def _records(values, failed):
+    tests, seeds, algorithms = values.shape
+    return [
+        ResultRecord(
+            f"alg{a}", f"d{t}", "m", s,
+            None if failed[t, s, a] else float(values[t, s, a]),
+            Status.TIMEOUT if failed[t, s, a] else Status.OK,
+        )
+        for t in range(tests)
+        for s in range(seeds)
+        for a in range(algorithms)
+    ]
+
+
+@given(score_cubes(), st.randoms(use_true_random=False), st.sampled_from(list(TiePolicy)))
+def test_build_rank_matrices_ignores_row_order(cube, rnd, policy):
+    values, _ = cube
+    failed = np.array([rnd.random() < 0.2 for _ in range(values.size)]).reshape(values.shape)
+    records = _records(values, failed)
+    shuffled = list(records)
+    rnd.shuffle(shuffled)
+    registry = {"m": MetricSpec("m", Direction.LOWER_BETTER)}
+    first, second = (
+        build_rank_matrices(resolve_failures(ResultTable.build(r, registry)), policy, 0.25)
+        for r in (records, shuffled)
+    )
+    assert [(m.test, m.ranks.tolist(), m.tie_groups) for m in first] == [
+        (m.test, m.ranks.tolist(), m.tie_groups) for m in second
+    ]
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda seeds: st.tuples(
+            st.lists(st.floats(-1e6, 1e6), min_size=seeds * 4, max_size=seeds * 4),
+            st.lists(st.booleans(), min_size=seeds * 4, max_size=seeds * 4),
+        )
+    ),
+    st.sampled_from(list(Direction)),
+    st.sampled_from([None, (-1e6, 1e6)]),
+    st.sampled_from(list(TiePolicy)),
+    st.floats(0.0, 0.5),
+)
+def test_failed_cell_never_outranks_ok_cell(cells, direction, bounds, policy, eps):
+    scores, fails = cells
+    values = np.array(scores).reshape(1, -1, 4)
+    failed = np.array(fails).reshape(values.shape)
+    registry = {"m": MetricSpec("m", direction, bounds)}
+    table = resolve_failures(ResultTable.build(_records(values, failed), registry))
+    (matrix,) = build_rank_matrices(table, policy, eps)
+    for ranks, row_failed in zip(matrix.ranks, failed[0]):
+        if row_failed.any() and not row_failed.all():
+            worst_ok = ranks[~row_failed].max()
+            if bounds is None:
+                # The sentinel is 1 beyond the worst OK score, more than eps.
+                assert ranks[row_failed].min() > worst_ok
+            else:
+                # An OK score at the worst bound ties with failures.
+                assert ranks[row_failed].min() >= worst_ok
