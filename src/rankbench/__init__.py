@@ -11,13 +11,7 @@ from .concordance import (
     kendall_w_tied,
     randomness,
 )
-from .ranking import (
-    RankMatrix,
-    TiePolicy,
-    build_rank_matrices,
-    count_ties,
-    rank_row,
-)
+from .ranking import RankCube, TiePolicy, count_ties, rank_row, rank_table, tie_groups
 from .resampling import ConvergenceReport, subsample_convergence
 from .results import (
     Direction,
@@ -43,7 +37,7 @@ __all__ = [
     "FrameworkResult",
     "Granularity",
     "MetricSpec",
-    "RankMatrix",
+    "RankCube",
     "ResultRecord",
     "ResultTable",
     "Status",
@@ -51,7 +45,6 @@ __all__ = [
     "TestId",
     "TiePolicy",
     "ValidationError",
-    "build_rank_matrices",
     "coefficients_for",
     "count_ties",
     "fcr",
@@ -62,7 +55,9 @@ __all__ = [
     "parse_registry",
     "randomness",
     "rank_row",
+    "rank_table",
     "resolve_failures",
     "subsample_convergence",
+    "tie_groups",
     "wasserstein_w",
 ]

@@ -27,7 +27,7 @@ from . import __version__
 from .comparison import FrameworkResult, Granularity, fcr
 from .concordance import COEFFICIENTS, coefficients_for, randomness
 from .plotting import render_convergence_svg
-from .ranking import TiePolicy, build_rank_matrices, count_ties, matrices_to_csv
+from .ranking import TiePolicy, count_ties, rank_table, ranks_to_csv
 from .resampling import plot_data_csv, subsample_convergence, summary_csv
 from .results import (
     ValidationError,
@@ -79,7 +79,7 @@ def _ranked(table, args):
     with _stage("resolve failures"):
         resolved = resolve_failures(table)
     with _stage("rank"):
-        return build_rank_matrices(resolved, _tie_policy(args.tie_policy), args.tie_epsilon)
+        return rank_table(resolved, _tie_policy(args.tie_policy), args.tie_epsilon)
 
 
 def _ranked_settings(args, table) -> dict:
@@ -158,19 +158,19 @@ def cmd_validate(args) -> int:
 
 def cmd_rank(args) -> int:
     table, _ = _load_table(args.input, _load_registry(args.registry), args.drop_incomplete)
-    matrices = _ranked(table, args)
+    cube = _ranked(table, args)
     with _stage("write ranks"):
-        _write_output(matrices_to_csv(matrices), args.output)
+        _write_output(ranks_to_csv(cube), args.output)
     return EXIT_OK
 
 
 def cmd_coeff(args) -> int:
     registry = _load_registry(args.registry)
     table, digest = _load_table(args.input, registry, args.drop_incomplete)
-    matrices = _ranked(table, args)
-    n_ties = count_ties(matrices)
+    cube = _ranked(table, args)
+    n_ties = count_ties(cube)
     with _stage("coefficients"):
-        results = [randomness(matrices, name) for name in args.coefficients]
+        results = [randomness(cube, name) for name in args.coefficients]
 
     report = _base_report(registry, {args.input: digest})
     report["settings"] = {**_ranked_settings(args, table), "coefficients": args.coefficients}
@@ -205,10 +205,10 @@ def cmd_converge(args) -> int:
         raise ValidationError(
             f"--sizes {max(args.sizes)} exceeds the number of tests ({len(table.suite)})"
         )
-    matrices = _ranked(table, args)
+    cube = _ranked(table, args)
     with _stage("convergence"):
         conv = subsample_convergence(
-            matrices,
+            cube,
             coefficients=args.coefficients,
             sizes=args.sizes,
             repeats=args.repeats,
@@ -319,8 +319,12 @@ def _framework(spec: str) -> tuple[str, str]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--registry", required=True, help="metric registry file")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--output", default=None, help="output path ('-' = stdout)")
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="output path ('-' = stdout)")
+
+    report_format = argparse.ArgumentParser(add_help=False)
+    report_format.add_argument("--format", choices=["json", "csv"], default="json")
 
     ranked = argparse.ArgumentParser(add_help=False)
     ranked.add_argument("--tie-policy", choices=["mean", "lowest"], default="mean")
@@ -351,17 +355,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("rank", parents=[common, ranked], help="export rank matrices")
+    p = sub.add_parser("rank", parents=[common, output, ranked], help="export the rank cube")
     p.add_argument("input")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser(
-        "coeff", parents=[common, ranked, coefficients], help="randomness coefficients"
+        "coeff",
+        parents=[common, output, report_format, ranked, coefficients],
+        help="randomness coefficients",
     )
     p.add_argument("input")
     p.set_defaults(func=cmd_coeff)
 
-    p = sub.add_parser("fcr", parents=[common], help="framework comparison rank")
+    p = sub.add_parser(
+        "fcr", parents=[common, output, report_format], help="framework comparison rank"
+    )
     p.add_argument(
         "--framework",
         action="append",
@@ -378,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fcr)
 
     p = sub.add_parser(
-        "converge", parents=[common, ranked, coefficients], help="subsampling study"
+        "converge", parents=[common, output, ranked, coefficients], help="subsampling study"
     )
     p.add_argument("input")
     p.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. '1:44' or '1,5,10'")

@@ -92,7 +92,7 @@ def fcr(
         higher_better = higher_better[:, None]
     else:
         means = [t.values.reshape(len(t.suite), -1).mean(axis=-1) for t in tables]
-    ranks, _, _ = rank_cube(np.stack(means, axis=-1), higher_better)
+    ranks = rank_cube(np.stack(means, axis=-1), higher_better)
     ranks = ranks.reshape(-1, len(frameworks))
     mean_ranks = ranks.sum(axis=0) / len(ranks)
     seeds = {f.label: t.n_seeds for f, t in zip(frameworks, tables)}

@@ -1,8 +1,9 @@
 """Seed-randomness coefficients, all served by one table.
 
 Every coefficient is one minus the suite mean of a per-test agreement
-term, computed by a kernel from that test's rank matrix (seeds by
-algorithms). Agreement 1 means seed choice never changes the ranking.
+term. A kernel maps the whole rank cube (tests by seeds by algorithms)
+to the array of per-test terms plus a warning per flagged test, keyed by
+test index. Agreement 1 means seed choice never changes the ranking.
 
 - ``w``: Kendall's W, 12S / (n^2 (a^3 - a)).
 - ``w_tied``: W_t, W with the standard t^3 - t denominator correction.
@@ -20,53 +21,57 @@ gives the default set for a tie policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ranking import RankMatrix, TiePolicy
+from .ranking import RankCube, TiePolicy, tie_groups
 from .results import TestId
 from .wasserstein import wasserstein_w
 
 
-def kendall_w(matrix: RankMatrix) -> tuple[float, str | None]:
+def kendall_w(cube: RankCube) -> tuple[np.ndarray, dict[int, str]]:
     """Per-test W = 12S / (n^2 (a^3 - a)), no tie correction."""
-    n, a = matrix.ranks.shape
-    deviations = matrix.ranks.sum(axis=0) - n * (a + 1) / 2
-    s = float(np.dot(deviations, deviations))
-    w = 12.0 * s / (n * n * (a**3 - a))
-    if not 0.0 <= w <= 1.0 + 1e-12:
-        # Possible when non-conserving ranks (lowest-shared policy) feed
-        # the uncorrected formula; reported, not clamped.
-        return w, f"per-test W {w:.6g} outside [0, 1] (tie policy {matrix.policy.value})"
-    return w, None
+    _, n, a = cube.ranks.shape
+    deviations = cube.ranks.sum(axis=1) - n * (a + 1) / 2
+    w = 12.0 * (deviations * deviations).sum(axis=1) / (n * n * (a**3 - a))
+    # Outside [0, 1] is possible when non-conserving ranks (lowest-shared
+    # policy) feed the uncorrected formula; reported, not clamped.
+    outside = ~((0.0 <= w) & (w <= 1.0 + 1e-12))
+    return w, {
+        t: f"per-test W {w[t]:.6g} outside [0, 1] (tie policy {cube.policy.value})"
+        for t in np.flatnonzero(outside).tolist()
+    }
 
 
-def kendall_w_tied(matrix: RankMatrix) -> tuple[float, str | None]:
+def kendall_w_tied(cube: RankCube) -> tuple[np.ndarray, dict[int, str]]:
     """Tie-corrected per-test W_t, for mean-of-tied ranks.
 
     W_t = (12 sum R_i^2 - 3 n^2 a (a+1)^2) / (n^2 a (a^2-1) - n * correction)
     with correction = sum over seeds of sum over tied groups of t^3 - t.
-    A fully tied suite (denominator zero) is perfect agreement, so
+    A fully tied test (denominator zero) is perfect agreement, so
     W_t = 1 with a warning.
     """
-    n, a = matrix.ranks.shape
-    rank_sums = matrix.ranks.sum(axis=0)
-    sum_r2 = float(np.dot(rank_sums, rank_sums))
-    correction = float(
-        sum(t**3 - t for groups in matrix.tie_groups for t in groups)
-    )
+    tests, n, a = cube.ranks.shape
+    rank_sums = cube.ranks.sum(axis=1)
+    sum_r2 = (rank_sums * rank_sums).sum(axis=1)
+    rows, sizes = tie_groups(cube.ranks)
+    correction = np.bincount(rows // n, weights=sizes**3 - sizes, minlength=tests)
     numerator = 12.0 * sum_r2 - 3.0 * n * n * a * (a + 1) ** 2
     denominator = n * n * a * (a * a - 1) - n * correction
-    if denominator == 0:
-        return 1.0, "every seed fully tied; W_t defined as 1 by convention"
-    return numerator / denominator, None
+    fully_tied = denominator == 0
+    w = np.where(fully_tied, 1.0, numerator / np.where(fully_tied, 1.0, denominator))
+    return w, dict.fromkeys(
+        np.flatnonzero(fully_tied).tolist(),
+        "every seed fully tied; W_t defined as 1 by convention",
+    )
 
 
 class Coefficient(NamedTuple):
-    """A per-test kernel, returning (term, warning or None), and its tie-policy need."""
+    """A kernel, returning (per-test terms, {test index: warning} in test order), and
+    its tie-policy need."""
 
-    kernel: Callable[[RankMatrix], tuple[float, str | None]]
+    kernel: Callable[[RankCube], tuple[np.ndarray, dict[int, str]]]
     needs_mean_ranks: bool
 
 
@@ -109,7 +114,7 @@ class CoefficientResult:
         }
 
 
-def randomness(matrices: Sequence[RankMatrix], name: str) -> CoefficientResult:
+def randomness(cube: RankCube, name: str) -> CoefficientResult:
     """Coefficient ``name``: 1 - mean per-test agreement over the suite.
 
     Kernel warnings (values outside their range, conventions applied)
@@ -117,24 +122,21 @@ def randomness(matrices: Sequence[RankMatrix], name: str) -> CoefficientResult:
     """
     if name not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {name!r}")
-    if not matrices:
+    if not cube.suite:
         raise ValueError("empty suite")
+    if len(cube.algorithms) < 2:
+        raise ValueError("need at least 2 algorithms")
     kernel, needs_mean_ranks = COEFFICIENTS[name]
-    ordered = sorted(matrices, key=lambda m: m.test)
-    terms, warnings = [], []
-    for m in ordered:
-        if m.n_algorithms < 2:
-            raise ValueError("need at least 2 algorithms")
-        if needs_mean_ranks and m.policy is not TiePolicy.MEAN_OF_TIED:
-            raise ValueError(f"{name} requires mean-of-tied ranks")
-        term, warning = kernel(m)
-        terms.append(term)
-        if warning is not None:
-            warnings.append(f"test {m.test.dataset}/{m.test.metric}: {warning}")
+    if needs_mean_ranks and cube.policy is not TiePolicy.MEAN_OF_TIED:
+        raise ValueError(f"{name} requires mean-of-tied ranks")
+    terms, warnings = kernel(cube)
     return CoefficientResult(
         coefficient=name,
         value=1.0 - float(np.mean(terms)),
-        tests=tuple(m.test for m in ordered),
-        per_test=tuple(terms),
-        warnings=tuple(warnings),
+        tests=cube.suite,
+        per_test=tuple(terms.tolist()),
+        warnings=tuple(
+            f"test {cube.suite[t].dataset}/{cube.suite[t].metric}: {text}"
+            for t, text in warnings.items()
+        ),
     )

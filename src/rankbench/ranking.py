@@ -13,7 +13,7 @@ import io
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,29 +27,21 @@ class TiePolicy(Enum):
     LOWEST_SHARED_RANK = "lowest"
 
 
-@dataclass(frozen=True)
-class RankMatrix:
-    """Ranks for one test: n seeds (rows) by a algorithms (columns).
+@dataclass(frozen=True, eq=False)
+class RankCube:
+    """Ranks of a whole suite: ``ranks[t, s, j]`` is the rank of
+    ``algorithms[j]`` on test ``suite[t]`` under seed ``seeds[s]``.
 
-    ``tie_groups[j]`` lists the sizes of tied groups (size >= 2 only)
-    in seed row j. Half-integer ranks from the mean policy are exact in
-    binary floating point, so downstream sums stay bit-stable.
+    Tests are in TestId order. Tie groups are not stored: :func:`tie_groups`
+    derives them from the ranks. Half-integer ranks from the mean policy
+    are exact in binary floating point, so downstream sums stay bit-stable.
     """
 
-    test: TestId
-    ranks: np.ndarray
-    tie_groups: tuple[tuple[int, ...], ...]
-    algorithms: tuple[str, ...]
+    suite: tuple[TestId, ...]
     seeds: tuple[int, ...]
+    algorithms: tuple[str, ...]
     policy: TiePolicy
-
-    @property
-    def n_seeds(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def n_algorithms(self) -> int:
-        return self.ranks.shape[1]
+    ranks: np.ndarray
 
 
 class NonFiniteValue(ValueError):
@@ -65,18 +57,16 @@ def rank_cube(
     higher_better: np.ndarray | bool,
     policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
     tie_epsilon: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Rank every row along the last axis at once; the best value gets rank 1.
 
     ``higher_better`` broadcasts against ``values.shape[:-1]``. Each row
     is put in best-first order by one stable argsort, so exact ties keep
     input order; a new tie group starts wherever neighbours in that order
     differ by more than ``tie_epsilon``, which chains eps-close values
-    (transitive closure). Returns the ranks (shape of ``values``), and
-    for every tie group of size >= 2, in row-major then best-first order,
-    its row (flat index over the leading axes) and its size. Raises
-    :class:`NonFiniteValue` for the first row, in row-major order, that
-    holds a non-finite value.
+    (transitive closure). Returns the ranks, in the shape of ``values``.
+    Raises :class:`NonFiniteValue` for the first row, in row-major order,
+    that holds a non-finite value.
     """
     values = np.asarray(values, dtype=float)
     a = values.shape[-1] if values.ndim else 0
@@ -101,17 +91,34 @@ def rank_cube(
     # Tie groups are the runs between starts; no run crosses a row, since
     # every row begins with a start.
     group_starts = np.flatnonzero(starts)
-    sizes = np.diff(group_starts, append=starts.size)
     group = np.cumsum(starts.ravel()) - 1
     first = (group_starts % a)[group]  # 0-based position where each cell's group begins
     if policy is TiePolicy.LOWEST_SHARED_RANK:
         ordered_ranks = first + 1.0
     else:
+        sizes = np.diff(group_starts, append=starts.size)
         ordered_ranks = first + (sizes[group] + 1) / 2
     ranks = np.empty(keys.shape)
     np.put_along_axis(ranks, order, ordered_ranks.reshape(keys.shape), axis=1)
+    return ranks.reshape(values.shape)
+
+
+def tie_groups(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie groups (size >= 2) of every row of ranks along the last axis.
+
+    Under both policies a tie group shares one rank and different groups
+    get different ranks, so the groups are the runs of equal values in
+    each sorted row. Returns, in row-major then best-first order, each
+    group's row (flat index over the leading axes) and its size.
+    """
+    a = ranks.shape[-1]
+    ordered = np.sort(ranks.reshape(-1, a), axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    group_starts = np.flatnonzero(starts)
+    sizes = np.diff(group_starts, append=starts.size)
     tied = sizes >= 2
-    return ranks.reshape(values.shape), group_starts[tied] // a, sizes[tied]
+    return group_starts[tied] // a, sizes[tied]
 
 
 def rank_row(
@@ -125,22 +132,19 @@ def rank_row(
     Returns the rank for each input position plus the sizes of tied
     groups (>= 2), best group first. Raises on non-finite values.
     """
-    ranks, _, sizes = rank_cube(
-        values, direction is Direction.HIGHER_BETTER, policy, tie_epsilon
-    )
-    return ranks.tolist(), sizes.tolist()
+    ranks = rank_cube(values, direction is Direction.HIGHER_BETTER, policy, tie_epsilon)
+    return ranks.tolist(), tie_groups(ranks)[1].tolist()
 
 
-def build_rank_matrices(
+def rank_table(
     table: ResultTable,
     policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
     tie_epsilon: float = 0.0,
-) -> list[RankMatrix]:
-    """One RankMatrix per test, in TestId order.
+) -> RankCube:
+    """Rank every (test, seed) row of a failure-resolved table into one cube.
 
-    Rows follow the table's seed order, columns its algorithm order;
-    every matrix's ranks are a slice of one rank cube. The table must be
-    failure-resolved (every cell has a value).
+    The cube's axes and labels are the table's: tests, seeds, algorithms.
+    Every cell must have a value (run ``resolve_failures`` first).
     """
     unresolved = np.isnan(table.values) & (table.status != OK)
     if unresolved.any():
@@ -148,46 +152,30 @@ def build_rank_matrices(
         key = (table.algorithms[a], *table.suite[t], table.seeds[s])
         raise ValidationError(f"record {key} has no value; run resolve_failures first")
     try:
-        ranks, group_rows, sizes = rank_cube(
-            table.values, table.higher_better[:, None], policy, tie_epsilon
-        )
+        ranks = rank_cube(table.values, table.higher_better[:, None], policy, tie_epsilon)
     except NonFiniteValue as exc:
         t, s = exc.row
         raise ValidationError(f"test {table.suite[t]}, seed {table.seeds[s]}: {exc}") from exc
-
-    n_rows = ranks.shape[0] * ranks.shape[1]
-    log.info("ranked %d rows: %d tie groups", n_rows, len(sizes))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(group_rows, minlength=n_rows))))
-    sizes, bounds = sizes.tolist(), bounds.tolist()
-    row_groups = [tuple(sizes[bounds[r] : bounds[r + 1]]) for r in range(n_rows)]
-    n_seeds = table.n_seeds
-    return [
-        RankMatrix(
-            test=test,
-            ranks=ranks[t],
-            tie_groups=tuple(row_groups[t * n_seeds : (t + 1) * n_seeds]),
-            algorithms=table.algorithms,
-            seeds=table.seeds,
-            policy=policy,
-        )
-        for t, test in enumerate(table.suite)
-    ]
+    if log.isEnabledFor(logging.INFO):
+        n_rows = ranks.shape[0] * ranks.shape[1]
+        log.info("ranked %d rows: %d tie groups", n_rows, len(tie_groups(ranks)[1]))
+    return RankCube(table.suite, table.seeds, table.algorithms, policy, ranks)
 
 
-def count_ties(matrices: Iterable[RankMatrix]) -> int:
+def count_ties(cube: RankCube) -> int:
     """Total number of tied groups (size >= 2) over all tests and seeds."""
-    return sum(len(groups) for m in matrices for groups in m.tie_groups)
+    return len(tie_groups(cube.ranks)[1])
 
 
-def matrices_to_csv(matrices: Iterable[RankMatrix]) -> str:
+def ranks_to_csv(cube: RankCube) -> str:
     """Debug export: one row per (test, seed, algorithm) rank."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dataset", "metric", "seed", "algorithm", "rank"])
-    for m in matrices:
-        for i, seed in enumerate(m.seeds):
-            for j, alg in enumerate(m.algorithms):
-                writer.writerow(
-                    [m.test.dataset, m.test.metric, seed, alg, repr(float(m.ranks[i, j]))]
-                )
+    for test, per_seed in zip(cube.suite, cube.ranks.tolist()):
+        for seed, row in zip(cube.seeds, per_seed):
+            writer.writerows(
+                [test.dataset, test.metric, seed, alg, repr(rank)]
+                for alg, rank in zip(cube.algorithms, row)
+            )
     return buf.getvalue()

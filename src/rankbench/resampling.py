@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .concordance import coefficients_for, randomness
-from .ranking import RankMatrix
+from .ranking import RankCube
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
 
@@ -41,7 +41,7 @@ class ConvergenceReport:
     coefficients: tuple[str, ...]
     rng_seed: int
     rng_algorithm: str
-    provenance: str  # sha256 of the canonical rank-matrix serialization
+    provenance: str  # sha256 of the canonical rank-cube serialization
     full_suite_value: dict[str, float]
     cells: tuple[ConvergenceCell, ...]
     warnings: tuple[str, ...]  # kernel warnings of the full-suite terms
@@ -74,16 +74,16 @@ class ConvergenceReport:
         }
 
 
-def _digest(matrices: Sequence[RankMatrix]) -> str:
+def _digest(cube: RankCube) -> str:
     h = hashlib.sha256()
-    for m in sorted(matrices, key=lambda m: m.test):
-        h.update(repr((m.test, m.policy.value, m.algorithms, m.seeds)).encode())
-        h.update(np.ascontiguousarray(m.ranks).tobytes())
+    for test, ranks in zip(cube.suite, cube.ranks):
+        h.update(repr((test, cube.policy.value, cube.algorithms, cube.seeds)).encode())
+        h.update(np.ascontiguousarray(ranks).tobytes())
     return h.hexdigest()
 
 
 def subsample_convergence(
-    matrices: Sequence[RankMatrix],
+    cube: RankCube,
     coefficients: Sequence[str] | None = None,
     sizes: Sequence[int] | None = None,
     repeats: int = 10,
@@ -93,19 +93,19 @@ def subsample_convergence(
 
     Deterministic for a given rng_seed: each (size, repeat) pair gets
     its own RNG stream derived from the seed, so the draws do not depend
-    on evaluation order. At k = len(matrices) every repeat reproduces
+    on evaluation order. At k = number of tests every repeat reproduces
     the full-suite value exactly. By default every coefficient defined
-    for the matrices' tie policy is studied.
+    for the cube's tie policy is studied.
     """
-    if not matrices:
+    n_tests = len(cube.suite)
+    if not n_tests:
         raise ValueError("empty suite")
     if coefficients is None:
-        coefficients = coefficients_for(matrices[0].policy)
+        coefficients = coefficients_for(cube.policy)
     if not coefficients:
         raise ValueError("empty coefficient set")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    n_tests = len(matrices)
     if sizes is None:
         sizes = range(1, n_tests + 1)
     sizes = [int(k) for k in sizes]
@@ -113,7 +113,7 @@ def subsample_convergence(
         if not 1 <= k <= n_tests:
             raise ValueError(f"subsample size {k} out of range [1, {n_tests}]")
 
-    results = [randomness(matrices, c) for c in coefficients]
+    results = [randomness(cube, c) for c in coefficients]
     terms = {r.coefficient: np.array(r.per_test) for r in results}
 
     cells = []
@@ -124,8 +124,9 @@ def subsample_convergence(
                 np.random.SeedSequence(entropy=rng_seed, spawn_key=(k, rep))
             )
             draws.append(np.sort(rng.choice(n_tests, size=k, replace=False)))
+        draws = np.array(draws)  # repeats x k test indexes
         for c in coefficients:
-            values = tuple(1.0 - float(np.mean(terms[c][idx])) for idx in draws)
+            values = tuple((1.0 - terms[c][draws].mean(axis=1)).tolist())
             if repeats == 1 or len(set(values)) == 1:
                 std = 0.0
             else:
@@ -146,7 +147,7 @@ def subsample_convergence(
         coefficients=tuple(coefficients),
         rng_seed=rng_seed,
         rng_algorithm=RNG_ALGORITHM,
-        provenance=_digest(matrices),
+        provenance=_digest(cube),
         full_suite_value={r.coefficient: r.value for r in results},
         cells=tuple(cells),
         warnings=tuple(w for r in results for w in r.warnings),

@@ -1,4 +1,4 @@
-"""Per-test Wasserstein kernel of the W_w randomness coefficient.
+"""Wasserstein kernel of the W_w randomness coefficient.
 
 Each algorithm's ranks across seeds on one test form an empirical
 distribution. The W1 distance between two equal-size distributions is
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ranking import RankMatrix
+from .ranking import RankCube
 
 
 def ww_normalizer(a: int) -> float:
@@ -22,25 +22,24 @@ def ww_normalizer(a: int) -> float:
     return a * (a - 1) * (a + 1) / 6.0
 
 
-def wasserstein_w(matrix: RankMatrix) -> tuple[float, str | None]:
-    """Normalised pairwise W1 sum of one test; 1 = fully separated distributions.
+def wasserstein_w(cube: RankCube) -> tuple[np.ndarray, dict[int, str]]:
+    """Normalised pairwise W1 sum of every test; 1 = fully separated distributions.
 
-    Sorting each column along the seeds gives every algorithm's
+    Sorting each test's columns along the seeds gives every algorithm's
     quantiles. At one quantile level, sorted across algorithms into
     x_(1) <= ... <= x_(a), the pairwise gaps sum to
     sum_k (2k - a - 1) x_(k); summed over levels and divided by the
     number of seeds, that is the sum of W1 over all pairs without a
     loop over pairs.
     """
-    n, a = matrix.ranks.shape
-    levels = np.sort(np.sort(matrix.ranks, axis=0), axis=1)
+    _, n, a = cube.ranks.shape
+    levels = np.sort(np.sort(cube.ranks, axis=1), axis=2)
     weights = 2.0 * np.arange(1, a + 1) - a - 1
-    ratio = float((levels @ weights).sum()) / n / ww_normalizer(a)
-    if ratio > 1.0 + 1e-12:
-        # Only reachable when ranks were not a permutation per row
-        # (lowest-shared policy); reported, never clamped.
-        return ratio, (
-            f"normalised Wasserstein ratio {ratio:.6g} exceeds 1 "
-            f"(tie policy {matrix.policy.value})"
-        )
-    return ratio, None
+    ratio = (levels @ weights).sum(axis=1) / n / ww_normalizer(a)
+    # Above 1 is only reachable when ranks were not a permutation per row
+    # (lowest-shared policy); reported, never clamped.
+    return ratio, {
+        t: f"normalised Wasserstein ratio {ratio[t]:.6g} exceeds 1 "
+        f"(tie policy {cube.policy.value})"
+        for t in np.flatnonzero(ratio > 1.0 + 1e-12).tolist()
+    }

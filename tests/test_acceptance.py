@@ -14,13 +14,13 @@ from scipy.stats import spearmanr
 from rankbench import (
     SynthConfig,
     TiePolicy,
-    build_rank_matrices,
     count_ties,
     fcr,
     generate,
     kendall_w,
     kendall_w_tied,
     randomness,
+    rank_table,
     resolve_failures,
     subsample_convergence,
     wasserstein_w,
@@ -31,7 +31,7 @@ from rankbench.wasserstein import ww_normalizer
 
 from oracles import brute_force_pairwise_rank_distance, brute_force_w, brute_force_w1
 from test_comparison import table_from_grid, shifted, BASE
-from test_concordance import matrix_from_rows
+from test_concordance import term
 
 
 def criterion(num, title):
@@ -58,21 +58,21 @@ def test_01_concordance_oracle():
         a = int(rng.integers(2, 6))
         n = int(rng.integers(1, 5))
         rows = [list(rng.permutation(a) + 1) for _ in range(n)]
-        got, _ = kendall_w(matrix_from_rows(rows))
+        got, _ = term(kendall_w, rows)
         assert abs(got - float(brute_force_w(rows))) < 1e-12
     assert time.time() - start < 10
 
 
 @criterion(2, "tie-correction fixture")
 def test_02_tie_correction():
-    fixture = matrix_from_rows([[1.5, 1.5, 3], [1, 2, 3], [1, 2, 3]])
-    assert abs(kendall_w_tied(fixture)[0] - 186 / 198) < 1e-12
+    fixture = [[1.5, 1.5, 3], [1, 2, 3], [1, 2, 3]]
+    assert abs(term(kendall_w_tied, fixture)[0] - 186 / 198) < 1e-12
     rng = np.random.default_rng(20260102)
     for _ in range(1000):
         a = int(rng.integers(2, 6))
         n = int(rng.integers(1, 5))
-        m = matrix_from_rows([list(rng.permutation(a) + 1) for _ in range(n)])
-        assert abs(kendall_w_tied(m)[0] - kendall_w(m)[0]) < 1e-12
+        rows = [list(rng.permutation(a) + 1) for _ in range(n)]
+        assert abs(term(kendall_w_tied, rows)[0] - term(kendall_w, rows)[0]) < 1e-12
 
 
 @criterion(3, "wasserstein oracle and metric axioms")
@@ -86,7 +86,7 @@ def test_03_wasserstein_oracle():
     def pairwise_sum(columns):
         # Per-test W_w ratio times its normaliser: the W1 sum over all
         # column pairs. With two columns the normaliser is 1.
-        ratio, _ = wasserstein_w(matrix_from_rows(np.column_stack(columns)))
+        ratio, _ = term(wasserstein_w, np.column_stack(columns))
         return ratio * ww_normalizer(len(columns))
 
     for _ in range(1000):
@@ -123,11 +123,11 @@ def test_04_normalizer_identity():
 
 
 def _coeffs(config):
-    matrices = build_rank_matrices(resolve_failures(generate(config)))
+    cube = rank_table(resolve_failures(generate(config)))
     return {
-        "w": randomness(matrices, "w").value,
-        "w_tied": randomness(matrices, "w_tied").value,
-        "w_wasserstein": randomness(matrices, "w_wasserstein").value,
+        "w": randomness(cube, "w").value,
+        "w_tied": randomness(cube, "w_tied").value,
+        "w_wasserstein": randomness(cube, "w_wasserstein").value,
     }
 
 
@@ -220,9 +220,9 @@ def test_09_convergence_exactness(tmp_path):
         n_algorithms=5, n_datasets=4, n_metrics=2, n_seeds=5,
         quality_gap=0.3, noise_scale=0.5, rng_seed=17,
     )
-    matrices = build_rank_matrices(resolve_failures(generate(config)))
-    n = len(matrices)
-    report = subsample_convergence(matrices, sizes=[n], repeats=10, rng_seed=4)
+    cube = rank_table(resolve_failures(generate(config)))
+    n = len(cube.suite)
+    report = subsample_convergence(cube, sizes=[n], repeats=10, rng_seed=4)
     for coeff in report.coefficients:
         cell = report.cell(n, coeff)
         assert all(v == report.full_suite_value[coeff] for v in cell.values)
@@ -260,11 +260,11 @@ def test_10_small_sample_spread():
         n_algorithms=10, n_datasets=11, n_metrics=4, n_seeds=10,
         quality_gap=0.5, noise_scale=0.5, tie_prob=0.4, rng_seed=2026,
     )
-    matrices = build_rank_matrices(resolve_failures(generate(config)))
-    assert len(matrices) == 44
-    assert count_ties(matrices) > 0
+    cube = rank_table(resolve_failures(generate(config)))
+    assert len(cube.suite) == 44
+    assert count_ties(cube) > 0
     report = subsample_convergence(
-        matrices, ["w", "w_wasserstein"], sizes=range(1, 12), repeats=10, rng_seed=7
+        cube, ["w", "w_wasserstein"], sizes=range(1, 12), repeats=10, rng_seed=7
     )
     sizes = range(1, 12)
     wins = sum(
@@ -301,8 +301,7 @@ def test_11_tie_policy_divergence(tmp_path):
 
     values = {}
     for policy in (TiePolicy.MEAN_OF_TIED, TiePolicy.LOWEST_SHARED_RANK):
-        matrices = build_rank_matrices(table, policy)
-        values[policy] = randomness(matrices, "w").value
+        values[policy] = randomness(rank_table(table, policy), "w").value
     assert values[TiePolicy.MEAN_OF_TIED] != values[TiePolicy.LOWEST_SHARED_RANK]
 
     # Both values surface in CLI reports.

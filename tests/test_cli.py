@@ -284,6 +284,9 @@ USAGE_ERRORS = {
     ),
     "one-framework": (["fcr", "--framework", "p={table}"], False),
     "framework-without-label": (["fcr", "--framework", "p={table}", "--framework", "{table}"], False),
+    "converge-format": (["converge", "--format", "csv", *CONVERGE_OUTPUTS, "{table}"], False),
+    "rank-format": (["rank", "--format", "json", "{table}"], False),
+    "validate-output": (["validate", "--format", "csv", "--output", "{d}/x.out", "{table}"], False),
 }
 
 
@@ -302,7 +305,7 @@ def test_usage_error_exits_2_before_computation(
 
         return wrapped
 
-    for name in ("ingest", "build_rank_matrices", "fcr"):
+    for name in ("ingest", "rank_table", "fcr"):
         monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
     full = [argv[0], "--registry", registry, "--output", "{d}/report.json", *argv[1:]]
     full = [a.format(d=tmp_path, table=table) for a in full]
@@ -452,6 +455,30 @@ def test_synth_output_digest_is_pinned(capsys):
     assert main(argv) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "db957289fa88607e5f3b13e5589f161cf5bf5a65abe395f0b0638a987dcaaf02"
+
+
+def test_rank_and_converge_outputs_are_pinned(tmp_path, capsys):
+    # Digests of these outputs before ranking became one rank cube: the
+    # rank CSV under each tie policy and the convergence provenance, which
+    # hashes the ranks test by test.
+    table, registry = tmp_path / "synth.csv", tmp_path / "registry.txt"
+    assert main(["synth", "--algorithms", "6", "--datasets", "3", "--metrics", "2", "--seeds", "4",
+                 "--noise-scale", "0.5", "--tie-prob", "0.2", "--fail-prob", "0.1",
+                 "--output", str(table), "--registry-out", str(registry)]) == EXIT_OK
+    pinned = {
+        "mean": "bd31d9193d21dd05869a5d7bc1fae86770f57019a4ee3d509866f62928da5631",
+        "lowest": "36dabd1f12737280dc46454716d4e89e44a4357c444cea0b768213bba06f4330",
+    }
+    for policy, digest in pinned.items():
+        out = tmp_path / f"ranks-{policy}.csv"
+        argv = ["rank", "--registry", str(registry), "--tie-policy", policy, "--output", str(out)]
+        assert main([*argv, str(table)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, policy
+    assert main(["converge", "--registry", str(registry), str(table)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["convergence"]["provenance"] == (
+        "03d2b37110415ba5df23bd59b1f7d661e0f19355b9070de4b118d9398a371976"
+    )
 
 
 def _run_cli(argv, cwd, level=None):

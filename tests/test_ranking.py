@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 from oracles import loop_rank_row
 from rankbench.ranking import (
     TiePolicy,
-    build_rank_matrices,
     count_ties,
-    matrices_to_csv,
     rank_cube,
     rank_row,
+    rank_table,
+    ranks_to_csv,
+    tie_groups,
 )
 from rankbench.results import (
     Direction,
@@ -118,7 +119,7 @@ def _table(score):
     return ResultTable.build(records, registry)
 
 
-class TestBuildRankMatrices:
+class TestRankTable:
     def test_dominant_algorithm_all_ones(self):
         table = _table(
             {
@@ -127,8 +128,9 @@ class TestBuildRankMatrices:
                 "worst": {"d1": {"m": [0.1, 0.2]}, "d2": {"m": [0.1, 0.1]}},
             }
         )
-        for m in build_rank_matrices(table):
-            assert np.all(m.ranks[:, 0] == 1.0)  # "best" sorts first
+        cube = rank_table(table)
+        assert cube.algorithms == ("best", "mid", "worst")
+        assert np.all(cube.ranks[:, :, 0] == 1.0)  # "best" sorts first
 
     def test_oom_records_tie_every_seed(self):
         table = resolve_failures(
@@ -140,10 +142,11 @@ class TestBuildRankMatrices:
                 }
             )
         )
-        (matrix,) = build_rank_matrices(table)
-        assert matrix.tie_groups == ((2,), (2,))
+        cube = rank_table(table)
+        rows, sizes = tie_groups(cube.ranks)
+        assert (rows.tolist(), sizes.tolist()) == ([0, 1], [2, 2])
         # Hand-ranked toy: failures share the bottom mid-rank.
-        assert matrix.ranks.tolist() == [[1.0, 2.5, 2.5], [1.0, 2.5, 2.5]]
+        assert cube.ranks.tolist() == [[[1.0, 2.5, 2.5], [1.0, 2.5, 2.5]]]
 
     def test_paper_shaped_table(self):
         registry = {f"m{i}": MetricSpec(f"m{i}", Direction.HIGHER_BETTER) for i in range(4)}
@@ -155,16 +158,16 @@ class TestBuildRankMatrices:
             for m in range(4)
             for s in range(10)
         ]
-        matrices = build_rank_matrices(ResultTable.build(records, registry))
-        assert len(matrices) == 44
-        assert all(m.ranks.shape == (10, 10) for m in matrices)
-        assert [m.test for m in matrices] == sorted(m.test for m in matrices)
+        cube = rank_table(ResultTable.build(records, registry))
+        assert len(cube.suite) == 44
+        assert cube.ranks.shape == (44, 10, 10)
+        assert list(cube.suite) == sorted(cube.suite)
 
 
 class TestCountTies:
     def test_no_ties(self):
         table = _table({"a": {"d": {"m": [0.1, 0.2]}}, "b": {"d": {"m": [0.3, 0.4]}}})
-        assert count_ties(build_rank_matrices(table)) == 0
+        assert count_ties(rank_table(table)) == 0
 
     def test_one_pair_per_seed(self):
         table = _table(
@@ -174,7 +177,7 @@ class TestCountTies:
                 "c": {"d": {"m": [0.9, 0.9, 0.9]}},
             }
         )
-        assert count_ties(build_rank_matrices(table)) == 3
+        assert count_ties(rank_table(table)) == 3
 
     def test_hand_enumerated_groups(self):
         # seed 0: groups {a,b} and {c,d}; seed 1: group {a,b,c} -> 3 groups.
@@ -186,7 +189,7 @@ class TestCountTies:
                 "d": {"d": {"m": [0.7, 0.9]}},
             }
         )
-        matrices = build_rank_matrices(table)
+        cube = rank_table(table)
         # Independent brute-force count of equal-value groups per seed.
         expected = 0
         for seed in (0, 1):
@@ -195,12 +198,12 @@ class TestCountTies:
             ]
             expected += sum(1 for v in set(vals) if vals.count(v) >= 2)
         assert expected == 3
-        assert count_ties(matrices) == expected
+        assert count_ties(cube) == expected
 
 
 def test_debug_csv_export():
     table = _table({"a": {"d": {"m": [0.1]}}, "b": {"d": {"m": [0.2]}}})
-    text = matrices_to_csv(build_rank_matrices(table))
+    text = ranks_to_csv(rank_table(table))
     lines = text.splitlines()
     assert lines[0] == "dataset,metric,seed,algorithm,rank"
     assert "d,m,0,b,1.0" in lines
@@ -226,7 +229,8 @@ def score_cubes(draw):
 )
 def test_cube_ranking_matches_row_by_row(cube, policy, eps):
     values, higher = cube
-    ranks, group_rows, sizes = rank_cube(values, higher[:, None], policy, eps)
+    ranks = rank_cube(values, higher[:, None], policy, eps)
+    group_rows, sizes = tie_groups(ranks)
     lowest = policy is TiePolicy.LOWEST_SHARED_RANK
     tests, seeds, _ = values.shape
     for t in range(tests):
@@ -254,7 +258,7 @@ def _records(values, failed):
 
 
 @given(score_cubes(), st.randoms(use_true_random=False), st.sampled_from(list(TiePolicy)))
-def test_build_rank_matrices_ignores_row_order(cube, rnd, policy):
+def test_rank_table_ignores_row_order(cube, rnd, policy):
     values, _ = cube
     failed = np.array([rnd.random() < 0.2 for _ in range(values.size)]).reshape(values.shape)
     records = _records(values, failed)
@@ -262,12 +266,11 @@ def test_build_rank_matrices_ignores_row_order(cube, rnd, policy):
     rnd.shuffle(shuffled)
     registry = {"m": MetricSpec("m", Direction.LOWER_BETTER)}
     first, second = (
-        build_rank_matrices(resolve_failures(ResultTable.build(r, registry)), policy, 0.25)
+        rank_table(resolve_failures(ResultTable.build(r, registry)), policy, 0.25)
         for r in (records, shuffled)
     )
-    assert [(m.test, m.ranks.tolist(), m.tie_groups) for m in first] == [
-        (m.test, m.ranks.tolist(), m.tie_groups) for m in second
-    ]
+    assert first.suite == second.suite
+    assert first.ranks.tolist() == second.ranks.tolist()
 
 
 @given(
@@ -288,8 +291,7 @@ def test_failed_cell_never_outranks_ok_cell(cells, direction, bounds, policy, ep
     failed = np.array(fails).reshape(values.shape)
     registry = {"m": MetricSpec("m", direction, bounds)}
     table = resolve_failures(ResultTable.build(_records(values, failed), registry))
-    (matrix,) = build_rank_matrices(table, policy, eps)
-    for ranks, row_failed in zip(matrix.ranks, failed[0]):
+    for ranks, row_failed in zip(rank_table(table, policy, eps).ranks[0], failed[0]):
         if row_failed.any() and not row_failed.all():
             worst_ok = ranks[~row_failed].max()
             if bounds is None:

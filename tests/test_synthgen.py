@@ -1,20 +1,18 @@
 import pytest
 
 from rankbench.concordance import randomness
-from rankbench.ranking import build_rank_matrices, count_ties
+from rankbench.ranking import count_ties, rank_table
 from rankbench.results import Status, resolve_failures, to_csv
 from rankbench.synthgen import SynthConfig, generate
 
 
 def coefficients(config):
-    matrices = build_rank_matrices(
-        resolve_failures(generate(config))
-    )
+    cube = rank_table(resolve_failures(generate(config)))
     return (
-        randomness(matrices, "w").value,
-        randomness(matrices, "w_tied").value,
-        randomness(matrices, "w_wasserstein").value,
-        matrices,
+        randomness(cube, "w").value,
+        randomness(cube, "w_tied").value,
+        randomness(cube, "w_wasserstein").value,
+        cube,
     )
 
 
@@ -58,12 +56,12 @@ def test_random_limit_saturates():
 
 
 def test_all_failures_fully_tied():
-    w, wt, ww, matrices = coefficients(SynthConfig(fail_prob=1.0, rng_seed=3))
+    w, wt, ww, cube = coefficients(SynthConfig(fail_prob=1.0, rng_seed=3))
     assert wt == 0.0
     # Identical rank distributions are total overlap for the
     # Wasserstein coefficient, the opposite reading of the same ties.
     assert ww == 1.0
-    result = randomness(matrices, "w_tied")
+    result = randomness(cube, "w_tied")
     assert result.warnings  # degenerate convention path
 
 
@@ -80,8 +78,7 @@ def test_tie_prob_produces_ties():
             rng_seed=4,
         )
     )
-    matrices = build_rank_matrices(resolve_failures(table))
-    assert count_ties(matrices) > 0
+    assert count_ties(rank_table(resolve_failures(table))) > 0
 
 
 def test_monotone_noise_sensitivity():

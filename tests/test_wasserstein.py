@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankbench.concordance import randomness
-from rankbench.ranking import TiePolicy
-from rankbench.results import TestId
+from rankbench.ranking import RankCube, TiePolicy
 from rankbench.wasserstein import wasserstein_w, ww_normalizer
 
 from oracles import brute_force_pairwise_rank_distance, brute_force_w1
-from test_concordance import matrix_from_rows
+from test_concordance import cube_of, term
 
 
 def w1(samples1, samples2):
@@ -17,7 +16,7 @@ def w1(samples1, samples2):
     With two algorithms the normaliser is 1, so the ratio is the single
     pairwise distance.
     """
-    ratio, _ = wasserstein_w(matrix_from_rows(np.column_stack([samples1, samples2])))
+    ratio, _ = term(wasserstein_w, np.column_stack([samples1, samples2]))
     return ratio
 
 
@@ -74,42 +73,43 @@ def test_normalizer_identity(a):
 
 class TestWwTest:
     def test_deterministic_distinct_ranks_saturate(self):
-        ratio, _ = wasserstein_w(matrix_from_rows([[1, 2, 3]] * 4))
+        ratio, _ = term(wasserstein_w, [[1, 2, 3]] * 4)
         assert ratio == 1.0
 
     def test_identical_distributions_zero(self):
         # Both algorithms see ranks {1, 2} across seeds.
-        ratio, _ = wasserstein_w(matrix_from_rows([[1, 2], [2, 1]]))
+        ratio, _ = term(wasserstein_w, [[1, 2], [2, 1]])
         assert ratio == 0.0
 
     def test_lowest_policy_can_exceed_one(self):
-        m = matrix_from_rows([[1, 1, 1, 4]] * 2, policy=TiePolicy.LOWEST_SHARED_RANK)
+        rows = [[1, 1, 1, 4]] * 2
         # Not reachable with permutation rows; constructed matrix only.
-        assert wasserstein_w(m)[1] is None  # ratio is 9/10 here, no warning
+        ratio, warning = term(wasserstein_w, rows, TiePolicy.LOWEST_SHARED_RANK)
+        assert (ratio, warning) == (0.9, None)  # ratio is 9/10 here, no warning
+
+    def test_ratio_above_one_flagged(self):
+        # Competition ranks of scores 0.9 0.9 0.5 0.1: pairwise distances
+        # sum to 11, above the normaliser 10 of distinct ranks.
+        cube = cube_of([[1, 1, 3, 4]], [[1, 2, 3, 4]], policy=TiePolicy.LOWEST_SHARED_RANK)
+        result = randomness(cube, "w_wasserstein")
+        assert result.per_test == pytest.approx((1.1, 1.0), abs=1e-15)
+        assert result.warnings == (
+            "test d000/m: normalised Wasserstein ratio 1.1 exceeds 1 (tie policy lowest)",
+        )
 
 
 class TestWwRandomness:
     def test_all_deterministic_zero(self):
-        ms = [
-            matrix_from_rows([[1, 2, 3]] * 5, test=TestId(f"d{i}", "m"))
-            for i in range(4)
-        ]
-        assert randomness(ms, "w_wasserstein").value == 0.0
+        assert randomness(cube_of(*[[[1, 2, 3]] * 5] * 4), "w_wasserstein").value == 0.0
 
     def test_identical_distributions_one(self):
-        ms = [
-            matrix_from_rows([[1, 2], [2, 1]], test=TestId(f"d{i}", "m"))
-            for i in range(3)
-        ]
-        assert randomness(ms, "w_wasserstein").value == 1.0
+        assert randomness(cube_of(*[[[1, 2], [2, 1]]] * 3), "w_wasserstein").value == 1.0
 
     def test_row_order_never_matters(self):
         rng = np.random.default_rng(11)
         rows = [list(rng.permutation(5) + 1) for _ in range(6)]
-        base, _ = wasserstein_w(matrix_from_rows(rows))
-        shuffled, _ = wasserstein_w(
-            matrix_from_rows([rows[i] for i in rng.permutation(6)])
-        )
+        base, _ = term(wasserstein_w, rows)
+        shuffled, _ = term(wasserstein_w, [rows[i] for i in rng.permutation(6)])
         assert base == shuffled
 
     def test_unit_interval_on_permutation_rows(self):
@@ -117,9 +117,10 @@ class TestWwRandomness:
         for _ in range(50):
             a = int(rng.integers(2, 7))
             n = int(rng.integers(1, 6))
-            m = matrix_from_rows([list(rng.permutation(a) + 1) for _ in range(n)])
-            assert 0.0 <= wasserstein_w(m)[0] <= 1.0
+            rows = [list(rng.permutation(a) + 1) for _ in range(n)]
+            assert 0.0 <= term(wasserstein_w, rows)[0] <= 1.0
 
     def test_empty_suite_rejected(self):
+        empty = RankCube((), (0,), ("a", "b"), TiePolicy.MEAN_OF_TIED, np.empty((0, 1, 2)))
         with pytest.raises(ValueError, match="empty"):
-            randomness([], "w_wasserstein")
+            randomness(empty, "w_wasserstein")
