@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -34,7 +35,6 @@ from .results import (
     ingest,
     parse_registry,
     registry_to_text,
-    resolve_failures,
     to_csv,
 )
 from .synthgen import SynthConfig, generate
@@ -75,11 +75,9 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
 
 
 def _ranked(table, args):
-    """Resolve failures, then rank under the tie flags of ``args``."""
-    with _stage("resolve failures"):
-        resolved = resolve_failures(table)
+    """Rank, failures included, under the tie flags of ``args``."""
     with _stage("rank"):
-        return rank_table(resolved, _tie_policy(args.tie_policy), args.tie_epsilon)
+        return rank_table(table, _tie_policy(args.tie_policy), args.tie_epsilon)
 
 
 def _ranked_settings(args, table) -> dict:
@@ -304,8 +302,8 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 

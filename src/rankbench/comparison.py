@@ -54,7 +54,9 @@ def fcr(
 
     Per unit the frameworks' seed-mean scores (also algorithm-mean for
     per-test granularity) are ranked by the metric's direction with
-    mean-of-tied; FCR is the mean rank per framework.
+    mean-of-tied; FCR is the mean rank per framework. Failed runs score
+    as in :func:`resolve_failures`, so on an unbounded metric one failed
+    seed makes the unit's mean infinite and ranks the framework last.
     """
     if len(frameworks) < 2:
         raise ValueError("need at least 2 frameworks")

@@ -4,6 +4,10 @@ Ties are resolved under one of two policies: the mean of the tied
 positions (fractional ranking, "1 2.5 2.5 4") or the lowest shared
 position (competition ranking, "1 2 2 4"). Tie groups are equivalence
 classes under the transitive closure of |v_i - v_j| <= epsilon.
+
+:func:`rank_table` ranks failed cells at their metric's worst bound, or
+at -inf/+inf on an unbounded metric, where they form one tie group below
+every OK run at any finite epsilon.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .results import OK, Direction, ResultTable, TestId, ValidationError
+from .results import Direction, ResultTable, TestId, resolve_failures
 
 log = logging.getLogger(__name__)
 
@@ -44,14 +48,6 @@ class RankCube:
     ranks: np.ndarray
 
 
-class NonFiniteValue(ValueError):
-    """A score that cannot be ranked; ``row`` indexes the leading axes of the input."""
-
-    def __init__(self, row: tuple[int, ...], value: float) -> None:
-        super().__init__(f"non-finite value {value!r}")
-        self.row = row
-
-
 def rank_cube(
     values: np.ndarray,
     higher_better: np.ndarray | bool,
@@ -64,29 +60,26 @@ def rank_cube(
     is put in best-first order by one stable argsort, so exact ties keep
     input order; a new tie group starts wherever neighbours in that order
     differ by more than ``tie_epsilon``, which chains eps-close values
-    (transitive closure). Returns the ranks, in the shape of ``values``.
-    Raises :class:`NonFiniteValue` for the first row, in row-major order,
-    that holds a non-finite value.
+    (transitive closure). Values may be -inf or +inf: the gap to an
+    infinite neighbour exceeds every finite ``tie_epsilon``, and equal
+    infinities tie (inf - inf is NaN, which is not > eps). Returns the
+    ranks, in the shape of ``values``. Raises ValueError on NaN.
     """
     values = np.asarray(values, dtype=float)
     a = values.shape[-1] if values.ndim else 0
     if a < 2:
         raise ValueError("need at least 2 values to rank")
-    if tie_epsilon < 0:
-        raise ValueError("tie_epsilon must be nonnegative")
-    finite = np.isfinite(values)
-    if not finite.all():
-        rows_finite = finite.all(axis=-1)
-        row = np.unravel_index(int(np.argmin(rows_finite)), rows_finite.shape)
-        raise NonFiniteValue(
-            tuple(int(i) for i in row), float(values[row][np.argmin(finite[row])])
-        )
+    if not 0 <= tie_epsilon < np.inf:
+        raise ValueError(f"tie_epsilon must be finite and nonnegative, got {tie_epsilon}")
+    if np.isnan(values).any():
+        raise ValueError("non-finite value nan")
 
     keys = np.where(np.asarray(higher_better)[..., None], -values, values).reshape(-1, a)
     order = np.argsort(keys, axis=1, kind="stable")
     ordered = np.take_along_axis(keys, order, axis=1)
     starts = np.ones(keys.shape, dtype=bool)
-    with np.errstate(over="ignore"):  # a gap too wide for a float is still a boundary
+    # A gap too wide for a float is still a boundary; inf - inf is not.
+    with np.errstate(over="ignore", invalid="ignore"):
         starts[:, 1:] = np.diff(ordered, axis=1) > tie_epsilon
     # Tie groups are the runs between starts; no run crosses a row, since
     # every row begins with a start.
@@ -130,7 +123,7 @@ def rank_row(
     """Rank one score vector; best value gets rank 1.
 
     Returns the rank for each input position plus the sizes of tied
-    groups (>= 2), best group first. Raises on non-finite values.
+    groups (>= 2), best group first. Raises on NaN.
     """
     ranks = rank_cube(values, direction is Direction.HIGHER_BETTER, policy, tie_epsilon)
     return ranks.tolist(), tie_groups(ranks)[1].tolist()
@@ -141,21 +134,13 @@ def rank_table(
     policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
     tie_epsilon: float = 0.0,
 ) -> RankCube:
-    """Rank every (test, seed) row of a failure-resolved table into one cube.
+    """Rank every (test, seed) row of a table into one cube, failures last.
 
-    The cube's axes and labels are the table's: tests, seeds, algorithms.
-    Every cell must have a value (run ``resolve_failures`` first).
+    Failed cells are ranked by :func:`resolve_failures`. The cube's axes
+    and labels are the table's: tests, seeds, algorithms.
     """
-    unresolved = np.isnan(table.values) & (table.status != OK)
-    if unresolved.any():
-        t, s, a = np.argwhere(unresolved)[0]
-        key = (table.algorithms[a], *table.suite[t], table.seeds[s])
-        raise ValidationError(f"record {key} has no value; run resolve_failures first")
-    try:
-        ranks = rank_cube(table.values, table.higher_better[:, None], policy, tie_epsilon)
-    except NonFiniteValue as exc:
-        t, s = exc.row
-        raise ValidationError(f"test {table.suite[t]}, seed {table.seeds[s]}: {exc}") from exc
+    values = resolve_failures(table).values
+    ranks = rank_cube(values, table.higher_better[:, None], policy, tie_epsilon)
     if log.isEnabledFor(logging.INFO):
         n_rows = ranks.shape[0] * ranks.shape[1]
         log.info("ranked %d rows: %d tie groups", n_rows, len(tie_groups(ranks)[1]))

@@ -3,12 +3,13 @@
 A result table is a complete grid of scores indexed by
 (algorithm, dataset, metric, seed), held as one float cube of shape
 tests × seeds × algorithms plus an int8 status cube of the same shape.
-Failed runs (out-of-memory, timeout, error) may have no score (NaN in
-the cube) until :func:`resolve_failures` maps them to the worst possible
-value for their metric, so that failures participate in rankings as
-bottom ties. Per-cell :class:`ResultRecord` objects exist only for
-callers that ask for them (:attr:`ResultTable.records`,
-:meth:`ResultTable.record`); the pipeline never builds them.
+Every OK score is finite. Failed runs (out-of-memory, timeout, error)
+may have no score (NaN in the cube) until :func:`resolve_failures` gives
+them their metric's worst bound, or -inf/+inf for an unbounded metric,
+so that failures rank below every OK run and tie with each other.
+Per-cell :class:`ResultRecord` objects exist only for callers that ask
+for them (:attr:`ResultTable.records`, :meth:`ResultTable.record`); the
+pipeline never builds them.
 """
 
 from __future__ import annotations
@@ -72,11 +73,9 @@ class MetricSpec:
                     f"metric {self.name!r}: bounds must satisfy lo < hi, got {self.bounds}"
                 )
 
-    def worst_value(self) -> float | None:
-        """Worst endpoint of the bounds, or None if unbounded."""
-        if self.bounds is None:
-            return None
-        lo, hi = self.bounds
+    def worst_value(self) -> float:
+        """Worst endpoint of the bounds; -inf or +inf for an unbounded metric."""
+        lo, hi = self.bounds or (-math.inf, math.inf)
         return lo if self.direction is Direction.HIGHER_BETTER else hi
 
 
@@ -224,7 +223,8 @@ def _from_columns(
 
     Record-level errors name the first offending record in input order,
     with the same check order as a record-by-record scan: status ok
-    without a value, unknown metric, value outside bounds, duplicate key.
+    without a value, unknown metric, value outside bounds, non-finite ok
+    value, duplicate key.
     """
     n = len(algorithm_column)
     if not n:
@@ -254,9 +254,11 @@ def _from_columns(
         repeated[:] = True
         repeated[np.unique(cell, return_index=True)[1]] = False
 
-    no_value = ~has_value & (status == OK)
+    ok = status == OK
+    no_value = ~has_value & ok
     out_of_bounds = has_value & bounded & ~in_bounds
-    invalid = no_value | ~known | out_of_bounds | repeated
+    non_finite = ok & ~np.isfinite(values)
+    invalid = no_value | ~known | out_of_bounds | non_finite | repeated
     if invalid.any():
         i = int(np.argmax(invalid))
         key = (algorithm_column[i], dataset_column[i], metric_column[i], seed_column[i])
@@ -269,6 +271,8 @@ def _from_columns(
             raise ValidationError(
                 f"record {key}: value {value_column[i]} outside bounds [{lo_i}, {hi_i}]"
             )
+        if non_finite[i]:
+            raise ValidationError(f"record {key}: non-finite value {value_column[i]!r}")
         raise ValidationError(f"duplicate record for {key}")
 
     if len(algorithms) < 2:
@@ -505,37 +509,22 @@ def registry_to_text(registry: dict[str, MetricSpec]) -> str:
 
 
 def resolve_failures(table: ResultTable) -> ResultTable:
-    """Give every failed cell the worst possible value for its metric.
+    """Give every failed cell its metric's :meth:`MetricSpec.worst_value`.
 
-    Bounded metrics use the worst endpoint; unbounded metrics use a
-    sentinel strictly worse than every Ok value on the same test
-    (max observed + 1 for lower-better, min observed - 1 for
-    higher-better), so all failures on one test tie at the bottom.
-    Idempotent, and never changes Ok values.
+    That is the worst bound of a bounded metric, so an OK score exactly
+    at that bound ties with the failures, and -inf or +inf for an
+    unbounded one, which ranks strictly below every (finite) OK score.
+    All failures on one test tie. Idempotent, and never changes OK values.
     """
-    ok = (table.status == OK).reshape(len(table.suite), -1)
-    values = table.values.reshape(ok.shape)
-    any_ok = ok.any(axis=1)
-    highest = np.fmax.reduce(np.where(ok, values, -np.inf), axis=1)
-    lowest = np.fmin.reduce(np.where(ok, values, np.inf), axis=1)
-    sentinels = np.empty(len(table.suite))
-    for t, test in enumerate(table.suite):
-        spec = table.registry[test.metric]
-        worst = spec.worst_value()
-        if worst is not None:
-            sentinels[t] = worst
-        elif spec.direction is Direction.LOWER_BETTER:
-            sentinels[t] = highest[t] + 1.0 if any_ok[t] else 1.0
-        else:
-            sentinels[t] = lowest[t] - 1.0 if any_ok[t] else -1.0
+    worst = np.array([table.registry[t.metric].worst_value() for t in table.suite], dtype=float)
     if log.isEnabledFor(logging.INFO):
         counts = np.bincount(table.status.ravel(), minlength=len(STATUSES))
         log.info(
             "resolved %d failed cells: %s",
-            ok.size - counts[OK],
+            table.status.size - counts[OK],
             ", ".join(f"{s.value}={n}" for s, n in zip(STATUSES, counts) if s is not Status.OK),
         )
-    resolved = np.where(ok, values, sentinels[:, None]).reshape(table.values.shape)
+    resolved = np.where(table.status == OK, table.values, worst[:, None, None])
     return replace(table, values=resolved)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rankbench import cli
+from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.results import ResultTable
 
@@ -276,6 +276,7 @@ USAGE_ERRORS = {
     "empty-coefficient": (["converge", "--coefficients", "", *CONVERGE_OUTPUTS, "{table}"], False),
     "repeated-coefficient": (["coeff", "--coefficients", "w,w", "{table}"], False),
     "negative-epsilon": (["coeff", "--tie-epsilon", "-1", "{table}"], False),
+    "infinite-epsilon": (["coeff", "--tie-epsilon", "inf", "{table}"], False),
     "w-tied-lowest-coeff": (
         ["coeff", "--tie-policy", "lowest", "--coefficients", "w_tied", "{table}"], False
     ),
@@ -447,6 +448,43 @@ def test_cli_pipeline_builds_no_per_cell_records(registry, tmp_path, monkeypatch
         assert main(argv) == EXIT_OK, argv
 
 
+def test_failures_are_resolved_once_per_ranked_table(registry, tmp_path, monkeypatch):
+    """coeff, converge and rank resolve once; fcr once per framework."""
+    calls = []
+    resolve = ranking.resolve_failures
+
+    def counted(table):
+        calls.append(table)
+        return resolve(table)
+
+    monkeypatch.setattr(ranking, "resolve_failures", counted)
+    monkeypatch.setattr(comparison, "resolve_failures", counted)
+    path = tmp_path / "grid.csv"
+    path.write_text(GOOD_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom"))
+    common = ["--registry", registry, "--output", str(tmp_path / "out")]
+    frameworks = [arg for label in "pqr" for arg in ("--framework", f"{label}={path}")]
+    for argv, expected in (
+        (["coeff", *common, str(path)], 1),
+        (["converge", *common, str(path)], 1),
+        (["rank", *common, str(path)], 1),
+        (["fcr", *common, *frameworks], 3),
+    ):
+        calls.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert len(calls) == expected, argv
+
+
+def test_validate_rejects_non_finite_ok_score(tmp_path, capsys):
+    registry = tmp_path / "registry.txt"
+    registry.write_text("metric.loss.direction = lower\n")
+    path = tmp_path / "grid.csv"
+    grid = GOOD_CSV.replace("f1", "loss")
+    path.write_text(grid.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,inf,ok"))
+    for command in ("validate", "coeff"):
+        assert main([command, "--registry", str(registry), str(path)]) == EXIT_VALIDATION
+        assert "non-finite value inf" in capsys.readouterr().err
+
+
 def test_synth_output_digest_is_pinned(capsys):
     # Digest of this exact output before the table became a cube; any
     # change to the generator's RNG stream or the CSV writer shows here.
@@ -512,6 +550,6 @@ def test_info_logging_reports_stages_and_counts(registry, tmp_path):
         "ranked 2 rows: 0 tie groups",
     ):
         assert any(line.endswith(expected) for line in lines), expected
-    for stage in ("ingest", "resolve failures", "rank", "coefficients", "write report"):
+    for stage in ("ingest", "rank", "coefficients", "write report"):
         assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
     assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()

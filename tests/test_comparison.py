@@ -8,6 +8,7 @@ from rankbench.results import (
     MetricSpec,
     ResultRecord,
     ResultTable,
+    Status,
     ValidationError,
 )
 
@@ -118,6 +119,25 @@ def test_lower_better_direction_respected():
     q = table_from_grid({"a": {"d1": [0.5]}, "b": {"d1": [0.9]}}, "loss", reg)
     result = fcr([FrameworkResult("p", p), FrameworkResult("q", q)])
     assert result.ranks == {"p": 1.0, "q": 2.0}
+
+
+def test_failed_seed_ranks_framework_last_on_unbounded_metric():
+    # A failed run on an unbounded lower-better metric scores +inf, so its
+    # seed mean is +inf: the framework ranks last on that unit, however
+    # good its other seeds are.
+    registry = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
+
+    def framework(label, grid):
+        records = [
+            ResultRecord(alg, "d", "loss", seed, v, Status.OUT_OF_MEMORY if v is None else Status.OK)
+            for alg, seeds in grid.items()
+            for seed, v in enumerate(seeds)
+        ]
+        return FrameworkResult(label, ResultTable.build(records, registry))
+
+    a = framework("A", {"x": [1.0, None], "y": [2.0, 2.0]})
+    b = framework("B", {"x": [3.0, 3.0], "y": [1.0, None]})
+    assert fcr([a, b]).ranks == {"A": 1.5, "B": 1.5}
 
 
 def test_mismatched_grids_rejected():

@@ -18,6 +18,7 @@ from rankbench.results import (
     ResultRecord,
     ResultTable,
     Status,
+    ingest,
     resolve_failures,
 )
 
@@ -53,6 +54,19 @@ class TestRankRow:
     def test_single_value_rejected(self):
         with pytest.raises(ValueError):
             rank_row((0.1,), Direction.HIGHER_BETTER)
+
+    def test_infinities_rank_last_and_tie(self):
+        inf = float("inf")
+        ranks, groups = rank_row((inf, 1.0, inf, -inf), Direction.LOWER_BETTER, tie_epsilon=5.0)
+        assert ranks == [3.5, 2.0, 3.5, 1.0]
+        assert groups == [2]
+        ranks, _ = rank_row((-inf, 1.0, -inf, 1e308), Direction.HIGHER_BETTER, tie_epsilon=1e308)
+        assert ranks == [3.5, 1.5, 3.5, 1.5]
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), -1.0])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="tie_epsilon"):
+            rank_row((0.1, 0.2), Direction.HIGHER_BETTER, tie_epsilon=eps)
 
 
 values_vec = st.lists(
@@ -147,6 +161,37 @@ class TestRankTable:
         assert (rows.tolist(), sizes.tolist()) == ([0, 1], [2, 2])
         # Hand-ranked toy: failures share the bottom mid-rank.
         assert cube.ranks.tolist() == [[[1.0, 2.5, 2.5], [1.0, 2.5, 2.5]]]
+
+    @pytest.mark.parametrize(
+        "score_a, eps, expected",
+        [
+            # 1e17 + 1 == 1e17: no finite sentinel one past the worst OK score separates them.
+            ("1e17", 0.0, [2.0, 3.0, 1.0]),
+            # A sentinel 6 would chain-tie with 5 at eps 1.
+            ("1", 1.0, [1.0, 3.0, 2.0]),
+        ],
+    )
+    def test_unbounded_failure_ranks_strictly_last(self, score_a, eps, expected):
+        csv_text = (
+            "algorithm,dataset,metric,seed,value,status\n"
+            f"a,d,loss,0,{score_a},ok\n"
+            "b,d,loss,0,,timeout\n"
+            "c,d,loss,0,5,ok\n"
+        )
+        registry = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
+        cube = rank_table(ingest(csv_text, "csv", registry), tie_epsilon=eps)
+        assert cube.ranks[0, 0].tolist() == expected
+
+    def test_ok_score_at_worst_bound_ties_with_failures(self):
+        csv_text = (
+            "algorithm,dataset,metric,seed,value,status\n"
+            "a,d,f1,0,0.5,ok\n"
+            "b,d,f1,0,0.0,ok\n"
+            "c,d,f1,0,,oom\n"
+        )
+        registry = {"f1": MetricSpec("f1", Direction.HIGHER_BETTER, (0.0, 1.0))}
+        cube = rank_table(ingest(csv_text, "csv", registry))
+        assert cube.ranks[0, 0].tolist() == [1.0, 2.5, 2.5]
 
     def test_paper_shaped_table(self):
         registry = {f"m{i}": MetricSpec(f"m{i}", Direction.HIGHER_BETTER) for i in range(4)}
@@ -276,14 +321,14 @@ def test_rank_table_ignores_row_order(cube, rnd, policy):
 @given(
     st.integers(1, 3).flatmap(
         lambda seeds: st.tuples(
-            st.lists(st.floats(-1e6, 1e6), min_size=seeds * 4, max_size=seeds * 4),
+            st.lists(st.floats(-1e300, 1e300), min_size=seeds * 4, max_size=seeds * 4),
             st.lists(st.booleans(), min_size=seeds * 4, max_size=seeds * 4),
         )
     ),
     st.sampled_from(list(Direction)),
-    st.sampled_from([None, (-1e6, 1e6)]),
+    st.sampled_from([None, (-1e300, 1e300)]),
     st.sampled_from(list(TiePolicy)),
-    st.floats(0.0, 0.5),
+    st.floats(min_value=0.0, allow_infinity=False),
 )
 def test_failed_cell_never_outranks_ok_cell(cells, direction, bounds, policy, eps):
     scores, fails = cells
@@ -295,8 +340,26 @@ def test_failed_cell_never_outranks_ok_cell(cells, direction, bounds, policy, ep
         if row_failed.any() and not row_failed.all():
             worst_ok = ranks[~row_failed].max()
             if bounds is None:
-                # The sentinel is 1 beyond the worst OK score, more than eps.
+                # Failures are at infinity, farther than any finite eps.
                 assert ranks[row_failed].min() > worst_ok
             else:
                 # An OK score at the worst bound ties with failures.
                 assert ranks[row_failed].min() >= worst_ok
+
+
+@given(
+    score_cubes(),
+    st.randoms(use_true_random=False),
+    st.sampled_from([None, (-1.0, 1.0)]),
+    st.sampled_from(list(TiePolicy)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_flipped_direction_equals_negated_values(cube, rnd, bounds, policy, eps):
+    values, _ = cube
+    failed = np.array([rnd.random() < 0.2 for _ in range(values.size)]).reshape(values.shape)
+    flipped_bounds = None if bounds is None else (-bounds[1], -bounds[0])
+    lower = {"m": MetricSpec("m", Direction.LOWER_BETTER, bounds)}
+    higher = {"m": MetricSpec("m", Direction.HIGHER_BETTER, flipped_bounds)}
+    first = rank_table(ResultTable.build(_records(values, failed), lower), policy, eps)
+    second = rank_table(ResultTable.build(_records(-values, failed), higher), policy, eps)
+    assert first.ranks.tolist() == second.ranks.tolist()

@@ -70,6 +70,26 @@ def test_value_outside_bounds_rejected():
         ingest(bad, "csv", REGISTRY)
 
 
+# "loss" is unbounded, so no bounds check applies to its values.
+LOSS_CSV = MINIMAL_CSV.replace("f1", "loss")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_ok_value_rejected(value):
+    bad = LOSS_CSV.replace("b,cora,loss,1,0.3,ok", f"b,cora,loss,1,{value},ok")
+    message = rf"record \('b', 'cora', 'loss', 1\): non-finite value {value}$"
+    with pytest.raises(ValidationError, match=message):
+        ingest(bad, "csv", REGISTRY)
+
+
+def test_failed_cell_may_carry_infinity():
+    csv_text = LOSS_CSV.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,inf,oom")
+    table = ingest(csv_text, "csv", REGISTRY)
+    resolved = to_csv(resolve_failures(table))
+    assert "b,cora,loss,1,inf,oom" in resolved.splitlines()
+    assert to_csv(ingest(resolved, "csv", REGISTRY)) == resolved
+
+
 def test_json_ingest_matches_csv():
     items = [
         {"algorithm": "a", "dataset": "cora", "metric": "f1", "seed": 0, "value": 0.5, "status": "ok"},
@@ -146,7 +166,7 @@ class TestResolveFailures:
         )
         table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
         sentinel = table.record("c", "cora", "loss", 0).value
-        assert sentinel == 1.5  # max observed + 1
+        assert sentinel == float("inf")  # no bound: worse than any finite score
 
     def test_two_failures_tie(self):
         csv_text = (
