@@ -11,7 +11,7 @@ from .concordance import (
     kendall_w_tied,
     randomness,
 )
-from .ranking import RankCube, TiePolicy, count_ties, rank_row, rank_table, tie_groups
+from .ranking import RankCube, TiePolicy, count_ties, rank_table, tie_groups
 from .resampling import ConvergenceReport, subsample_convergence
 from .results import (
     Direction,
@@ -54,7 +54,6 @@ __all__ = [
     "kendall_w_tied",
     "parse_registry",
     "randomness",
-    "rank_row",
     "rank_table",
     "resolve_failures",
     "subsample_convergence",

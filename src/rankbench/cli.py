@@ -53,7 +53,7 @@ def _load_registry(path: str) -> dict:
 def _read_table_file(path: str) -> tuple[str, str]:
     # utf-8-sig: a byte-order mark must fail neither the exact CSV header
     # check nor json.loads. The bytes are dropped on return, before
-    # ingest builds the records.
+    # ingest parses the text into columns.
     data = Path(path).read_bytes()
     return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
@@ -233,18 +233,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_algorithms=args.algorithms,
-        n_datasets=args.datasets,
-        n_metrics=args.metrics,
-        n_seeds=args.seeds,
-        quality_gap=args.quality_gap,
-        noise_scale=args.noise_scale,
-        tie_prob=args.tie_prob,
-        fail_prob=args.fail_prob,
-        rng_seed=args.rng_seed,
-    )
-    table = generate(config)
+    table = generate(args.config)
     _write_output(to_csv(table), args.output)
     if args.registry_out:
         Path(args.registry_out).write_text(registry_to_text(table.registry), encoding="utf-8")
@@ -425,6 +414,21 @@ def _parse_args(argv: list[str] | None):
                 parser.error(f"coefficient {name} requires --tie-policy mean")
     if hasattr(args, "framework") and len(args.framework) < 2:
         parser.error("fcr needs at least two --framework")
+    if args.command == "synth":
+        try:
+            args.config = SynthConfig(
+                n_algorithms=args.algorithms,
+                n_datasets=args.datasets,
+                n_metrics=args.metrics,
+                n_seeds=args.seeds,
+                quality_gap=args.quality_gap,
+                noise_scale=args.noise_scale,
+                tie_prob=args.tie_prob,
+                fail_prob=args.fail_prob,
+                rng_seed=args.rng_seed,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     return args
 
 

@@ -17,11 +17,10 @@ import io
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .results import Direction, ResultTable, TestId, resolve_failures
+from .results import ResultTable, TestId, resolve_failures
 
 log = logging.getLogger(__name__)
 
@@ -112,21 +111,6 @@ def tie_groups(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sizes = np.diff(group_starts, append=starts.size)
     tied = sizes >= 2
     return group_starts[tied] // a, sizes[tied]
-
-
-def rank_row(
-    values: Sequence[float],
-    direction: Direction,
-    policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
-    tie_epsilon: float = 0.0,
-) -> tuple[list[float], list[int]]:
-    """Rank one score vector; best value gets rank 1.
-
-    Returns the rank for each input position plus the sizes of tied
-    groups (>= 2), best group first. Raises on NaN.
-    """
-    ranks = rank_cube(values, direction is Direction.HIGHER_BETTER, policy, tie_epsilon)
-    return ranks.tolist(), tie_groups(ranks)[1].tolist()
 
 
 def rank_table(

@@ -46,12 +46,6 @@ class ConvergenceReport:
     cells: tuple[ConvergenceCell, ...]
     warnings: tuple[str, ...]  # kernel warnings of the full-suite terms
 
-    def cell(self, size: int, coefficient: str) -> ConvergenceCell:
-        for c in self.cells:
-            if c.size == size and c.coefficient == coefficient:
-                return c
-        raise KeyError((size, coefficient))
-
     def fragment(self) -> dict:
         return {
             "sizes": list(self.sizes),

@@ -7,15 +7,17 @@ Every OK score is finite. Failed runs (out-of-memory, timeout, error)
 may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
-Per-cell :class:`ResultRecord` objects exist only for callers that ask
-for them (:attr:`ResultTable.records`, :meth:`ResultTable.record`); the
-pipeline never builds them.
+:meth:`ResultTable.from_columns` is the one constructor: ingest hands
+it one column per field. Per-cell :class:`ResultRecord`
+objects exist only in :attr:`ResultTable.records`, which the pipeline
+never reads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -47,9 +49,8 @@ class Status(Enum):
 
 # A status cube holds each cell's index into STATUSES; OK is 0.
 STATUSES: tuple[Status, ...] = tuple(Status)
-_STATUS_CODE = {s: i for i, s in enumerate(STATUSES)}
 _STATUS_TEXT_CODE = {s.value: i for i, s in enumerate(STATUSES)}
-OK = _STATUS_CODE[Status.OK]
+OK = STATUSES.index(Status.OK)
 
 
 @dataclass(frozen=True)
@@ -145,61 +146,147 @@ class ResultTable:
             dtype=bool,
         )
 
+    def cells(self) -> Iterable[tuple[str, TestId, int, float, Status]]:
+        """``(algorithm, test, seed, value, status)`` of every cell, in key order."""
+        values = self.values.transpose(2, 0, 1).ravel().tolist()
+        codes = self.status.transpose(2, 0, 1).ravel().tolist()
+        keys = itertools.product(self.algorithms, self.suite, self.seeds)
+        return ((*key, value, STATUSES[code]) for key, value, code in zip(keys, values, codes))
+
     @cached_property
     def records(self) -> tuple[ResultRecord, ...]:
-        """Every cell as a record, in key order; built on first access."""
-        values = self.values.transpose(2, 0, 1).tolist()
-        codes = self.status.transpose(2, 0, 1).tolist()
-        return tuple(
-            _record(alg, test, seed, value, code)
-            for alg, alg_values, alg_codes in zip(self.algorithms, values, codes)
-            for test, test_values, test_codes in zip(self.suite, alg_values, alg_codes)
-            for seed, value, code in zip(self.seeds, test_values, test_codes)
-        )
+        """Every cell as a record, in key order; built on first access.
 
-    def record(self, algorithm: str, dataset: str, metric: str, seed: int) -> ResultRecord:
-        try:
-            t = self.suite.index(TestId(dataset, metric))
-            s = self.seeds.index(seed)
-            a = self.algorithms.index(algorithm)
-        except ValueError:
-            raise KeyError((algorithm, dataset, metric, seed)) from None
-        value, code = float(self.values[t, s, a]), int(self.status[t, s, a])
-        return _record(algorithm, self.suite[t], seed, value, code)
+        Only perfbench/tracing.py still reads this view, to count rows and
+        failed cells; it goes once that tracer counts from the cubes.
+        """
+        return tuple(
+            ResultRecord(
+                alg,
+                test.dataset,
+                test.metric,
+                seed,
+                None if status is not Status.OK and math.isnan(value) else value,
+                status,
+            )
+            for alg, test, seed, value, status in self.cells()
+        )
 
     @classmethod
-    def build(
+    def from_columns(
         cls,
-        records: Iterable[ResultRecord],
-        registry: Iterable[MetricSpec] | dict[str, MetricSpec],
+        algorithm_column: list[str],
+        dataset_column: list[str],
+        metric_column: list[str],
+        seed_column: list[int],
+        value_column: list[float | None],
+        status_column: list[int],
+        registry: dict[str, MetricSpec],
         drop_incomplete: bool = False,
     ) -> "ResultTable":
-        """Validate records into a complete grid.
+        """Validate columns (one entry per record) into a complete grid.
 
-        With ``drop_incomplete`` every test with any missing cell is
-        dropped (never imputed); otherwise an incomplete grid is an
-        error listing every missing cell.
+        ``value_column`` holds None where a failed run has no score, and
+        ``status_column`` each record's index into :data:`STATUSES`.
+        Record-level errors name the first offending record in input
+        order, with the same check order as a record-by-record scan:
+        status ok without a value, unknown metric, value outside bounds,
+        non-finite ok value, duplicate key. With ``drop_incomplete`` every
+        test with any missing cell is dropped (never imputed); otherwise
+        an incomplete grid is an error listing every missing cell.
         """
-        if not isinstance(registry, dict):
-            registry = {m.name: m for m in registry}
-        records = list(records)
-        return _from_columns(
-            [r.algorithm for r in records],
-            [r.dataset for r in records],
-            [r.metric for r in records],
-            [r.seed for r in records],
-            [r.value for r in records],
-            [_STATUS_CODE[r.status] for r in records],
-            registry,
-            drop_incomplete,
+        n = len(algorithm_column)
+        if not n:
+            raise ValidationError("no records")
+        algorithms, alg = _codes(algorithm_column)
+        datasets, dataset = _codes(dataset_column)
+        metrics, metric = _codes(metric_column)
+        seeds, seed = _codes(seed_column)
+        values = np.array(value_column, dtype=float)  # None becomes NaN
+        status = np.array(status_column, dtype=np.int8)
+        has_value = np.array([v is not None for v in value_column], dtype=bool)
+
+        specs = [registry.get(m) for m in metrics]
+        known = np.array([spec is not None for spec in specs])[metric]
+        lo = np.array([spec.bounds[0] if spec and spec.bounds else -np.inf for spec in specs])
+        hi = np.array([spec.bounds[1] if spec and spec.bounds else np.inf for spec in specs])
+        bounded = np.array([bool(spec and spec.bounds) for spec in specs])[metric]
+        with np.errstate(invalid="ignore"):
+            in_bounds = (lo[metric] <= values) & (values <= hi[metric])
+
+        test_codes, test = np.unique(dataset * len(metrics) + metric, return_inverse=True)
+        t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
+        cell = (test * s_n + seed) * a_n + alg
+        counts = np.bincount(cell, minlength=t_n * s_n * a_n)
+        repeated = np.zeros(n, dtype=bool)
+        if counts.max() > 1:
+            repeated[:] = True
+            repeated[np.unique(cell, return_index=True)[1]] = False
+
+        ok = status == OK
+        no_value = ~has_value & ok
+        out_of_bounds = has_value & bounded & ~in_bounds
+        non_finite = ok & ~np.isfinite(values)
+        invalid = no_value | ~known | out_of_bounds | non_finite | repeated
+        if invalid.any():
+            i = int(np.argmax(invalid))
+            key = (algorithm_column[i], dataset_column[i], metric_column[i], seed_column[i])
+            if no_value[i]:
+                raise ValidationError(f"record {key}: status ok but no value")
+            if not known[i]:
+                raise ValidationError(f"unknown metric {key[2]!r} (record {key})")
+            if out_of_bounds[i]:
+                lo_i, hi_i = specs[metric[i]].bounds
+                raise ValidationError(
+                    f"record {key}: value {value_column[i]} outside bounds [{lo_i}, {hi_i}]"
+                )
+            if non_finite[i]:
+                raise ValidationError(f"record {key}: non-finite value {value_column[i]!r}")
+            raise ValidationError(f"duplicate record for {key}")
+
+        if len(algorithms) < 2:
+            raise ValidationError("need at least 2 algorithms")
+
+        suite = tuple(
+            TestId(datasets[c // len(metrics)], metrics[c % len(metrics)])
+            for c in test_codes.tolist()
         )
+        missing = (counts == 0).reshape(t_n, s_n, a_n)
+        dropped: tuple[TestId, ...] = ()
+        keep = slice(None)
+        if missing.any():
+            if not drop_incomplete:
+                cells = ", ".join(
+                    f"(algorithm={algorithms[a]}, dataset={suite[t].dataset}, "
+                    f"metric={suite[t].metric}, seed={seeds[s]})"
+                    for t, a, s in zip(*np.nonzero(missing.transpose(0, 2, 1)))
+                )
+                raise ValidationError(f"incomplete grid, missing cells: {cells}")
+            incomplete = missing.any(axis=(1, 2))
+            if incomplete.all():
+                raise ValidationError("every test has missing cells; nothing left")
+            dropped = tuple(t for t, bad_test in zip(suite, incomplete) if bad_test)
+            suite = tuple(t for t, bad_test in zip(suite, incomplete) if not bad_test)
+            keep = ~incomplete
+            log.info(
+                "dropped %d incomplete tests: %s",
+                len(dropped),
+                ", ".join(f"{t.dataset}/{t.metric}" for t in dropped),
+            )
 
-
-def _record(algorithm: str, test: TestId, seed: int, value: float, code: int) -> ResultRecord:
-    status = STATUSES[code]
-    if status is not Status.OK and math.isnan(value):
-        value = None
-    return ResultRecord(algorithm, test.dataset, test.metric, seed, value, status)
+        value_cube = np.full(t_n * s_n * a_n, np.nan)
+        value_cube[cell] = values
+        status_cube = np.zeros(t_n * s_n * a_n, dtype=np.int8)
+        status_cube[cell] = status
+        return cls(
+            suite=suite,
+            seeds=seeds,
+            algorithms=algorithms,
+            values=value_cube.reshape(t_n, s_n, a_n)[keep],
+            status=status_cube.reshape(t_n, s_n, a_n)[keep],
+            registry=dict(registry),
+            dropped=dropped,
+        )
 
 
 def _codes(column: Sequence) -> tuple[tuple, np.ndarray]:
@@ -207,116 +294,6 @@ def _codes(column: Sequence) -> tuple[tuple, np.ndarray]:
     labels = tuple(sorted(set(column)))
     index = {x: i for i, x in enumerate(labels)}
     return labels, np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
-
-
-def _from_columns(
-    algorithm_column: list[str],
-    dataset_column: list[str],
-    metric_column: list[str],
-    seed_column: list[int],
-    value_column: list[float | None],
-    status_column: list[int],
-    registry: dict[str, MetricSpec],
-    drop_incomplete: bool,
-) -> ResultTable:
-    """Validate parsed columns (one entry per record) into the cubes.
-
-    Record-level errors name the first offending record in input order,
-    with the same check order as a record-by-record scan: status ok
-    without a value, unknown metric, value outside bounds, non-finite ok
-    value, duplicate key.
-    """
-    n = len(algorithm_column)
-    if not n:
-        raise ValidationError("no records")
-    algorithms, alg = _codes(algorithm_column)
-    datasets, dataset = _codes(dataset_column)
-    metrics, metric = _codes(metric_column)
-    seeds, seed = _codes(seed_column)
-    values = np.array(value_column, dtype=float)  # None becomes NaN
-    status = np.array(status_column, dtype=np.int8)
-    has_value = np.array([v is not None for v in value_column], dtype=bool)
-
-    specs = [registry.get(m) for m in metrics]
-    known = np.array([spec is not None for spec in specs])[metric]
-    lo = np.array([spec.bounds[0] if spec and spec.bounds else -np.inf for spec in specs])
-    hi = np.array([spec.bounds[1] if spec and spec.bounds else np.inf for spec in specs])
-    bounded = np.array([bool(spec and spec.bounds) for spec in specs])[metric]
-    with np.errstate(invalid="ignore"):
-        in_bounds = (lo[metric] <= values) & (values <= hi[metric])
-
-    test_codes, test = np.unique(dataset * len(metrics) + metric, return_inverse=True)
-    t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
-    cell = (test * s_n + seed) * a_n + alg
-    counts = np.bincount(cell, minlength=t_n * s_n * a_n)
-    repeated = np.zeros(n, dtype=bool)
-    if counts.max() > 1:
-        repeated[:] = True
-        repeated[np.unique(cell, return_index=True)[1]] = False
-
-    ok = status == OK
-    no_value = ~has_value & ok
-    out_of_bounds = has_value & bounded & ~in_bounds
-    non_finite = ok & ~np.isfinite(values)
-    invalid = no_value | ~known | out_of_bounds | non_finite | repeated
-    if invalid.any():
-        i = int(np.argmax(invalid))
-        key = (algorithm_column[i], dataset_column[i], metric_column[i], seed_column[i])
-        if no_value[i]:
-            raise ValidationError(f"record {key}: status ok but no value")
-        if not known[i]:
-            raise ValidationError(f"unknown metric {key[2]!r} (record {key})")
-        if out_of_bounds[i]:
-            lo_i, hi_i = specs[metric[i]].bounds
-            raise ValidationError(
-                f"record {key}: value {value_column[i]} outside bounds [{lo_i}, {hi_i}]"
-            )
-        if non_finite[i]:
-            raise ValidationError(f"record {key}: non-finite value {value_column[i]!r}")
-        raise ValidationError(f"duplicate record for {key}")
-
-    if len(algorithms) < 2:
-        raise ValidationError("need at least 2 algorithms")
-
-    suite = tuple(
-        TestId(datasets[c // len(metrics)], metrics[c % len(metrics)]) for c in test_codes.tolist()
-    )
-    missing = (counts == 0).reshape(t_n, s_n, a_n)
-    dropped: tuple[TestId, ...] = ()
-    keep = slice(None)
-    if missing.any():
-        if not drop_incomplete:
-            cells = ", ".join(
-                f"(algorithm={algorithms[a]}, dataset={suite[t].dataset}, "
-                f"metric={suite[t].metric}, seed={seeds[s]})"
-                for t, a, s in zip(*np.nonzero(missing.transpose(0, 2, 1)))
-            )
-            raise ValidationError(f"incomplete grid, missing cells: {cells}")
-        incomplete = missing.any(axis=(1, 2))
-        if incomplete.all():
-            raise ValidationError("every test has missing cells; nothing left")
-        dropped = tuple(t for t, bad_test in zip(suite, incomplete) if bad_test)
-        suite = tuple(t for t, bad_test in zip(suite, incomplete) if not bad_test)
-        keep = ~incomplete
-        log.info(
-            "dropped %d incomplete tests: %s",
-            len(dropped),
-            ", ".join(f"{t.dataset}/{t.metric}" for t in dropped),
-        )
-
-    value_cube = np.full(t_n * s_n * a_n, np.nan)
-    value_cube[cell] = values
-    status_cube = np.zeros(t_n * s_n * a_n, dtype=np.int8)
-    status_cube[cell] = status
-    return ResultTable(
-        suite=suite,
-        seeds=seeds,
-        algorithms=algorithms,
-        values=value_cube.reshape(t_n, s_n, a_n)[keep],
-        status=status_cube.reshape(t_n, s_n, a_n)[keep],
-        registry=dict(registry),
-        dropped=dropped,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +448,22 @@ def ingest(
         raise ValueError(f"unknown format {fmt!r}")
 
     log.info("parsed %d rows", len(columns[0]))
-    return _from_columns(*columns, registry, drop_incomplete)
+    return ResultTable.from_columns(*columns, registry, drop_incomplete)
 
 
 def to_csv(table: ResultTable) -> str:
-    """Serialize a table in the canonical CSV schema (round-trip stable)."""
+    """Serialize a table in the canonical CSV schema (round-trip stable).
+
+    Rows are in key order: algorithm, then test, then seed. A failed cell
+    with no score has an empty value field.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in table.records:
-        writer.writerow(
-            [
-                rec.algorithm,
-                rec.dataset,
-                rec.metric,
-                rec.seed,
-                "" if rec.value is None else repr(rec.value),
-                rec.status.value,
-            ]
-        )
+    writer.writerows(
+        (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
+        for alg, test, seed, v, status in table.cells()
+    )
     return buf.getvalue()
 
 

@@ -1,10 +1,29 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 Kept deliberately naive (pure Python, Fractions, explicit breakpoint
-integration) and separate from the library code paths they check.
+integration) and separate from the library code paths they check. One
+helper, :func:`table_of`, builds a library table from plain rows.
 """
 
 from fractions import Fraction
+
+from rankbench.results import STATUSES, ResultTable, Status
+
+
+def table_of(rows, registry, drop_incomplete=False):
+    """ResultTable from rows ``(algorithm, dataset, metric, seed, value[, status])``.
+
+    ``value`` is None for a failed run without a score; ``status`` is a
+    Status and defaults to OK. ``registry`` is a dict or MetricSpecs.
+    """
+    if not isinstance(registry, dict):
+        registry = {m.name: m for m in registry}
+    rows = [(*row, Status.OK)[:6] for row in rows]
+    algorithms, datasets, metrics, seeds, values, statuses = (list(c) for c in zip(*rows))
+    codes = [STATUSES.index(s) for s in statuses]
+    return ResultTable.from_columns(
+        algorithms, datasets, metrics, seeds, values, codes, registry, drop_incomplete
+    )
 
 
 def brute_force_w(rows):

@@ -29,7 +29,12 @@ from rankbench.cli import main as cli_main
 from rankbench.comparison import FrameworkResult
 from rankbench.wasserstein import ww_normalizer
 
-from oracles import brute_force_pairwise_rank_distance, brute_force_w, brute_force_w1
+from oracles import (
+    brute_force_pairwise_rank_distance,
+    brute_force_w,
+    brute_force_w1,
+    table_of,
+)
 from test_comparison import table_from_grid, shifted, BASE
 from test_concordance import term
 
@@ -223,8 +228,9 @@ def test_09_convergence_exactness(tmp_path):
     cube = rank_table(resolve_failures(generate(config)))
     n = len(cube.suite)
     report = subsample_convergence(cube, sizes=[n], repeats=10, rng_seed=4)
+    cells = {(c.size, c.coefficient): c for c in report.cells}
     for coeff in report.coefficients:
-        cell = report.cell(n, coeff)
+        cell = cells[n, coeff]
         assert all(v == report.full_suite_value[coeff] for v in cell.values)
 
     # Byte-identical CLI reports across reruns with the same rng seed.
@@ -267,9 +273,8 @@ def test_10_small_sample_spread():
         cube, ["w", "w_wasserstein"], sizes=range(1, 12), repeats=10, rng_seed=7
     )
     sizes = range(1, 12)
-    wins = sum(
-        report.cell(k, "w_wasserstein").std <= report.cell(k, "w").std for k in sizes
-    )
+    std = {(c.size, c.coefficient): c.std for c in report.cells}
+    wins = sum(std[k, "w_wasserstein"] <= std[k, "w"] for k in sizes)
     assert wins >= 0.8 * len(list(sizes))
     assert time.time() - start < 60
 
@@ -279,8 +284,6 @@ def test_11_tie_policy_divergence(tmp_path):
     from rankbench.results import (
         Direction,
         MetricSpec,
-        ResultRecord,
-        ResultTable,
         Status,
         registry_to_text,
         to_csv,
@@ -288,16 +291,16 @@ def test_11_tie_policy_divergence(tmp_path):
 
     registry = {"f1": MetricSpec("f1", Direction.HIGHER_BETTER, (0.0, 1.0))}
     scores = {"a": [0.9, 0.4], "b": [0.5, 0.8]}
-    records = [
-        ResultRecord(alg, "cora", "f1", seed, v)
+    rows = [
+        (alg, "cora", "f1", seed, v)
         for alg, per_seed in scores.items()
         for seed, v in enumerate(per_seed)
     ] + [
-        ResultRecord(alg, "cora", "f1", seed, None, Status.OUT_OF_MEMORY)
+        (alg, "cora", "f1", seed, None, Status.OUT_OF_MEMORY)
         for alg in ("c", "d")
         for seed in (0, 1)
     ]
-    table = resolve_failures(ResultTable.build(records, registry))
+    table = resolve_failures(table_of(rows, registry))
 
     values = {}
     for policy in (TiePolicy.MEAN_OF_TIED, TiePolicy.LOWEST_SHARED_RANK):

@@ -495,6 +495,60 @@ def test_synth_output_digest_is_pinned(capsys):
     assert digest == "db957289fa88607e5f3b13e5589f161cf5bf5a65abe395f0b0638a987dcaaf02"
 
 
+# Digests of these outputs when the generator drew each cell in a Python
+# loop: each combination of the optional tie and failure draws, and a
+# zero score range, where a tie draw is made but snaps nothing.
+SYNTH_LAYOUT_PINS = {
+    "no-ties-no-failures": (
+        ["--noise-scale", "0.5"],
+        "92a58aa7be556c95f9a959ecccaf9eaff8a201e8ab394191e098581feaeab220",
+    ),
+    "ties-only": (
+        ["--noise-scale", "0.5", "--tie-prob", "0.2"],
+        "9f5e9692669fdc924db70107ab82a84fc72aab5ac52664588b778c924936f14f",
+    ),
+    "failures-only": (
+        ["--noise-scale", "0.5", "--fail-prob", "0.1"],
+        "2a203463eb2f16720ea2b310b95a112d0b2af0323fb3986f9ff019e4520016f0",
+    ),
+    "zero-score-range": (
+        ["--quality-gap", "0", "--noise-scale", "0", "--tie-prob", "0.3"],
+        "8f927a5f2acce1bad601231291d5d5c0eba12c31beafcf31dfc446c1ca24f18b",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, digest", SYNTH_LAYOUT_PINS.values(), ids=SYNTH_LAYOUT_PINS.keys())
+def test_synth_draw_layouts_are_pinned(flags, digest, capsys):
+    argv = ["synth", "--algorithms", "6", "--datasets", "3", "--metrics", "2", "--seeds", "4"]
+    assert main([*argv, *flags]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algorithms", "1"],
+        ["--seeds", "0"],
+        ["--tie-prob", "2"],
+        ["--tie-prob", "nan"],
+        ["--noise-scale", "inf"],
+        ["--noise-scale", "1e308"],
+        ["--quality-gap", "inf"],
+        ["--quality-gap", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatch):
+    def forbidden(config):
+        raise AssertionError("generated a grid for a bad config")
+
+    monkeypatch.setattr(cli, "generate", forbidden)
+    out = ["--output", str(tmp_path / "t.csv"), "--registry-out", str(tmp_path / "r.txt")]
+    assert main(["synth", *flags, *out]) == EXIT_VALIDATION
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rank_and_converge_outputs_are_pinned(tmp_path, capsys):
     # Digests of these outputs before ranking became one rank cube: the
     # rank CSV under each tie policy and the convergence provenance, which

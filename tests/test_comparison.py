@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import table_of
 from rankbench.comparison import FrameworkResult, Granularity, fcr
 from rankbench.results import (
     Direction,
     MetricSpec,
-    ResultRecord,
-    ResultTable,
     Status,
     ValidationError,
 )
@@ -17,13 +16,13 @@ REG = {"score": MetricSpec("score", Direction.HIGHER_BETTER)}
 
 def table_from_grid(grid, metric="score", registry=REG):
     """grid[alg][dataset] -> list of per-seed scores."""
-    records = [
-        ResultRecord(alg, ds, metric, seed, float(v))
+    rows = [
+        (alg, ds, metric, seed, float(v))
         for alg, per_ds in grid.items()
         for ds, seeds in per_ds.items()
         for seed, v in enumerate(seeds)
     ]
-    return ResultTable.build(records, registry)
+    return table_of(rows, registry)
 
 
 def shifted(grid, delta):
@@ -128,12 +127,12 @@ def test_failed_seed_ranks_framework_last_on_unbounded_metric():
     registry = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
 
     def framework(label, grid):
-        records = [
-            ResultRecord(alg, "d", "loss", seed, v, Status.OUT_OF_MEMORY if v is None else Status.OK)
+        rows = [
+            (alg, "d", "loss", seed, v, Status.OUT_OF_MEMORY if v is None else Status.OK)
             for alg, seeds in grid.items()
             for seed, v in enumerate(seeds)
         ]
-        return FrameworkResult(label, ResultTable.build(records, registry))
+        return FrameworkResult(label, table_of(rows, registry))
 
     a = framework("A", {"x": [1.0, None], "y": [2.0, 2.0]})
     b = framework("B", {"x": [3.0, 3.0], "y": [1.0, None]})

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import loop_rank_row
+from oracles import loop_rank_row, table_of
 from rankbench.ranking import (
     TiePolicy,
     count_ties,
     rank_cube,
-    rank_row,
     rank_table,
     ranks_to_csv,
     tie_groups,
@@ -15,58 +14,57 @@ from rankbench.ranking import (
 from rankbench.results import (
     Direction,
     MetricSpec,
-    ResultRecord,
-    ResultTable,
     Status,
     ingest,
     resolve_failures,
 )
 
+HIGHER, LOWER = True, False
+
+
+def group_sizes(ranks):
+    return tie_groups(ranks)[1].tolist()
+
 
 class TestRankRow:
     def test_fractional_ranking(self):
-        ranks, groups = rank_row((0.9, 0.7, 0.7, 0.1), Direction.HIGHER_BETTER)
-        assert ranks == [1.0, 2.5, 2.5, 4.0]
-        assert groups == [2]
+        ranks = rank_cube([0.9, 0.7, 0.7, 0.1], HIGHER)
+        assert ranks.tolist() == [1.0, 2.5, 2.5, 4.0]
+        assert group_sizes(ranks) == [2]
 
     def test_lower_better_mean_ties(self):
-        ranks, _ = rank_row((0.0, 0.2, 0.0), Direction.LOWER_BETTER)
-        assert ranks == [1.5, 3.0, 1.5]
+        assert rank_cube([0.0, 0.2, 0.0], LOWER).tolist() == [1.5, 3.0, 1.5]
 
     def test_lower_better_competition_ranking(self):
-        ranks, _ = rank_row(
-            (0.0, 0.2, 0.0), Direction.LOWER_BETTER, TiePolicy.LOWEST_SHARED_RANK
-        )
-        assert ranks == [1.0, 3.0, 1.0]
+        ranks = rank_cube([0.0, 0.2, 0.0], LOWER, TiePolicy.LOWEST_SHARED_RANK)
+        assert ranks.tolist() == [1.0, 3.0, 1.0]
 
     def test_epsilon_transitive_closure(self):
         # 0.10 and 0.18 are not within eps of each other but chain via 0.14.
-        ranks, groups = rank_row(
-            (0.10, 0.14, 0.18, 0.5), Direction.LOWER_BETTER, tie_epsilon=0.05
-        )
-        assert ranks == [2.0, 2.0, 2.0, 4.0]
-        assert groups == [3]
+        ranks = rank_cube([0.10, 0.14, 0.18, 0.5], LOWER, tie_epsilon=0.05)
+        assert ranks.tolist() == [2.0, 2.0, 2.0, 4.0]
+        assert group_sizes(ranks) == [3]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            rank_row((0.1, float("nan")), Direction.HIGHER_BETTER)
+            rank_cube([0.1, float("nan")], HIGHER)
 
     def test_single_value_rejected(self):
         with pytest.raises(ValueError):
-            rank_row((0.1,), Direction.HIGHER_BETTER)
+            rank_cube([0.1], HIGHER)
 
     def test_infinities_rank_last_and_tie(self):
         inf = float("inf")
-        ranks, groups = rank_row((inf, 1.0, inf, -inf), Direction.LOWER_BETTER, tie_epsilon=5.0)
-        assert ranks == [3.5, 2.0, 3.5, 1.0]
-        assert groups == [2]
-        ranks, _ = rank_row((-inf, 1.0, -inf, 1e308), Direction.HIGHER_BETTER, tie_epsilon=1e308)
-        assert ranks == [3.5, 1.5, 3.5, 1.5]
+        ranks = rank_cube([inf, 1.0, inf, -inf], LOWER, tie_epsilon=5.0)
+        assert ranks.tolist() == [3.5, 2.0, 3.5, 1.0]
+        assert group_sizes(ranks) == [2]
+        ranks = rank_cube([-inf, 1.0, -inf, 1e308], HIGHER, tie_epsilon=1e308)
+        assert ranks.tolist() == [3.5, 1.5, 3.5, 1.5]
 
     @pytest.mark.parametrize("eps", [float("inf"), float("nan"), -1.0])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="tie_epsilon"):
-            rank_row((0.1, 0.2), Direction.HIGHER_BETTER, tie_epsilon=eps)
+            rank_cube([0.1, 0.2], HIGHER, tie_epsilon=eps)
 
 
 values_vec = st.lists(
@@ -79,58 +77,56 @@ values_vec = st.lists(
 @given(values_vec)
 def test_mean_ties_rank_sum_conserved(values):
     a = len(values)
-    ranks, _ = rank_row(values, Direction.HIGHER_BETTER, TiePolicy.MEAN_OF_TIED)
-    assert sum(ranks) == a * (a + 1) / 2
+    ranks = rank_cube(values, HIGHER, TiePolicy.MEAN_OF_TIED)
+    assert ranks.sum() == a * (a + 1) / 2
 
 
 @given(values_vec)
 def test_lowest_rank_sum_bounded(values):
     a = len(values)
-    ranks, _ = rank_row(values, Direction.HIGHER_BETTER, TiePolicy.LOWEST_SHARED_RANK)
-    assert sum(ranks) <= a * (a + 1) / 2
+    ranks = rank_cube(values, HIGHER, TiePolicy.LOWEST_SHARED_RANK)
+    assert ranks.sum() <= a * (a + 1) / 2
 
 
 @given(values_vec, st.randoms(use_true_random=False))
 def test_permutation_equivariance(values, rnd):
     perm = list(range(len(values)))
     rnd.shuffle(perm)
-    base, _ = rank_row(values, Direction.HIGHER_BETTER)
-    permuted, _ = rank_row([values[p] for p in perm], Direction.HIGHER_BETTER)
-    assert permuted == [base[p] for p in perm]
+    base = rank_cube(values, HIGHER)
+    permuted = rank_cube([values[p] for p in perm], HIGHER)
+    assert permuted.tolist() == base[perm].tolist()
 
 
 @given(st.lists(st.integers(-400, 400).map(lambda i: i / 4), min_size=2, max_size=8))
 def test_monotone_transform_invariance(values):
     # Coarse grid keeps arctan injective in floating point.
-    base, _ = rank_row(values, Direction.HIGHER_BETTER)
-    squashed, _ = rank_row([np.arctan(v) + 3.0 for v in values], Direction.HIGHER_BETTER)
-    assert squashed == base
+    base = rank_cube(values, HIGHER)
+    squashed = rank_cube([np.arctan(v) + 3.0 for v in values], HIGHER)
+    assert squashed.tolist() == base.tolist()
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=8, unique=True))
 def test_policies_agree_on_distinct_values(values):
-    mean, g1 = rank_row(values, Direction.LOWER_BETTER, TiePolicy.MEAN_OF_TIED)
-    lowest, g2 = rank_row(values, Direction.LOWER_BETTER, TiePolicy.LOWEST_SHARED_RANK)
-    assert mean == lowest
-    assert g1 == g2 == []
+    mean = rank_cube(values, LOWER, TiePolicy.MEAN_OF_TIED)
+    lowest = rank_cube(values, LOWER, TiePolicy.LOWEST_SHARED_RANK)
+    assert mean.tolist() == lowest.tolist()
+    assert group_sizes(mean) == group_sizes(lowest) == []
 
 
 def _table(score):
     """Build a table from score[alg][dataset][metric][seed]."""
     metrics = sorted({m for d in score.values() for m in list(d.values())[0]})
     registry = {m: MetricSpec(m, Direction.HIGHER_BETTER) for m in metrics}
-    records = []
-    for alg, per_ds in score.items():
-        for ds, per_m in per_ds.items():
-            for m, per_seed in per_m.items():
-                for seed, v in enumerate(per_seed):
-                    if v is None:
-                        records.append(
-                            ResultRecord(alg, ds, m, seed, None, Status.OUT_OF_MEMORY)
-                        )
-                    else:
-                        records.append(ResultRecord(alg, ds, m, seed, float(v)))
-    return ResultTable.build(records, registry)
+    return table_of(
+        (
+            (alg, ds, m, seed, v, Status.OK if v is not None else Status.OUT_OF_MEMORY)
+            for alg, per_ds in score.items()
+            for ds, per_m in per_ds.items()
+            for m, per_seed in per_m.items()
+            for seed, v in enumerate(per_seed)
+        ),
+        registry,
+    )
 
 
 class TestRankTable:
@@ -196,14 +192,14 @@ class TestRankTable:
     def test_paper_shaped_table(self):
         registry = {f"m{i}": MetricSpec(f"m{i}", Direction.HIGHER_BETTER) for i in range(4)}
         rng = np.random.default_rng(1)
-        records = [
-            ResultRecord(f"alg{a:02d}", f"d{d:02d}", f"m{m}", s, float(rng.random()))
+        rows = [
+            (f"alg{a:02d}", f"d{d:02d}", f"m{m}", s, float(rng.random()))
             for a in range(10)
             for d in range(11)
             for m in range(4)
             for s in range(10)
         ]
-        cube = rank_table(ResultTable.build(records, registry))
+        cube = rank_table(table_of(rows, registry))
         assert len(cube.suite) == 44
         assert cube.ranks.shape == (44, 10, 10)
         assert list(cube.suite) == sorted(cube.suite)
@@ -238,9 +234,7 @@ class TestCountTies:
         # Independent brute-force count of equal-value groups per seed.
         expected = 0
         for seed in (0, 1):
-            vals = [
-                table.record(alg, "d", "m", seed).value for alg in table.algorithms
-            ]
+            vals = table.values[0, seed].tolist()
             expected += sum(1 for v in set(vals) if vals.count(v) >= 2)
         assert expected == 3
         assert count_ties(cube) == expected
@@ -279,19 +273,20 @@ def test_cube_ranking_matches_row_by_row(cube, policy, eps):
     lowest = policy is TiePolicy.LOWEST_SHARED_RANK
     tests, seeds, _ = values.shape
     for t in range(tests):
-        direction = Direction.HIGHER_BETTER if higher[t] else Direction.LOWER_BETTER
         for s in range(seeds):
             row = values[t, s].tolist()
-            row_ranks, row_sizes = rank_row(row, direction, policy, eps)
-            assert ranks[t, s].tolist() == row_ranks
-            assert sizes[group_rows == t * seeds + s].tolist() == row_sizes
-            assert (row_ranks, row_sizes) == loop_rank_row(row, higher[t], lowest, eps)
+            row_ranks = rank_cube(row, higher[t], policy, eps)
+            assert ranks[t, s].tolist() == row_ranks.tolist()
+            assert sizes[group_rows == t * seeds + s].tolist() == group_sizes(row_ranks)
+            assert (row_ranks.tolist(), group_sizes(row_ranks)) == loop_rank_row(
+                row, higher[t], lowest, eps
+            )
 
 
-def _records(values, failed):
+def _rows(values, failed):
     tests, seeds, algorithms = values.shape
     return [
-        ResultRecord(
+        (
             f"alg{a}", f"d{t}", "m", s,
             None if failed[t, s, a] else float(values[t, s, a]),
             Status.TIMEOUT if failed[t, s, a] else Status.OK,
@@ -306,13 +301,13 @@ def _records(values, failed):
 def test_rank_table_ignores_row_order(cube, rnd, policy):
     values, _ = cube
     failed = np.array([rnd.random() < 0.2 for _ in range(values.size)]).reshape(values.shape)
-    records = _records(values, failed)
-    shuffled = list(records)
+    rows = _rows(values, failed)
+    shuffled = list(rows)
     rnd.shuffle(shuffled)
     registry = {"m": MetricSpec("m", Direction.LOWER_BETTER)}
     first, second = (
-        rank_table(resolve_failures(ResultTable.build(r, registry)), policy, 0.25)
-        for r in (records, shuffled)
+        rank_table(resolve_failures(table_of(r, registry)), policy, 0.25)
+        for r in (rows, shuffled)
     )
     assert first.suite == second.suite
     assert first.ranks.tolist() == second.ranks.tolist()
@@ -335,7 +330,7 @@ def test_failed_cell_never_outranks_ok_cell(cells, direction, bounds, policy, ep
     values = np.array(scores).reshape(1, -1, 4)
     failed = np.array(fails).reshape(values.shape)
     registry = {"m": MetricSpec("m", direction, bounds)}
-    table = resolve_failures(ResultTable.build(_records(values, failed), registry))
+    table = resolve_failures(table_of(_rows(values, failed), registry))
     for ranks, row_failed in zip(rank_table(table, policy, eps).ranks[0], failed[0]):
         if row_failed.any() and not row_failed.all():
             worst_ok = ranks[~row_failed].max()
@@ -360,6 +355,6 @@ def test_flipped_direction_equals_negated_values(cube, rnd, bounds, policy, eps)
     flipped_bounds = None if bounds is None else (-bounds[1], -bounds[0])
     lower = {"m": MetricSpec("m", Direction.LOWER_BETTER, bounds)}
     higher = {"m": MetricSpec("m", Direction.HIGHER_BETTER, flipped_bounds)}
-    first = rank_table(ResultTable.build(_records(values, failed), lower), policy, eps)
-    second = rank_table(ResultTable.build(_records(-values, failed), higher), policy, eps)
+    first = rank_table(table_of(_rows(values, failed), lower), policy, eps)
+    second = rank_table(table_of(_rows(-values, failed), higher), policy, eps)
     assert first.ranks.tolist() == second.ranks.tolist()

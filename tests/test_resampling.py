@@ -33,8 +33,9 @@ def test_full_size_subsample_is_exact():
     cube = noisy_suite()
     n = len(cube.suite)
     report = subsample_convergence(cube, sizes=[n], repeats=10)
+    cells = {(c.size, c.coefficient): c for c in report.cells}
     for coeff in report.coefficients:
-        cell = report.cell(n, coeff)
+        cell = cells[n, coeff]
         assert all(v == report.full_suite_value[coeff] for v in cell.values)
         assert cell.std == 0.0
 
@@ -43,7 +44,8 @@ def test_singleton_subsamples_enumerable():
     tests = [[1, 2, 3]] * 3, [[1, 2, 3], [2, 1, 3], [1, 2, 3]]
     allowed = {round(1 - term(kendall_w, rows)[0], 12) for rows in tests}
     report = subsample_convergence(cube_of(*tests), ["w"], sizes=[1], repeats=50)
-    observed = {round(v, 12) for v in report.cell(1, "w").values}
+    (cell,) = report.cells
+    observed = {round(v, 12) for v in cell.values}
     assert observed <= allowed
     assert len(observed) == 2  # 50 repeats hit both singletons
 
@@ -61,9 +63,10 @@ def test_mean_converges_for_large_k():
     cube = noisy_suite(n_tests=12)
     report = subsample_convergence(cube, repeats=10, rng_seed=1)
     n = len(cube.suite)
+    cells = {(c.size, c.coefficient): c for c in report.cells}
     for k in range(n // 2, n + 1):
         for coeff in report.coefficients:
-            cell = report.cell(k, coeff)
+            cell = cells[k, coeff]
             full = report.full_suite_value[coeff]
             tol = 3 * cell.std / np.sqrt(report.repeats) + 1e-12
             assert abs(cell.mean - full) <= max(tol, 0.05)

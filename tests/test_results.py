@@ -1,10 +1,13 @@
+import math
+
 import pytest
 
+from oracles import table_of
 from rankbench.results import (
     Direction,
     MetricSpec,
     ResultRecord,
-    ResultTable,
+    Status,
     ValidationError,
     ingest,
     parse_registry,
@@ -90,6 +93,40 @@ def test_failed_cell_may_carry_infinity():
     assert to_csv(ingest(resolved, "csv", REGISTRY)) == resolved
 
 
+def test_to_csv_writes_key_order_and_empty_failed_scores():
+    shuffled = (
+        "algorithm,dataset,metric,seed,value,status\n"
+        "b,cora,loss,1,,timeout\n"
+        "a,cora,loss,1,-0.0,ok\n"
+        "b,cora,loss,0,0.3,ok\n"
+        "a,cora,loss,0,1e-300,ok\n"
+    )
+    assert to_csv(ingest(shuffled, "csv", REGISTRY)).splitlines() == [
+        "algorithm,dataset,metric,seed,value,status",
+        "a,cora,loss,0,1e-300,ok",
+        "a,cora,loss,1,-0.0,ok",
+        "b,cora,loss,0,0.3,ok",
+        "b,cora,loss,1,,timeout",
+    ]
+
+
+def test_records_view_lists_every_cell_in_key_order():
+    csv_text = (
+        "algorithm,dataset,metric,seed,value,status\n"
+        "b,cora,loss,0,,error\n"
+        "a,cora,loss,0,inf,oom\n"
+        "b,cora,loss,1,0.3,ok\n"
+        "a,cora,loss,1,0.5,ok\n"
+    )
+    table = ingest(csv_text, "csv", REGISTRY)
+    assert table.records == (
+        ResultRecord("a", "cora", "loss", 0, math.inf, Status.OUT_OF_MEMORY),
+        ResultRecord("a", "cora", "loss", 1, 0.5),
+        ResultRecord("b", "cora", "loss", 0, None, Status.ERROR),
+        ResultRecord("b", "cora", "loss", 1, 0.3),
+    )
+
+
 def test_json_ingest_matches_csv():
     items = [
         {"algorithm": "a", "dataset": "cora", "metric": "f1", "seed": 0, "value": 0.5, "status": "ok"},
@@ -107,14 +144,14 @@ def test_json_ingest_matches_csv():
 def test_paper_shaped_suite_size():
     # 10 algorithms x 11 datasets x 4 metrics x 10 seeds -> 44 tests
     registry = {f"m{i}": MetricSpec(f"m{i}", Direction.HIGHER_BETTER) for i in range(4)}
-    records = [
-        ResultRecord(f"alg{a:02d}", f"d{d:02d}", f"m{m}", s, float(a))
+    rows = [
+        (f"alg{a:02d}", f"d{d:02d}", f"m{m}", s, float(a))
         for a in range(10)
         for d in range(11)
         for m in range(4)
         for s in range(10)
     ]
-    table = ResultTable.build(records, registry)
+    table = table_of(rows, registry)
     assert len(table.suite) == 44
     assert table.n_seeds == 10
 
@@ -148,14 +185,14 @@ class TestResolveFailures:
     def test_bounded_metric_gets_worst_endpoint(self):
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
         table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
-        assert table.record("b", "cora", "f1", 1).value == 0.0
+        assert table.values[0, 1, 1] == 0.0  # (cora/f1, seed 1, b)
 
     def test_lower_better_bounded_gets_upper_endpoint(self):
         csv_text = MINIMAL_CSV.replace("f1", "conductance").replace(
             "b,cora,conductance,1,0.3,ok", "b,cora,conductance,1,,timeout"
         )
         table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
-        assert table.record("b", "cora", "conductance", 1).value == 1.0
+        assert table.values[0, 1, 1] == 1.0  # (cora/conductance, seed 1, b)
 
     def test_unbounded_sentinel_strictly_worse(self):
         csv_text = (
@@ -165,8 +202,8 @@ class TestResolveFailures:
             "c,cora,loss,0,,error\n"
         )
         table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
-        sentinel = table.record("c", "cora", "loss", 0).value
-        assert sentinel == float("inf")  # no bound: worse than any finite score
+        sentinel = table.values[0, 0, 2]  # (cora/loss, seed 0, c)
+        assert sentinel == math.inf  # no bound: worse than any finite score
 
     def test_two_failures_tie(self):
         csv_text = (
@@ -176,17 +213,15 @@ class TestResolveFailures:
             "c,cora,loss,0,,oom\n"
         )
         table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
-        assert (
-            table.record("b", "cora", "loss", 0).value
-            == table.record("c", "cora", "loss", 0).value
-        )
+        b, c = table.values[0, 0, 1:]
+        assert b == c
 
     def test_idempotent_and_ok_untouched(self):
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
         once = resolve_failures(ingest(csv_text, "csv", REGISTRY))
         twice = resolve_failures(once)
         assert to_csv(once) == to_csv(twice)
-        assert once.record("a", "cora", "f1", 0).value == 0.5
+        assert once.values[0, 0, 0] == 0.5  # (cora/f1, seed 0, a)
 
 
 class TestRegistry:

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from rankbench.concordance import randomness
 from rankbench.ranking import count_ties, rank_table
-from rankbench.results import Status, resolve_failures, to_csv
+from rankbench.results import STATUSES, Status, ingest, resolve_failures, to_csv
 from rankbench.synthgen import SynthConfig, generate
 
 
@@ -28,7 +29,7 @@ def test_grid_shape():
     assert table.n_algorithms == 3
     assert table.n_seeds == 4
     assert len(table.suite) == 4
-    assert len(table.records) == 3 * 2 * 2 * 4
+    assert table.values.shape == table.status.shape == (2 * 2, 4, 3)
 
 
 def test_deterministic_limit_zeroes_all_coefficients():
@@ -114,6 +115,11 @@ def test_monotone_noise_sensitivity():
         {"tie_prob": 1.5},
         {"fail_prob": -0.1},
         {"noise_scale": -1.0},
+        {"quality_gap": float("inf")},
+        {"quality_gap": float("nan")},
+        {"noise_scale": float("inf")},
+        {"noise_scale": 1e308},  # finite, but the score range is not
+        {"tie_prob": float("nan")},
     ],
 )
 def test_invalid_configs(kwargs):
@@ -123,4 +129,26 @@ def test_invalid_configs(kwargs):
 
 def test_failure_records_have_oom_status():
     table = generate(SynthConfig(fail_prob=1.0, rng_seed=5))
-    assert all(r.status is Status.OUT_OF_MEMORY for r in table.records)
+    assert (table.status == STATUSES.index(Status.OUT_OF_MEMORY)).all()
+    assert np.isnan(table.values).all()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(noise_scale=0.5, tie_prob=0.2, fail_prob=0.1, rng_seed=11),
+        SynthConfig(n_algorithms=11, n_datasets=12, n_metrics=3, n_seeds=10, rng_seed=1),
+        SynthConfig(quality_gap=0.0, noise_scale=0.0, tie_prob=1.0, fail_prob=0.5),
+    ],
+)
+def test_cubes_match_their_csv_ingested(config):
+    table = generate(config)
+    again = ingest(to_csv(table), "csv", table.registry)
+    assert (again.suite, again.seeds, again.algorithms) == (
+        table.suite,
+        table.seeds,
+        table.algorithms,
+    )
+    np.testing.assert_array_equal(again.values, table.values)
+    np.testing.assert_array_equal(again.status, table.status)
+    assert np.signbit(again.values).tolist() == np.signbit(table.values).tolist()
