@@ -77,7 +77,7 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
 def _ranked(table, args):
     """Rank, failures included, under the tie flags of ``args``."""
     with _stage("rank"):
-        return rank_table(table, _tie_policy(args.tie_policy), args.tie_epsilon)
+        return rank_table(table, TiePolicy(args.tie_policy), args.tie_epsilon)
 
 
 def _ranked_settings(args, table) -> dict:
@@ -95,10 +95,6 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
-
-
-def _tie_policy(name: str) -> TiePolicy:
-    return TiePolicy.MEAN_OF_TIED if name == "mean" else TiePolicy.LOWEST_SHARED_RANK
 
 
 def _base_report(registry: dict, inputs: dict[str, str]) -> dict:
@@ -314,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report_format.add_argument("--format", choices=["json", "csv"], default="json")
 
     ranked = argparse.ArgumentParser(add_help=False)
-    ranked.add_argument("--tie-policy", choices=["mean", "lowest"], default="mean")
+    ranked.add_argument("--tie-policy", choices=[p.value for p in TiePolicy], default="mean")
     ranked.add_argument("--tie-epsilon", type=_nonnegative_float, default=0.0)
     ranked.add_argument(
         "--drop-incomplete",
@@ -406,7 +402,7 @@ def _parse_args(argv: list[str] | None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "coefficients"):
-        supported = coefficients_for(_tie_policy(args.tie_policy))
+        supported = coefficients_for(TiePolicy(args.tie_policy))
         if args.coefficients is None:
             args.coefficients = list(supported)
         for name in args.coefficients:

@@ -6,6 +6,8 @@ against subsample size. No charting dependency.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .resampling import ConvergenceReport
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
@@ -22,8 +24,12 @@ def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> floa
 
 def render_convergence_svg(report: ConvergenceReport) -> str:
     x_lo, x_hi = min(report.sizes), max(report.sizes)
-    ys = [c.mean - c.std for c in report.cells] + [c.mean + c.std for c in report.cells]
-    y_lo, y_hi = min(ys), max(ys)
+    order = np.argsort(report.sizes, kind="stable")
+    sizes = [report.sizes[i] for i in order]
+    mean, std = report.mean[order], report.std[order]
+    # std >= 0, so the band's lower edge holds the minimum and its upper edge the maximum.
+    lower, upper = mean - std, mean + std
+    y_lo, y_hi = float(lower.min()), float(upper.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.05, y_hi + 0.05
 
@@ -55,15 +61,14 @@ def render_convergence_svg(report: ConvergenceReport) -> str:
         f'text-anchor="end">{y_hi:.3f}</text>',
     ]
 
-    for idx, coeff in enumerate(report.coefficients):
+    xs = [px(k) for k in sizes]
+    columns = zip(report.coefficients, lower.T.tolist(), mean.T.tolist(), upper.T.tolist())
+    for idx, (coeff, lows, means, highs) in enumerate(columns):
         color = _COLORS[idx % len(_COLORS)]
-        cells = sorted(
-            (c for c in report.cells if c.coefficient == coeff), key=lambda c: c.size
-        )
-        upper = [(px(c.size), py(c.mean + c.std)) for c in cells]
-        lower = [(px(c.size), py(c.mean - c.std)) for c in reversed(cells)]
-        band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower)
-        line = " ".join(f"{px(c.size):.2f},{py(c.mean):.2f}" for c in cells)
+        upper_edge = [(x, py(v)) for x, v in zip(xs, highs)]
+        lower_edge = [(x, py(v)) for x, v in zip(xs, lows)][::-1]
+        band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper_edge + lower_edge)
+        line = " ".join(f"{x:.2f},{py(v):.2f}" for x, v in zip(xs, means))
         parts.append(f'<polygon points="{band}" fill="{color}" opacity="0.2"/>')
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -5,8 +5,11 @@ replacement and the draw is repeated (ten times by default). Every
 coefficient is one minus the mean of per-test terms that do not depend
 on the subsample, so each is computed once over the full suite with
 ``concordance.randomness`` and a subsample's value is one minus the
-mean over its drawn terms. Small-k spread shows how quickly a
-coefficient converges to its full-suite value as the suite grows.
+mean over its drawn terms. The report holds these values as one
+sizes × coefficients × repeats array, with the mean and std of each
+(size, coefficient) taken along the repeats axis. Small-k spread shows
+how quickly a coefficient converges to its full-suite value as the
+suite grows.
 """
 
 from __future__ import annotations
@@ -25,17 +28,16 @@ from .ranking import RankCube
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
 
 
-@dataclass(frozen=True)
-class ConvergenceCell:
-    size: int
-    coefficient: str
-    values: tuple[float, ...]
-    mean: float
-    std: float  # sample std (ddof=1), 0 for a single repeat
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
+    """Coefficient values of every subsample, held as arrays.
+
+    ``values[i, j, r]`` is coefficient ``coefficients[j]`` on repeat
+    ``r``'s draw of ``sizes[i]`` tests. ``mean`` and ``std`` reduce it
+    along the repeats axis; ``std`` is the sample std (ddof=1), and 0.0
+    when every repeat agrees or there is a single repeat.
+    """
+
     sizes: tuple[int, ...]
     repeats: int
     coefficients: tuple[str, ...]
@@ -43,7 +45,9 @@ class ConvergenceReport:
     rng_algorithm: str
     provenance: str  # sha256 of the canonical rank-cube serialization
     full_suite_value: dict[str, float]
-    cells: tuple[ConvergenceCell, ...]
+    values: np.ndarray  # sizes x coefficients x repeats
+    mean: np.ndarray  # sizes x coefficients
+    std: np.ndarray  # sizes x coefficients
     warnings: tuple[str, ...]  # kernel warnings of the full-suite terms
 
     def fragment(self) -> dict:
@@ -56,14 +60,11 @@ class ConvergenceReport:
             "provenance": self.provenance,
             "full_suite_value": dict(self.full_suite_value),
             "cells": [
-                {
-                    "size": c.size,
-                    "coefficient": c.coefficient,
-                    "values": list(c.values),
-                    "mean": c.mean,
-                    "std": c.std,
-                }
-                for c in self.cells
+                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
+                for k, vs, ms, sds in zip(
+                    self.sizes, self.values.tolist(), self.mean.tolist(), self.std.tolist()
+                )
+                for c, v, m, sd in zip(self.coefficients, vs, ms, sds)
             ],
         }
 
@@ -108,10 +109,10 @@ def subsample_convergence(
             raise ValueError(f"subsample size {k} out of range [1, {n_tests}]")
 
     results = [randomness(cube, c) for c in coefficients]
-    terms = {r.coefficient: np.array(r.per_test) for r in results}
+    terms = [np.array(r.per_test) for r in results]
 
-    cells = []
-    for k in sizes:
+    values = np.empty((len(sizes), len(coefficients), repeats))
+    for i, k in enumerate(sizes):
         draws = []
         for rep in range(repeats):
             rng = np.random.default_rng(
@@ -119,21 +120,14 @@ def subsample_convergence(
             )
             draws.append(np.sort(rng.choice(n_tests, size=k, replace=False)))
         draws = np.array(draws)  # repeats x k test indexes
-        for c in coefficients:
-            values = tuple((1.0 - terms[c][draws].mean(axis=1)).tolist())
-            if repeats == 1 or len(set(values)) == 1:
-                std = 0.0
-            else:
-                std = float(np.std(values, ddof=1))
-            cells.append(
-                ConvergenceCell(
-                    size=k,
-                    coefficient=c,
-                    values=values,
-                    mean=float(np.mean(values)),
-                    std=std,
-                )
-            )
+        for j, per_test in enumerate(terms):
+            values[i, j] = 1.0 - per_test[draws].mean(axis=1)
+
+    if repeats == 1:
+        std = np.zeros(values.shape[:2])
+    else:
+        agree = (values == values[..., :1]).all(axis=-1)
+        std = np.where(agree, 0.0, values.std(axis=-1, ddof=1))
 
     return ConvergenceReport(
         sizes=tuple(sizes),
@@ -143,7 +137,9 @@ def subsample_convergence(
         rng_algorithm=RNG_ALGORITHM,
         provenance=_digest(cube),
         full_suite_value={r.coefficient: r.value for r in results},
-        cells=tuple(cells),
+        values=values,
+        mean=values.mean(axis=-1),
+        std=std,
         warnings=tuple(w for r in results for w in r.warnings),
     )
 
@@ -153,9 +149,9 @@ def plot_data_csv(report: ConvergenceReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["size", "repeat", "coefficient", "value"])
-    for c in report.cells:
-        for rep, value in enumerate(c.values):
-            writer.writerow([c.size, rep, c.coefficient, repr(value)])
+    for k, by_coefficient in zip(report.sizes, report.values.tolist()):
+        for c, values in zip(report.coefficients, by_coefficient):
+            writer.writerows([k, rep, c, repr(value)] for rep, value in enumerate(values))
     return buf.getvalue()
 
 
@@ -164,6 +160,8 @@ def summary_csv(report: ConvergenceReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["size", "coefficient", "mean", "std"])
-    for c in report.cells:
-        writer.writerow([c.size, c.coefficient, repr(c.mean), repr(c.std)])
+    for k, means, stds in zip(report.sizes, report.mean.tolist(), report.std.tolist()):
+        writer.writerows(
+            [k, c, repr(m), repr(sd)] for c, m, sd in zip(report.coefficients, means, stds)
+        )
     return buf.getvalue()

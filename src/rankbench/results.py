@@ -308,10 +308,11 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
 
     Lines are ``metric.<name>.direction = higher|lower`` and optional
     ``metric.<name>.bounds = lo,hi``. Blank lines and ``#`` comments are
-    ignored.
+    ignored. A key may appear once, and a metric name may not be empty.
     """
     directions: dict[str, Direction] = {}
     bounds: dict[str, tuple[float, float]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -324,6 +325,11 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
         if len(parts) != 3 or parts[0] != "metric":
             raise ValidationError(f"registry line {lineno}: bad key {key!r}")
         _, name, prop = parts
+        if not name:
+            raise ValidationError(f"registry line {lineno}: empty metric name in {key!r}")
+        first = first_line.setdefault((name, prop), lineno)
+        if first != lineno:
+            raise ValidationError(f"registry line {lineno}: {key!r} repeats line {first}")
         if prop == "direction":
             try:
                 directions[name] = Direction(value)
@@ -358,24 +364,13 @@ def _csv_rows(reader) -> Iterable[list[str]]:
         yield row
 
 
-def _json_rows(items: list) -> Iterable[tuple[str, ...]]:
+def _json_rows(items: list) -> Iterable[list[str]]:
     """Rows of text fields, as a CSV reader would give them; stops at the first bad item."""
     columns = set(CSV_COLUMNS)
-    bad = next(
-        (
-            i
-            for i, item in enumerate(items)
-            if not isinstance(item, dict) or not item.keys() <= columns
-        ),
-        len(items),
-    )
-    fields = [
-        ["" if v is None else str(v) for v in (item.get(c) for item in items[:bad])]
-        for c in CSV_COLUMNS
-    ]
-    yield from zip(*fields)
-    if bad < len(items):
-        raise ValidationError(f"JSON item {bad}: unexpected shape")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or not item.keys() <= columns:
+            raise ValidationError(f"JSON item {i}: unexpected shape")
+        yield ["" if v is None else str(v) for v in map(item.get, CSV_COLUMNS)]
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
@@ -410,24 +405,16 @@ def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
 
 
 def ingest(
-    source: str | bytes | io.IOBase,
+    text: str,
     fmt: str,
     registry: dict[str, MetricSpec],
     drop_incomplete: bool = False,
 ) -> ResultTable:
-    """Read a result table from CSV or JSON content.
+    """Read a result table from CSV or JSON text.
 
     CSV requires the exact header ``algorithm,dataset,metric,seed,value,status``.
     JSON is an array of objects with the same field names.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)

@@ -228,10 +228,8 @@ def test_09_convergence_exactness(tmp_path):
     cube = rank_table(resolve_failures(generate(config)))
     n = len(cube.suite)
     report = subsample_convergence(cube, sizes=[n], repeats=10, rng_seed=4)
-    cells = {(c.size, c.coefficient): c for c in report.cells}
-    for coeff in report.coefficients:
-        cell = cells[n, coeff]
-        assert all(v == report.full_suite_value[coeff] for v in cell.values)
+    for j, coeff in enumerate(report.coefficients):
+        assert (report.values[0, j] == report.full_suite_value[coeff]).all()
 
     # Byte-identical CLI reports across reruns with the same rng seed.
     from rankbench.results import registry_to_text, to_csv
@@ -272,10 +270,9 @@ def test_10_small_sample_spread():
     report = subsample_convergence(
         cube, ["w", "w_wasserstein"], sizes=range(1, 12), repeats=10, rng_seed=7
     )
-    sizes = range(1, 12)
-    std = {(c.size, c.coefficient): c.std for c in report.cells}
-    wins = sum(std[k, "w_wasserstein"] <= std[k, "w"] for k in sizes)
-    assert wins >= 0.8 * len(list(sizes))
+    std = dict(zip(report.coefficients, report.std.T))
+    wins = int((std["w_wasserstein"] <= std["w"]).sum())
+    assert wins >= 0.8 * len(report.sizes)
     assert time.time() - start < 60
 
 

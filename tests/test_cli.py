@@ -526,6 +526,26 @@ def test_synth_draw_layouts_are_pinned(flags, digest, capsys):
 
 
 @pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["metric.f1.direction = lower"], "registry line 5: 'metric.f1.direction' repeats line 1"),
+        (["metric.f1.bounds = 0,2"], "registry line 5: 'metric.f1.bounds' repeats line 2"),
+        (["metric..direction = higher"], "registry line 5: empty metric name"),
+    ],
+    ids=["direction", "bounds", "empty name"],
+)
+def test_bad_registry_exits_2_before_reading_table(lines, message, tmp_path, monkeypatch, capsys):
+    def forbidden(path):
+        raise AssertionError("read the table of a bad registry")
+
+    monkeypatch.setattr(cli, "_read_table_file", forbidden)
+    path = tmp_path / "registry.txt"
+    path.write_text(REGISTRY_TEXT + "\n".join(lines) + "\n")
+    assert main(["coeff", "--registry", str(path), str(tmp_path / "t.csv")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--algorithms", "1"],
@@ -549,28 +569,55 @@ def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-def test_rank_and_converge_outputs_are_pinned(tmp_path, capsys):
+# sha256 of every converge output on the synth grid below, computed before
+# the convergence report held its values as one sizes x coefficients x
+# repeats array.
+CONVERGE_PINS = {
+    (): {
+        "report.json": "5153df740ee832d6e776513f464554a7207303fb9d22acbe0fc758075ac97901",
+        "plot.csv": "501e79e68c48fdd7867468a3dcf3a14de7b5d3044a6488c9a25b15dbdf6095ed",
+        "summary.csv": "bdd007bf7637834e2749e45ecd6d455da49f739ee324579bae60cc911a5ab4bb",
+        "chart.svg": "049608d0ab774e2072ad13fdac409054125b7e204b4dac5ed364e28b83750fce",
+    },
+    ("--tie-policy", "lowest", "--repeats", "1", "--sizes", "5,1,3,3,6"): {
+        "report.json": "ae76c1db0232ba700a7ce49246619330db1a63cbfde24a8300d899b3c0858a30",
+        "plot.csv": "d83f23385cbe4550d3c4526a903037937496af250639ebac3dfde19a45809f9f",
+        "summary.csv": "5b697154637e76970ccbdf656a40a4d986cca962a578dad953d1141db300e47d",
+        "chart.svg": "76f2f6fd92b123866f0803fdf87bd080304baa47e25b12b617e9be5533e157d6",
+    },
+}
+
+
+def test_rank_and_converge_outputs_are_pinned(tmp_path, monkeypatch):
     # Digests of these outputs before ranking became one rank cube: the
     # rank CSV under each tie policy and the convergence provenance, which
-    # hashes the ranks test by test.
-    table, registry = tmp_path / "synth.csv", tmp_path / "registry.txt"
+    # hashes the ranks test by test. Relative paths keep the report's
+    # input key independent of the temporary directory.
+    monkeypatch.chdir(tmp_path)
     assert main(["synth", "--algorithms", "6", "--datasets", "3", "--metrics", "2", "--seeds", "4",
                  "--noise-scale", "0.5", "--tie-prob", "0.2", "--fail-prob", "0.1",
-                 "--output", str(table), "--registry-out", str(registry)]) == EXIT_OK
+                 "--output", "synth.csv", "--registry-out", "registry.txt"]) == EXIT_OK
     pinned = {
         "mean": "bd31d9193d21dd05869a5d7bc1fae86770f57019a4ee3d509866f62928da5631",
         "lowest": "36dabd1f12737280dc46454716d4e89e44a4357c444cea0b768213bba06f4330",
     }
     for policy, digest in pinned.items():
         out = tmp_path / f"ranks-{policy}.csv"
-        argv = ["rank", "--registry", str(registry), "--tie-policy", policy, "--output", str(out)]
-        assert main([*argv, str(table)]) == EXIT_OK
+        argv = ["rank", "--registry", "registry.txt", "--tie-policy", policy, "--output", str(out)]
+        assert main([*argv, "synth.csv"]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, policy
-    assert main(["converge", "--registry", str(registry), str(table)]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["convergence"]["provenance"] == (
-        "03d2b37110415ba5df23bd59b1f7d661e0f19355b9070de4b118d9398a371976"
-    )
+    outputs = ["--output", "report.json", "--plot-out", "plot.csv",
+               "--summary-out", "summary.csv", "--svg-out", "chart.svg"]
+    for flags, digests in CONVERGE_PINS.items():
+        argv = ["converge", "--registry", "registry.txt", *flags, *outputs, "synth.csv"]
+        assert main(argv) == EXIT_OK
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (flags, name)
+        if not flags:
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["convergence"]["provenance"] == (
+                "03d2b37110415ba5df23bd59b1f7d661e0f19355b9070de4b118d9398a371976"
+            )
 
 
 def _run_cli(argv, cwd, level=None):

@@ -33,19 +33,18 @@ def test_full_size_subsample_is_exact():
     cube = noisy_suite()
     n = len(cube.suite)
     report = subsample_convergence(cube, sizes=[n], repeats=10)
-    cells = {(c.size, c.coefficient): c for c in report.cells}
-    for coeff in report.coefficients:
-        cell = cells[n, coeff]
-        assert all(v == report.full_suite_value[coeff] for v in cell.values)
-        assert cell.std == 0.0
+    assert report.values.shape == (1, len(report.coefficients), 10)
+    for j, coeff in enumerate(report.coefficients):
+        assert (report.values[0, j] == report.full_suite_value[coeff]).all()
+        assert report.std[0, j] == 0.0
 
 
 def test_singleton_subsamples_enumerable():
     tests = [[1, 2, 3]] * 3, [[1, 2, 3], [2, 1, 3], [1, 2, 3]]
     allowed = {round(1 - term(kendall_w, rows)[0], 12) for rows in tests}
     report = subsample_convergence(cube_of(*tests), ["w"], sizes=[1], repeats=50)
-    (cell,) = report.cells
-    observed = {round(v, 12) for v in cell.values}
+    assert report.values.shape == (1, 1, 50)
+    observed = {round(v, 12) for v in report.values.ravel().tolist()}
     assert observed <= allowed
     assert len(observed) == 2  # 50 repeats hit both singletons
 
@@ -54,22 +53,39 @@ def test_determinism():
     cube = noisy_suite()
     a = subsample_convergence(cube, sizes=[2, 4], repeats=5, rng_seed=9)
     b = subsample_convergence(cube, sizes=[2, 4], repeats=5, rng_seed=9)
-    assert a == b
+    assert a.fragment() == b.fragment()
     c = subsample_convergence(cube, sizes=[2, 4], repeats=5, rng_seed=10)
-    assert a != c
+    assert a.fragment() != c.fragment()
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 7, 40])
+def test_mean_and_std_reduce_the_repeats_axis(repeats):
+    cube = noisy_suite()
+    report = subsample_convergence(cube, sizes=[1, 3, 3, 8], repeats=repeats, rng_seed=2)
+    shape = (4, len(report.coefficients))
+    assert report.values.shape == (*shape, repeats)
+    assert report.mean.shape == report.std.shape == shape
+    for i, j in np.ndindex(shape):
+        values = report.values[i, j].tolist()
+        assert report.mean[i, j] == np.mean(values)
+        if len(set(values)) == 1:
+            assert report.std[i, j] == 0.0
+        else:
+            assert report.std[i, j] == np.std(values, ddof=1)
+    # Size 8 is the whole suite, so every repeat agrees.
+    assert (report.std[3] == 0.0).all()
 
 
 def test_mean_converges_for_large_k():
     cube = noisy_suite(n_tests=12)
     report = subsample_convergence(cube, repeats=10, rng_seed=1)
     n = len(cube.suite)
-    cells = {(c.size, c.coefficient): c for c in report.cells}
+    assert report.sizes == tuple(range(1, n + 1))
     for k in range(n // 2, n + 1):
-        for coeff in report.coefficients:
-            cell = cells[k, coeff]
+        for j, coeff in enumerate(report.coefficients):
             full = report.full_suite_value[coeff]
-            tol = 3 * cell.std / np.sqrt(report.repeats) + 1e-12
-            assert abs(cell.mean - full) <= max(tol, 0.05)
+            tol = 3 * report.std[k - 1, j] / np.sqrt(report.repeats) + 1e-12
+            assert abs(report.mean[k - 1, j] - full) <= max(tol, 0.05)
 
 
 def test_errors():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -134,11 +135,102 @@ def test_json_ingest_matches_csv():
         {"algorithm": "b", "dataset": "cora", "metric": "f1", "seed": 0, "value": 0.4, "status": "ok"},
         {"algorithm": "b", "dataset": "cora", "metric": "f1", "seed": 1, "value": 0.3, "status": "ok"},
     ]
-    import json
-
     via_json = ingest(json.dumps(items), "json", REGISTRY)
     via_csv = ingest(MINIMAL_CSV, "csv", REGISTRY)
     assert to_csv(via_json) == to_csv(via_csv)
+
+
+def _minimal_items(*edits: tuple[int, dict]) -> list:
+    """MINIMAL_CSV as JSON items, with each ``(index, fields)`` edit applied."""
+    items = [
+        {"algorithm": a, "dataset": "cora", "metric": "f1", "seed": s, "value": v, "status": "ok"}
+        for a, s, v in [("a", 0, 0.5), ("a", 1, 0.6), ("b", 0, 0.4), ("b", 1, 0.3)]
+    ]
+    for i, fields in edits:
+        items[i].update(fields)
+    return items
+
+
+def _missing_value_item():
+    items = _minimal_items()
+    del items[2]["value"]
+    return items
+
+
+BIG_SEED = 10**30
+
+# Outcomes computed before JSON rows were parsed in one pass: the table as
+# canonical CSV, or the ValidationError message.
+JSON_INGEST_CASES = {
+    "valid grid": (_minimal_items(), MINIMAL_CSV),
+    "failed row with null value": (
+        _minimal_items((3, {"value": None, "status": "timeout"})),
+        MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,timeout"),
+    ),
+    "bool value": (_minimal_items((1, {"value": True})), "row 1: bad value 'True'"),
+    "float seed": (_minimal_items((1, {"seed": 1.0})), "row 1: bad seed '1.0'"),
+    "string seed": (_minimal_items((2, {"seed": "0"})), MINIMAL_CSV),
+    "null status": (_minimal_items((1, {"status": None})), "row 1: bad status ''"),
+    "int status": (_minimal_items((1, {"status": 0})), "row 1: bad status '0'"),
+    "list value": (_minimal_items((1, {"value": [0.5]})), "row 1: bad value '[0.5]'"),
+    "extra key": (_minimal_items((2, {"note": "x"})), "JSON item 2: unexpected shape"),
+    "non-dict item": (
+        [*_minimal_items()[:2], "a,cora,f1,0,0.4,ok", _minimal_items()[3]],
+        "JSON item 2: unexpected shape",
+    ),
+    "bad row before bad item": (
+        _minimal_items((1, {"status": "lost"}), (3, {"note": "x"})),
+        "row 1: bad status 'lost'",
+    ),
+    "bad item before bad row": (
+        _minimal_items((1, {"note": "x"}), (3, {"status": "lost"})),
+        "JSON item 1: unexpected shape",
+    ),
+    "missing key": (_missing_value_item(), "row 2: status ok requires a value"),
+    "ok row with null value": (
+        _minimal_items((3, {"value": None})),
+        "row 3: status ok requires a value",
+    ),
+    "1e400": (
+        _minimal_items((1, {"value": math.inf})),
+        "record ('a', 'cora', 'f1', 1): value inf outside bounds [0.0, 1.0]",
+    ),
+    "-0": (
+        _minimal_items((0, {"value": -0.0})),
+        MINIMAL_CSV.replace("a,cora,f1,0,0.5", "a,cora,f1,0,-0.0"),
+    ),
+    "10**30 seed": (
+        _minimal_items((0, {"seed": BIG_SEED}), (2, {"seed": BIG_SEED})),
+        "algorithm,dataset,metric,seed,value,status\n"
+        f"a,cora,f1,1,0.6,ok\na,cora,f1,{BIG_SEED},0.5,ok\n"
+        f"b,cora,f1,1,0.3,ok\nb,cora,f1,{BIG_SEED},0.4,ok\n",
+    ),
+    "blank algorithm": (_minimal_items((0, {"algorithm": " "})), "row 0: empty identifier"),
+    "duplicate": (
+        [*_minimal_items(), _minimal_items()[0]],
+        "duplicate record for ('a', 'cora', 'f1', 0)",
+    ),
+    "missing cell": (
+        _minimal_items()[:3],
+        "incomplete grid, missing cells: (algorithm=b, dataset=cora, metric=f1, seed=1)",
+    ),
+    "empty array": ([], "no records"),
+    "nested array": ([_minimal_items()], "JSON item 0: unexpected shape"),
+}
+
+
+@pytest.mark.parametrize(
+    "items, outcome", JSON_INGEST_CASES.values(), ids=JSON_INGEST_CASES.keys()
+)
+def test_json_ingest_outcomes_are_pinned(items, outcome):
+    # json.dumps writes math.inf as Infinity; a 1e400 literal parses to the same float.
+    text = json.dumps(items).replace("Infinity", "1e400")
+    if outcome.startswith("algorithm,"):
+        assert to_csv(ingest(text, "json", REGISTRY)) == outcome
+    else:
+        with pytest.raises(ValidationError) as exc:
+            ingest(text, "json", REGISTRY)
+        assert str(exc.value) == outcome
 
 
 def test_paper_shaped_suite_size():
@@ -254,6 +346,35 @@ class TestRegistry:
     def test_bad_lines(self, line):
         with pytest.raises(ValidationError):
             parse_registry(line + "\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "metric.f1.direction = higher\nmetric.f1.direction = lower\n",
+                "registry line 2: 'metric.f1.direction' repeats line 1",
+            ),
+            (
+                "metric.f1.direction = higher\n# note\n\nmetric.f1.direction = higher\n",
+                "registry line 4: 'metric.f1.direction' repeats line 1",
+            ),
+            (
+                "metric.f1.direction = higher\nmetric.f1.bounds = 0,1\n"
+                "metric.nmi.direction = higher\nmetric.f1.bounds = 0,2\n",
+                "registry line 4: 'metric.f1.bounds' repeats line 2",
+            ),
+            ("metric..direction = higher\n", "registry line 1: empty metric name in 'metric..direction'"),
+            (
+                "metric.f1.direction = higher\nmetric..bounds = 0,1\n",
+                "registry line 2: empty metric name in 'metric..bounds'",
+            ),
+        ],
+        ids=["direction twice", "same direction twice", "bounds twice", "empty name", "empty name bounds"],
+    )
+    def test_repeated_key_or_empty_name_rejected(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_registry(text)
+        assert str(exc.value) == message
 
     def test_bounds_without_direction(self):
         with pytest.raises(ValidationError, match="no direction"):
