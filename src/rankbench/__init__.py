@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .comparison import FcrResult, FrameworkResult, Granularity, fcr
+from .comparison import FcrResult, Granularity, fcr
 from .concordance import (
     COEFFICIENTS,
     CoefficientResult,
@@ -34,7 +34,6 @@ __all__ = [
     "ConvergenceReport",
     "Direction",
     "FcrResult",
-    "FrameworkResult",
     "Granularity",
     "MetricSpec",
     "RankCube",

@@ -22,10 +22,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .comparison import FrameworkResult, Granularity, fcr
+from .comparison import Granularity, fcr
 from .concordance import COEFFICIENTS, coefficients_for, randomness
 from .plotting import render_convergence_svg
 from .ranking import TiePolicy, count_ties, rank_table, ranks_to_csv
@@ -177,11 +178,10 @@ def cmd_coeff(args) -> int:
 
 def cmd_fcr(args) -> int:
     registry = _load_registry(args.registry)
-    frameworks = []
+    frameworks = {}
     inputs = {}
     for label, path in args.framework:
-        table, inputs[path] = _load_table(path, registry)
-        frameworks.append(FrameworkResult(label, table))
+        frameworks[label], inputs[path] = _load_table(path, registry)
     with _stage("fcr"):
         result = fcr(frameworks, Granularity(args.granularity))
     report = _base_report(registry, inputs)
@@ -285,6 +285,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
@@ -294,7 +301,7 @@ def _nonnegative_float(text: str) -> float:
 
 def _framework(spec: str) -> tuple[str, str]:
     label, eq, path = spec.partition("=")
-    if not eq:
+    if not (label and eq and path):
         raise argparse.ArgumentTypeError(f"expects LABEL=PATH, got {spec!r}")
     return label, path
 
@@ -374,22 +381,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. '1:44' or '1,5,10'")
     p.add_argument("--repeats", type=_positive_int, default=10)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=_nonnegative_int, default=0)
     p.add_argument("--plot-out", default=None, help="plot-data CSV path")
     p.add_argument("--summary-out", default=None, help="summary CSV path")
     p.add_argument("--svg-out", default=None, help="SVG chart path")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("synth", help="generate a synthetic result table")
-    p.add_argument("--algorithms", type=int, default=5)
-    p.add_argument("--datasets", type=int, default=4)
-    p.add_argument("--metrics", type=int, default=2)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--quality-gap", type=float, default=1.0)
-    p.add_argument("--noise-scale", type=float, default=0.0)
-    p.add_argument("--tie-prob", type=float, default=0.0)
-    p.add_argument("--fail-prob", type=float, default=0.0)
-    p.add_argument("--rng-seed", type=int, default=0)
+    # One flag per SynthConfig field: n_algorithms -> --algorithms, and so on.
+    for field in fields(SynthConfig):
+        flag = "--" + field.name.removeprefix("n_").replace("_", "-")
+        p.add_argument(flag, type=type(field.default), default=field.default)
     p.add_argument("--output", default=None)
     p.add_argument("--registry-out", default=None, help="write matching registry file")
     p.set_defaults(func=cmd_synth)
@@ -408,20 +410,15 @@ def _parse_args(argv: list[str] | None):
         for name in args.coefficients:
             if name not in supported:
                 parser.error(f"coefficient {name} requires --tie-policy mean")
-    if hasattr(args, "framework") and len(args.framework) < 2:
-        parser.error("fcr needs at least two --framework")
+    if hasattr(args, "framework"):
+        if len(args.framework) < 2:
+            parser.error("fcr needs at least two --framework")
+        if len(dict(args.framework)) < len(args.framework):
+            parser.error("framework labels must be unique")
     if args.command == "synth":
         try:
             args.config = SynthConfig(
-                n_algorithms=args.algorithms,
-                n_datasets=args.datasets,
-                n_metrics=args.metrics,
-                n_seeds=args.seeds,
-                quality_gap=args.quality_gap,
-                noise_scale=args.noise_scale,
-                tie_prob=args.tie_prob,
-                fail_prob=args.fail_prob,
-                rng_seed=args.rng_seed,
+                **{f.name: getattr(args, f.name.removeprefix("n_")) for f in fields(SynthConfig)}
             )
         except ValueError as exc:
             parser.error(str(exc))

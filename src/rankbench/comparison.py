@@ -1,10 +1,11 @@
 """Framework Comparison Rank: head-to-head ranking of evaluation regimes.
 
 Two or more frameworks (for example default hyperparameters vs tuned
-ones) sharing the same algorithms, tests and seeds are ranked against
-each other on every comparison unit, and the per-framework mean rank is
-the FCR. Rank sums are conserved (mean-of-tied), so FCRs always sum to
-f(f+1)/2.
+ones), given as one label -> table mapping such as
+``fcr({"default": t1, "tuned": t2})``, sharing the same algorithms and
+tests are ranked against each other on every comparison unit, and the
+per-framework mean rank is the FCR. Rank sums are conserved
+(mean-of-tied), so FCRs always sum to f(f+1)/2.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from .results import ResultTable, ValidationError, resolve_failures
 class Granularity(Enum):
     PER_ALGORITHM_TEST = "per-algorithm-test"
     PER_TEST = "per-test"
-
-
-@dataclass(frozen=True)
-class FrameworkResult:
-    label: str
-    table: ResultTable
 
 
 @dataclass(frozen=True)
@@ -47,11 +42,14 @@ class FcrResult:
 
 
 def fcr(
-    frameworks: list[FrameworkResult],
+    frameworks: dict[str, ResultTable],
     granularity: Granularity = Granularity.PER_ALGORITHM_TEST,
 ) -> FcrResult:
     """Framework Comparison Rank over all comparison units.
 
+    ``frameworks`` maps each label to its table, in report order; a
+    mapping cannot repeat a label. The first table is the reference
+    whose grid and metric directions every other table must match.
     Per unit the frameworks' seed-mean scores (also algorithm-mean for
     per-test granularity) are ranked by the metric's direction with
     mean-of-tied; FCR is the mean rank per framework. Failed runs score
@@ -60,30 +58,24 @@ def fcr(
     """
     if len(frameworks) < 2:
         raise ValueError("need at least 2 frameworks")
-    labels = [f.label for f in frameworks]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("framework labels must be unique")
 
-    ref = frameworks[0].table
-    for f in frameworks[1:]:
-        t = f.table
+    (ref_label, ref), *others = frameworks.items()
+    for label, t in others:
         if (
             t.algorithms != ref.algorithms
             or t.suite != ref.suite
             or set(t.registry) != set(ref.registry)
         ):
-            raise ValidationError(
-                f"framework {f.label!r} grid does not match {frameworks[0].label!r}"
-            )
+            raise ValidationError(f"framework {label!r} grid does not match {ref_label!r}")
         for name, spec in ref.registry.items():
             if t.registry[name].direction != spec.direction:
                 raise ValidationError(
-                    f"framework {f.label!r}: metric {name!r} direction mismatch"
+                    f"framework {label!r}: metric {name!r} direction mismatch"
                 )
     if not ref.suite:
         raise ValidationError("empty suite")
 
-    tables = [resolve_failures(f.table) for f in frameworks]
+    tables = [resolve_failures(t) for t in frameworks.values()]
 
     # Seed means per unit, one column per framework. Each mean reduces a
     # contiguous last axis, the same summation as np.mean over that unit's
@@ -97,7 +89,7 @@ def fcr(
     ranks = rank_cube(np.stack(means, axis=-1), higher_better)
     ranks = ranks.reshape(-1, len(frameworks))
     mean_ranks = ranks.sum(axis=0) / len(ranks)
-    seeds = {f.label: t.n_seeds for f, t in zip(frameworks, tables)}
+    seeds = {label: t.n_seeds for label, t in zip(frameworks, tables)}
     warnings = ()
     if len({t.seeds for t in tables}) > 1:
         warnings = (
@@ -105,7 +97,7 @@ def fcr(
             "scores are averaged over its own seeds",
         )
     return FcrResult(
-        ranks={label: float(r) for label, r in zip(labels, mean_ranks)},
+        ranks={label: float(r) for label, r in zip(frameworks, mean_ranks)},
         units=len(ranks),
         granularity=granularity,
         seeds=seeds,

@@ -102,14 +102,6 @@ class ResultRecord:
     value: float | None
     status: Status = Status.OK
 
-    @property
-    def key(self) -> tuple[str, str, str, int]:
-        return (self.algorithm, self.dataset, self.metric, self.seed)
-
-    @property
-    def test(self) -> TestId:
-        return TestId(self.dataset, self.metric)
-
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:

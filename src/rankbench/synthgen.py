@@ -42,6 +42,8 @@ class SynthConfig:
         for p in (self.tie_prob, self.fail_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
     @property
     def score_range(self) -> float:

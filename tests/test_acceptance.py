@@ -26,7 +26,6 @@ from rankbench import (
     wasserstein_w,
 )
 from rankbench.cli import main as cli_main
-from rankbench.comparison import FrameworkResult
 from rankbench.wasserstein import ww_normalizer
 
 from oracles import (
@@ -185,36 +184,28 @@ def test_07_monotone_sensitivity():
 
 @criterion(8, "framework comparison rank contracts")
 def test_08_fcr_contracts():
-    dominant = fcr(
-        [
-            FrameworkResult("hpo", table_from_grid(shifted(BASE, 0.2))),
-            FrameworkResult("default", table_from_grid(BASE)),
-        ]
-    )
+    dominant = fcr({"hpo": table_from_grid(shifted(BASE, 0.2)), "default": table_from_grid(BASE)})
     assert dominant.ranks == {"hpo": 1.0, "default": 2.0}
 
     same = table_from_grid(BASE)
-    even = fcr([FrameworkResult("x", same), FrameworkResult("y", same)])
+    even = fcr({"x": same, "y": same})
     assert even.ranks == {"x": 1.5, "y": 1.5}
 
     rng = np.random.default_rng(20260108)
     for _ in range(50):
         f = int(rng.integers(2, 5))
-        frameworks = [
-            FrameworkResult(
-                f"fw{i}",
-                table_from_grid(
-                    {
-                        alg: {
-                            ds: [float(v) for v in rng.integers(0, 4, size=2) / 4]
-                            for ds in ("d1", "d2")
-                        }
-                        for alg in ("a", "b", "c")
+        frameworks = {
+            f"fw{i}": table_from_grid(
+                {
+                    alg: {
+                        ds: [float(v) for v in rng.integers(0, 4, size=2) / 4]
+                        for ds in ("d1", "d2")
                     }
-                ),
+                    for alg in ("a", "b", "c")
+                }
             )
             for i in range(f)
-        ]
+        }
         total = sum(fcr(frameworks).ranks.values())
         assert abs(total - f * (f + 1) / 2) < 1e-9
 

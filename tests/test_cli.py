@@ -11,7 +11,10 @@ import pytest
 
 from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from rankbench.results import ResultTable
+from rankbench.concordance import COEFFICIENTS, randomness
+from rankbench.ranking import count_ties, rank_table
+from rankbench.results import ResultTable, ingest, parse_registry
+from rankbench.synthgen import SynthConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -186,6 +189,47 @@ def test_fcr_command(registry, tmp_path):
     assert report["fcr"]["units"] == 2
 
 
+@pytest.mark.parametrize(
+    "granularity, rows",
+    [
+        ("per-algorithm-test", ["fcr,p,,,1.75", "fcr,q,,,1.25"]),
+        ("per-test", ["fcr,p,,,2.0", "fcr,q,,,1.0"]),
+    ],
+)
+def test_fcr_csv_report_rows_are_sorted_by_label(granularity, rows, registry, tmp_path):
+    # Rows computed before fcr took a label -> table mapping; q is given
+    # first on the command line and still comes second.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(GOOD_CSV)
+    b.write_text(GOOD_CSV.replace("0.5", "0.7").replace("0.6", "0.8"))
+    out = tmp_path / "fcr.csv"
+    assert main(
+        ["fcr", "--registry", registry, "--framework", f"q={b}", "--framework", f"p={a}",
+         "--granularity", granularity, "--format", "csv", "--output", str(out)]
+    ) == EXIT_OK
+    assert out.read_text().splitlines() == ["record,coefficient,dataset,metric,value", *rows]
+
+
+def test_coeff_tie_epsilon_matches_library(tmp_path):
+    grid, registry = tmp_path / "synth.csv", tmp_path / "reg.txt"
+    assert main(
+        ["synth", "--noise-scale", "0.5", "--output", str(grid), "--registry-out", str(registry)]
+    ) == EXIT_OK
+    out = tmp_path / "report.json"
+    assert main(
+        ["coeff", "--registry", str(registry), "--tie-epsilon", "0.5", "--output", str(out),
+         str(grid)]
+    ) == EXIT_OK
+    report = json.loads(out.read_text())
+    table = ingest(grid.read_text(), "csv", parse_registry(registry.read_text()))
+    cube = rank_table(table, tie_epsilon=0.5)
+    assert report["settings"]["tie_epsilon"] == 0.5
+    assert report["n_ties"] == count_ties(cube) > count_ties(rank_table(table))
+    assert report["coefficients"] == [
+        randomness(cube, name).fragment(report["n_ties"]) for name in COEFFICIENTS
+    ]
+
+
 def test_converge_command(tmp_path):
     table = tmp_path / "synth.csv"
     registry = tmp_path / "reg.txt"
@@ -285,6 +329,12 @@ USAGE_ERRORS = {
     ),
     "one-framework": (["fcr", "--framework", "p={table}"], False),
     "framework-without-label": (["fcr", "--framework", "p={table}", "--framework", "{table}"], False),
+    "framework-empty-label": (["fcr", "--framework", "={table}", "--framework", "q={table}"], False),
+    "framework-empty-path": (["fcr", "--framework", "p=", "--framework", "q={table}"], False),
+    "repeated-framework-label": (
+        ["fcr", "--framework", "p={table}", "--framework", "p={table}"], False
+    ),
+    "negative-rng-seed": (["converge", "--rng-seed", "-1", *CONVERGE_OUTPUTS, "{table}"], False),
     "converge-format": (["converge", "--format", "csv", *CONVERGE_OUTPUTS, "{table}"], False),
     "rank-format": (["rank", "--format", "json", "{table}"], False),
     "validate-output": (["validate", "--format", "csv", "--output", "{d}/x.out", "{table}"], False),
@@ -556,6 +606,7 @@ def test_bad_registry_exits_2_before_reading_table(lines, message, tmp_path, mon
         ["--noise-scale", "1e308"],
         ["--quality-gap", "inf"],
         ["--quality-gap", "nan"],
+        ["--rng-seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -567,6 +618,17 @@ def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatc
     out = ["--output", str(tmp_path / "t.csv"), "--registry-out", str(tmp_path / "r.txt")]
     assert main(["synth", *flags, *out]) == EXIT_VALIDATION
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_flags_set_every_config_field():
+    assert cli._parse_args(["synth"]).config == SynthConfig()
+    argv = ["synth", "--algorithms", "7", "--datasets", "3", "--metrics", "3", "--seeds", "6",
+            "--quality-gap", "0.3", "--noise-scale", "0.7", "--tie-prob", "0.25",
+            "--fail-prob", "0.15", "--rng-seed", "42"]
+    assert cli._parse_args(argv).config == SynthConfig(
+        n_algorithms=7, n_datasets=3, n_metrics=3, n_seeds=6, quality_gap=0.3,
+        noise_scale=0.7, tie_prob=0.25, fail_prob=0.15, rng_seed=42,
+    )
 
 
 # sha256 of every converge output on the synth grid below, computed before

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import table_of
-from rankbench.comparison import FrameworkResult, Granularity, fcr
+from rankbench.comparison import Granularity, fcr
 from rankbench.results import (
     Direction,
     MetricSpec,
@@ -39,9 +39,7 @@ BASE = {
 
 
 def test_dominance():
-    fa = FrameworkResult("hpo", table_from_grid(shifted(BASE, 0.2)))
-    fb = FrameworkResult("default", table_from_grid(BASE))
-    result = fcr([fa, fb])
+    result = fcr({"hpo": table_from_grid(shifted(BASE, 0.2)), "default": table_from_grid(BASE)})
     assert result.ranks == {"hpo": 1.0, "default": 2.0}
     assert result.units == 6
 
@@ -49,26 +47,21 @@ def test_dominance():
 def test_five_of_six_units():
     better = shifted(BASE, 0.2)
     better["b"]["d2"] = [0.1, 0.1]  # loses this single unit
-    result = fcr(
-        [
-            FrameworkResult("hpo", table_from_grid(better)),
-            FrameworkResult("default", table_from_grid(BASE)),
-        ]
-    )
+    result = fcr({"hpo": table_from_grid(better), "default": table_from_grid(BASE)})
     assert result.ranks["hpo"] == pytest.approx(7 / 6)
     assert result.ranks["default"] == pytest.approx(11 / 6)
 
 
 def test_identical_tables_split_evenly():
     t = table_from_grid(BASE)
-    result = fcr([FrameworkResult("x", t), FrameworkResult("y", t)])
+    result = fcr({"x": t, "y": t})
     assert result.ranks == {"x": 1.5, "y": 1.5}
 
 
 def test_antisymmetry():
     ta, tb = table_from_grid(shifted(BASE, 0.1)), table_from_grid(BASE)
-    fwd = fcr([FrameworkResult("p", ta), FrameworkResult("q", tb)])
-    rev = fcr([FrameworkResult("p", tb), FrameworkResult("q", ta)])
+    fwd = fcr({"p": ta, "q": tb})
+    rev = fcr({"p": tb, "q": ta})
     assert fwd.ranks["p"] == rev.ranks["q"]
     assert fwd.ranks["q"] == rev.ranks["p"]
 
@@ -84,17 +77,9 @@ def test_monotone_rescaling_invariance():
 
     single = {alg: {ds: s[:1] for ds, s in per.items()} for alg, per in BASE.items()}
     single_up = shifted(single, 0.05)
-    base_result = fcr(
-        [
-            FrameworkResult("p", table_from_grid(single)),
-            FrameworkResult("q", table_from_grid(single_up)),
-        ]
-    )
+    base_result = fcr({"p": table_from_grid(single), "q": table_from_grid(single_up)})
     rescaled_result = fcr(
-        [
-            FrameworkResult("p", table_from_grid(rescale(single))),
-            FrameworkResult("q", table_from_grid(rescale(single_up))),
-        ]
+        {"p": table_from_grid(rescale(single)), "q": table_from_grid(rescale(single_up))}
     )
     assert base_result.ranks == rescaled_result.ranks
 
@@ -104,10 +89,7 @@ def test_per_test_granularity_averages_algorithms():
     # loses on algorithm b.
     p = {"a": {"d1": [0.9]}, "b": {"d1": [0.5]}}
     q = {"a": {"d1": [0.2]}, "b": {"d1": [1.4]}}
-    result = fcr(
-        [FrameworkResult("p", table_from_grid(p)), FrameworkResult("q", table_from_grid(q))],
-        Granularity.PER_TEST,
-    )
+    result = fcr({"p": table_from_grid(p), "q": table_from_grid(q)}, Granularity.PER_TEST)
     assert result.ranks == {"p": 2.0, "q": 1.0}
     assert result.units == 1
 
@@ -116,7 +98,7 @@ def test_lower_better_direction_respected():
     reg = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
     p = table_from_grid({"a": {"d1": [0.1]}, "b": {"d1": [0.2]}}, "loss", reg)
     q = table_from_grid({"a": {"d1": [0.5]}, "b": {"d1": [0.9]}}, "loss", reg)
-    result = fcr([FrameworkResult("p", p), FrameworkResult("q", q)])
+    result = fcr({"p": p, "q": q})
     assert result.ranks == {"p": 1.0, "q": 2.0}
 
 
@@ -126,34 +108,29 @@ def test_failed_seed_ranks_framework_last_on_unbounded_metric():
     # good its other seeds are.
     registry = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
 
-    def framework(label, grid):
+    def framework(grid):
         rows = [
             (alg, "d", "loss", seed, v, Status.OUT_OF_MEMORY if v is None else Status.OK)
             for alg, seeds in grid.items()
             for seed, v in enumerate(seeds)
         ]
-        return FrameworkResult(label, table_of(rows, registry))
+        return table_of(rows, registry)
 
-    a = framework("A", {"x": [1.0, None], "y": [2.0, 2.0]})
-    b = framework("B", {"x": [3.0, 3.0], "y": [1.0, None]})
-    assert fcr([a, b]).ranks == {"A": 1.5, "B": 1.5}
+    a = framework({"x": [1.0, None], "y": [2.0, 2.0]})
+    b = framework({"x": [3.0, 3.0], "y": [1.0, None]})
+    assert fcr({"A": a, "B": b}).ranks == {"A": 1.5, "B": 1.5}
 
 
 def test_mismatched_grids_rejected():
     other = {k: v for k, v in BASE.items()}
     other["c"] = other.pop("b")
     with pytest.raises(ValidationError, match="does not match"):
-        fcr(
-            [
-                FrameworkResult("p", table_from_grid(BASE)),
-                FrameworkResult("q", table_from_grid(other)),
-            ]
-        )
+        fcr({"p": table_from_grid(BASE), "q": table_from_grid(other)})
 
 
 def test_fewer_than_two_frameworks_rejected():
     with pytest.raises(ValueError):
-        fcr([FrameworkResult("p", table_from_grid(BASE))])
+        fcr({"p": table_from_grid(BASE)})
 
 
 @given(st.integers(2, 4), st.data())
@@ -161,7 +138,7 @@ def test_fewer_than_two_frameworks_rejected():
 def test_rank_sum_conservation(f, data):
     algs = ["a", "b", "c"]
     datasets = ["d1", "d2"]
-    frameworks = []
+    frameworks = {}
     for i in range(f):
         grid = {
             alg: {
@@ -173,7 +150,7 @@ def test_rank_sum_conservation(f, data):
             }
             for alg in algs
         }
-        frameworks.append(FrameworkResult(f"fw{i}", table_from_grid(grid)))
+        frameworks[f"fw{i}"] = table_from_grid(grid)
     for granularity in Granularity:
         result = fcr(frameworks, granularity)
         assert sum(result.ranks.values()) == pytest.approx(f * (f + 1) / 2, abs=1e-9)

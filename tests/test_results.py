@@ -273,6 +273,44 @@ def test_drop_incomplete_removes_whole_test():
         ingest(two_tests, "csv", REGISTRY)
 
 
+# Messages computed before the CLI declared its inputs once: the text,
+# its format, drop_incomplete and the ValidationError message.
+INGEST_ERROR_CASES = {
+    "short row": (
+        MINIMAL_CSV.replace("b,cora,f1,0,0.4,ok", "b,cora,f1,0,0.4"),
+        "csv", False, "row 4: wrong number of fields",
+    ),
+    "long row after a blank line": (
+        MINIMAL_CSV.replace("a,cora,f1,1,0.6,ok\n", "\na,cora,f1,1,0.6,ok,x\n"),
+        "csv", False, "row 3: wrong number of fields",
+    ),
+    "truncated JSON": (
+        '[{"algorithm": "a",', "json", False,
+        "bad JSON: Expecting property name enclosed in double quotes: line 1 column 20 (char 19)",
+    ),
+    "JSON object": ('{"algorithm": "a"}', "json", False, "JSON input must be an array of objects"),
+    "one algorithm": (
+        "".join(line for line in MINIMAL_CSV.splitlines(True) if not line.startswith("b,")),
+        "csv", False, "need at least 2 algorithms",
+    ),
+    "every test incomplete": (
+        "\n".join(MINIMAL_CSV.splitlines()[:-1]) + "\n",
+        "csv", True, "every test has missing cells; nothing left",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, fmt, drop_incomplete, message",
+    INGEST_ERROR_CASES.values(),
+    ids=INGEST_ERROR_CASES.keys(),
+)
+def test_ingest_error_messages_are_pinned(text, fmt, drop_incomplete, message):
+    with pytest.raises(ValidationError) as exc:
+        ingest(text, fmt, REGISTRY, drop_incomplete)
+    assert str(exc.value) == message
+
+
 class TestResolveFailures:
     def test_bounded_metric_gets_worst_endpoint(self):
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
