@@ -3,10 +3,12 @@
 Subcommands: validate, rank, coeff, fcr, converge, synth. Reports embed
 every setting and input digest needed to rerun the analysis; two runs
 with identical inputs and flags produce byte-identical JSON. Exit codes:
-0 success, 1 runtime/I-O error, 2 validation error. Every usage error,
-including flag combinations, exits 2 before any input is read; the one
-exception is a ``--sizes`` entry larger than the number of tests, which
-is known only after ingest and exits 2 right after it.
+0 success, 1 runtime/I-O error, 2 validation error (input that is not
+UTF-8 text included). Every usage error, including flag combinations,
+prints the usage of the command that was run and exits 2 before any
+input is read; the one exception is a ``--sizes`` entry larger than the
+number of tests, which is known only after ingest and exits 2 right
+after it.
 """
 
 from __future__ import annotations
@@ -47,16 +49,23 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
+def _decode(path: str, data: bytes) -> str:
+    # utf-8-sig: a byte-order mark must fail neither the exact CSV header
+    # check nor json.loads.
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_registry(path: str) -> dict:
-    return parse_registry(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_registry(_decode(path, Path(path).read_bytes()))
 
 
 def _read_table_file(path: str) -> tuple[str, str]:
-    # utf-8-sig: a byte-order mark must fail neither the exact CSV header
-    # check nor json.loads. The bytes are dropped on return, before
-    # ingest parses the text into columns.
+    # The bytes are dropped on return, before ingest parses the text into columns.
     data = Path(path).read_bytes()
-    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
+    return _decode(path, data), hashlib.sha256(data).hexdigest()
 
 
 @contextmanager
@@ -196,7 +205,7 @@ def cmd_converge(args) -> int:
     registry = _load_registry(args.registry)
     table, digest = _load_table(args.input, registry, args.drop_incomplete)
     if args.sizes and max(args.sizes) > len(table.suite):
-        raise ValidationError(
+        args.parser.error(
             f"--sizes {max(args.sizes)} exceeds the number of tests ({len(table.suite)})"
         )
     cube = _ranked(table, args)
@@ -278,25 +287,17 @@ def _coefficient_names(spec: str) -> list[str]:
     return names
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(minimum: int, convert=int):
+    """Flag type: ``convert(text)``, finite and >= ``minimum``; -0.0 reads as 0.0."""
 
+    def check(text: str):
+        value = convert(text)
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {minimum}, got {text}")
+        return value + 0
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+    check.__name__ = convert.__name__  # argparse names a malformed value's type by it
+    return check
 
 
 def _framework(spec: str) -> tuple[str, str]:
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ranked = argparse.ArgumentParser(add_help=False)
     ranked.add_argument("--tie-policy", choices=[p.value for p in TiePolicy], default="mean")
-    ranked.add_argument("--tie-epsilon", type=_nonnegative_float, default=0.0)
+    ranked.add_argument("--tie-epsilon", type=_at_least(0, float), default=0.0)
     ranked.add_argument(
         "--drop-incomplete",
         action="store_true",
@@ -343,11 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="check a result table")
     p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, parser=p)
 
     p = sub.add_parser("rank", parents=[common, output, ranked], help="export the rank cube")
     p.add_argument("input")
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=cmd_rank, parser=p)
 
     p = sub.add_parser(
         "coeff",
@@ -355,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="randomness coefficients",
     )
     p.add_argument("input")
-    p.set_defaults(func=cmd_coeff)
+    p.set_defaults(func=cmd_coeff, parser=p)
 
     p = sub.add_parser(
         "fcr", parents=[common, output, report_format], help="framework comparison rank"
@@ -373,19 +374,19 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[g.value for g in Granularity],
         default=Granularity.PER_ALGORITHM_TEST.value,
     )
-    p.set_defaults(func=cmd_fcr)
+    p.set_defaults(func=cmd_fcr, parser=p)
 
     p = sub.add_parser(
         "converge", parents=[common, output, ranked, coefficients], help="subsampling study"
     )
     p.add_argument("input")
     p.add_argument("--sizes", type=_parse_sizes, default=None, help="e.g. '1:44' or '1,5,10'")
-    p.add_argument("--repeats", type=_positive_int, default=10)
-    p.add_argument("--rng-seed", type=_nonnegative_int, default=0)
+    p.add_argument("--repeats", type=_at_least(1), default=10)
+    p.add_argument("--rng-seed", type=_at_least(0), default=0)
     p.add_argument("--plot-out", default=None, help="plot-data CSV path")
     p.add_argument("--summary-out", default=None, help="summary CSV path")
     p.add_argument("--svg-out", default=None, help="SVG chart path")
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func=cmd_converge, parser=p)
 
     p = sub.add_parser("synth", help="generate a synthetic result table")
     # One flag per SynthConfig field: n_algorithms -> --algorithms, and so on.
@@ -394,34 +395,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=type(field.default), default=field.default)
     p.add_argument("--output", default=None)
     p.add_argument("--registry-out", default=None, help="write matching registry file")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     return parser
 
 
 def _parse_args(argv: list[str] | None):
-    """Parse argv and check the flags that depend on each other."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv and check the flags that depend on each other, on the command's parser."""
+    args, unrecognized = _build_parser().parse_known_args(argv)
+    if unrecognized:
+        args.parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
     if hasattr(args, "coefficients"):
         supported = coefficients_for(TiePolicy(args.tie_policy))
         if args.coefficients is None:
             args.coefficients = list(supported)
         for name in args.coefficients:
             if name not in supported:
-                parser.error(f"coefficient {name} requires --tie-policy mean")
+                args.parser.error(f"coefficient {name} requires --tie-policy mean")
     if hasattr(args, "framework"):
         if len(args.framework) < 2:
-            parser.error("fcr needs at least two --framework")
+            args.parser.error("fcr needs at least two --framework")
         if len(dict(args.framework)) < len(args.framework):
-            parser.error("framework labels must be unique")
+            args.parser.error("framework labels must be unique")
     if args.command == "synth":
         try:
             args.config = SynthConfig(
                 **{f.name: getattr(args, f.name.removeprefix("n_")) for f in fields(SynthConfig)}
             )
         except ValueError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     return args
 
 

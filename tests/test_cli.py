@@ -84,12 +84,14 @@ class TestCoeff:
         assert values == {"w": 0.0, "w_tied": 0.0, "w_wasserstein": 0.0}
 
     def test_reports_are_byte_identical(self, registry, table, tmp_path):
-        outs = []
-        for name in ("r1.json", "r2.json"):
-            out = tmp_path / name
-            main(["coeff", "--registry", registry, "--output", str(out), table])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        # A tie epsilon of -0 is the default 0, so it writes the same report.
+        out = tmp_path / "report.json"
+        reports = set()
+        for flags in ([], [], ["--tie-epsilon", "0"], ["--tie-epsilon", "-0"]):
+            argv = ["coeff", "--registry", registry, *flags, "--output", str(out), table]
+            assert main(argv) == EXIT_OK
+            reports.add(out.read_bytes())
+        assert len(reports) == 1
 
     def test_csv_format(self, registry, table, tmp_path):
         out = tmp_path / "report.csv"
@@ -306,12 +308,26 @@ def test_converge_sizes_spec(tmp_path):
     assert report["convergence"]["sizes"] == [1, 2, 3, 8]
 
 
+def test_converge_single_size_svg_is_centred(tmp_path):
+    # One size leaves the x axis no span: every point sits at its midpoint.
+    table, registry, svg = tmp_path / "synth.csv", tmp_path / "reg.txt", tmp_path / "chart.svg"
+    assert main(["synth", "--datasets", "3", "--noise-scale", "0.5", "--output", str(table),
+                 "--registry-out", str(registry)]) == EXIT_OK
+    assert main(["converge", "--registry", str(registry), "--sizes", "3", "--svg-out", str(svg),
+                 "--output", str(tmp_path / "c.json"), str(table)]) == EXIT_OK
+    lines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+    assert len(lines) == len(COEFFICIENTS)
+    # The x axis runs from 50 to 590 px.
+    assert all(point.startswith("320.00,") for line in lines for point in line.split())
+
+
 CONVERGE_OUTPUTS = ["--plot-out", "{d}/plot.csv", "--summary-out", "{d}/summary.csv", "--svg-out", "{d}/x.svg"]
 
 # argv after the registry and --output flags; True where the error can
 # only be seen once the table is ingested.
 USAGE_ERRORS = {
     "repeats-zero": (["converge", "--repeats", "0", *CONVERGE_OUTPUTS, "{table}"], False),
+    "repeats-not-a-number": (["converge", "--repeats", "a", *CONVERGE_OUTPUTS, "{table}"], False),
     "sizes-empty-range": (["converge", "--sizes", "5:1", *CONVERGE_OUTPUTS, "{table}"], False),
     "sizes-not-a-number": (["converge", "--sizes", "a", *CONVERGE_OUTPUTS, "{table}"], False),
     "sizes-zero": (["converge", "--sizes", "0,1", *CONVERGE_OUTPUTS, "{table}"], False),
@@ -320,6 +336,7 @@ USAGE_ERRORS = {
     "empty-coefficient": (["converge", "--coefficients", "", *CONVERGE_OUTPUTS, "{table}"], False),
     "repeated-coefficient": (["coeff", "--coefficients", "w,w", "{table}"], False),
     "negative-epsilon": (["coeff", "--tie-epsilon", "-1", "{table}"], False),
+    "epsilon-not-a-number": (["coeff", "--tie-epsilon", "x", "{table}"], False),
     "infinite-epsilon": (["coeff", "--tie-epsilon", "inf", "{table}"], False),
     "w-tied-lowest-coeff": (
         ["coeff", "--tie-policy", "lowest", "--coefficients", "w_tied", "{table}"], False
@@ -345,7 +362,7 @@ USAGE_ERRORS = {
     "argv, after_ingest", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys()
 )
 def test_usage_error_exits_2_before_computation(
-    argv, after_ingest, registry, table, tmp_path, monkeypatch
+    argv, after_ingest, registry, table, tmp_path, monkeypatch, capsys
 ):
     stages = []
 
@@ -363,6 +380,15 @@ def test_usage_error_exits_2_before_computation(
     assert main(full) == EXIT_VALIDATION
     assert stages == (["ingest"] if after_ingest else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
+    _assert_usage_error(capsys.readouterr().err, argv[0])
+
+
+def _assert_usage_error(err, command):
+    """The usage line and the message both come from the parser of the command run."""
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: rankbench {command} "), err
+    assert lines[-1].startswith(f"validation error: rankbench {command}: "), err
+    assert "invalid _" not in err
 
 
 @pytest.mark.parametrize("command", ["coeff", "converge"])
@@ -610,7 +636,7 @@ def test_bad_registry_exits_2_before_reading_table(lines, message, tmp_path, mon
     ],
     ids=" ".join,
 )
-def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatch):
+def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatch, capsys):
     def forbidden(config):
         raise AssertionError("generated a grid for a bad config")
 
@@ -618,6 +644,23 @@ def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatc
     out = ["--output", str(tmp_path / "t.csv"), "--registry-out", str(tmp_path / "r.txt")]
     assert main(["synth", *flags, *out]) == EXIT_VALIDATION
     assert list(tmp_path.iterdir()) == []
+    _assert_usage_error(capsys.readouterr().err, "synth")
+
+
+@pytest.mark.parametrize("bad", ["registry", "table"])
+def test_non_utf8_input_exits_2_naming_the_file(bad, registry, table, monkeypatch, capsys):
+    reads = []
+
+    def read_table_file(path, read=cli._read_table_file):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_table_file", read_table_file)
+    path = Path(registry if bad == "registry" else table)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(["coeff", "--registry", registry, table]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {path}: not UTF-8 text (")
+    assert reads == ([] if bad == "registry" else [table])
 
 
 def test_synth_flags_set_every_config_field():
@@ -716,3 +759,14 @@ def test_info_logging_reports_stages_and_counts(registry, tmp_path):
     for stage in ("ingest", "rank", "coefficients", "write report"):
         assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
     assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (SRC.parent / "README.md").read_text()
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for name, seed in (("results.csv", "0"), ("default.csv", "1"), ("tuned.csv", "2")):
+        argv = ["synth", "--rng-seed", seed, "--output", name, "--registry-out", "reg.txt"]
+        assert main(argv) == EXIT_OK
+    exec(example, {})
+    assert capsys.readouterr().out.startswith("w ")

@@ -128,6 +128,12 @@ def test_mismatched_grids_rejected():
         fcr({"p": table_from_grid(BASE), "q": table_from_grid(other)})
 
 
+def test_mismatched_directions_rejected():
+    flipped = {"score": MetricSpec("score", Direction.LOWER_BETTER)}
+    with pytest.raises(ValidationError, match="metric 'score' direction mismatch"):
+        fcr({"p": table_from_grid(BASE), "q": table_from_grid(BASE, registry=flipped)})
+
+
 def test_fewer_than_two_frameworks_rejected():
     with pytest.raises(ValueError):
         fcr({"p": table_from_grid(BASE)})
