@@ -404,7 +404,9 @@ def _parse_args(argv: list[str] | None):
     """Parse argv and check the flags that depend on each other, on the command's parser."""
     args, unrecognized = _build_parser().parse_known_args(argv)
     if unrecognized:
-        args.parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
+        # An unknown flag leaves its value to fill the positional input, so name only the flags.
+        flags = [arg for arg in unrecognized if arg.startswith("-")] or unrecognized
+        args.parser.error(f"unrecognized arguments: {' '.join(flags)}")
     if hasattr(args, "coefficients"):
         supported = coefficients_for(TiePolicy(args.tie_policy))
         if args.coefficients is None:

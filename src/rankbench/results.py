@@ -8,9 +8,12 @@ may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 :meth:`ResultTable.from_columns` is the one constructor: ingest hands
-it one column per field. Per-cell :class:`ResultRecord`
-objects exist only in :attr:`ResultTable.records`, which the pipeline
-never reads.
+it one column per field. JSON that is already canonical (see
+:func:`_json_columns`) gives those columns straight from the loaded
+items; CSV and any other JSON go through the row parser
+:func:`_parse_rows`, which owns every row-level error message. Per-cell
+:class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
+which the pipeline never reads.
 """
 
 from __future__ import annotations
@@ -365,6 +368,39 @@ def _json_rows(items: list) -> Iterable[list[str]]:
         yield ["" if v is None else str(v) for v in map(item.get, CSV_COLUMNS)]
 
 
+def _json_columns(items: list) -> tuple[list, ...] | None:
+    """The six record columns of canonical JSON items, or None if any item is not canonical.
+
+    Canonical: every item is a dict whose keys are among :data:`CSV_COLUMNS`;
+    every label is a non-empty ``str`` without surrounding whitespace;
+    status is exactly one of the :data:`STATUSES` texts; seed is an
+    ``int`` (not a ``bool``); value is a float other than NaN, or None on a
+    failed row. The row parser reads such items to these same columns, so
+    it stays the one definer of row-level meaning and of every row error:
+    any other input goes to it instead.
+    """
+    keys = set(CSV_COLUMNS)
+    if set(map(type, items)) != {dict} or not keys.issuperset(itertools.chain.from_iterable(items)):
+        return None
+    algorithms, datasets, metrics, seeds, values, statuses = (
+        [item.get(key) for item in items] for key in CSV_COLUMNS
+    )
+    try:
+        labels = set(algorithms).union(datasets, metrics)
+        codes = [_STATUS_TEXT_CODE[status] for status in statuses]
+    except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable field
+        return None
+    if not (
+        all(type(label) is str and label and label.strip() == label for label in labels)
+        and set(map(type, seeds)) == {int}
+        and set(map(type, values)) <= {float, type(None)}
+        and not any(map(math.isnan, filter(None, values)))
+        and not any(value is None and code == OK for value, code in zip(values, codes))
+    ):
+        return None
+    return algorithms, datasets, metrics, seeds, values, codes
+
+
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
     """Parse text rows into the six record columns; row numbers count from ``start``."""
     columns = algorithms, datasets, metrics, seeds, values, statuses = [], [], [], [], [], []
@@ -405,7 +441,10 @@ def ingest(
     """Read a result table from CSV or JSON text.
 
     CSV requires the exact header ``algorithm,dataset,metric,seed,value,status``.
-    JSON is an array of objects with the same field names.
+    JSON is an array of objects with the same field names. Canonical JSON
+    (exact field types, see :func:`_json_columns`) is read column by
+    column; CSV and any other JSON go through the row parser, which gives
+    every row-level error message, first error first.
     """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
@@ -414,7 +453,7 @@ def ingest(
             raise ValidationError(
                 f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {header}"
             )
-        columns = _parse_rows(_csv_rows(reader), start=2)
+        columns, path = _parse_rows(_csv_rows(reader), start=2), "rows"
     elif fmt == "json":
         try:
             items = json.loads(text)
@@ -422,11 +461,13 @@ def ingest(
             raise ValidationError(f"bad JSON: {exc}") from None
         if not isinstance(items, list):
             raise ValidationError("JSON input must be an array of objects")
-        columns = _parse_rows(_json_rows(items), start=0)
+        columns, path = _json_columns(items), "columns"
+        if columns is None:
+            columns, path = _parse_rows(_json_rows(items), start=0), "rows"
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
-    log.info("parsed %d rows", len(columns[0]))
+    log.info("%s path: parsed %d rows", path, len(columns[0]))
     return ResultTable.from_columns(*columns, registry, drop_incomplete)
 
 
@@ -434,15 +475,34 @@ def to_csv(table: ResultTable) -> str:
     """Serialize a table in the canonical CSV schema (round-trip stable).
 
     Rows are in key order: algorithm, then test, then seed. A failed cell
-    with no score has an empty value field.
+    with no score has an empty value field. The text is what ``csv.writer``
+    writes; when no label needs quoting, each line is joined directly.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
-        for alg, test, seed, v, status in table.cells()
+    labels = [*table.algorithms, *itertools.chain.from_iterable(table.suite)]
+    if _csv_text([labels]) != ",".join(labels) + "\n":  # some label needs quoting
+        rows = (
+            (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
+            for alg, test, seed, v, status in table.cells()
+        )
+        return _csv_text(itertools.chain([CSV_COLUMNS], rows))
+    values = table.values.transpose(2, 0, 1).ravel().tolist()
+    codes = table.status.transpose(2, 0, 1).ravel().tolist()
+    prefixes = [
+        f"{alg},{test.dataset},{test.metric},{seed},"
+        for alg, test, seed in itertools.product(table.algorithms, table.suite, table.seeds)
+    ]
+    suffixes = [f",{s.value}\n" for s in STATUSES]
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(
+        [
+            prefix + ("" if math.isnan(v) else repr(v)) + suffixes[code]
+            for prefix, v, code in zip(prefixes, values, codes)
+        ]
     )
+
+
+def _csv_text(rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 

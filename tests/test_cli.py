@@ -383,6 +383,26 @@ def test_usage_error_exits_2_before_computation(
     _assert_usage_error(capsys.readouterr().err, argv[0])
 
 
+@pytest.mark.parametrize(
+    "args, unrecognized",
+    [
+        (["--format", "csv", "{table}"], "--format"),
+        (["--format=csv", "{table}"], "--format=csv"),
+        (["{table}", "x.csv"], "x.csv"),
+    ],
+    ids=["flag and value", "flag=value", "stray positional"],
+)
+def test_unknown_flag_error_names_only_the_flag(args, unrecognized, registry, table, capsys):
+    # An unknown flag's value fills the positional input, so the real
+    # table is left over; the message names the flag, not the table.
+    argv = ["validate", "--registry", registry, *(a.format(table=table) for a in args)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: rankbench validate [-h] --registry REGISTRY input",
+        f"validation error: rankbench validate: unrecognized arguments: {unrecognized}",
+    ]
+
+
 def _assert_usage_error(err, command):
     """The usage line and the message both come from the parser of the command run."""
     lines = err.splitlines()

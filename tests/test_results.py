@@ -1,13 +1,21 @@
+import csv
+import io
 import json
+import logging
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import table_of
+from rankbench import results
 from rankbench.results import (
+    CSV_COLUMNS,
+    STATUSES,
     Direction,
     MetricSpec,
     ResultRecord,
+    ResultTable,
     Status,
     ValidationError,
     ingest,
@@ -16,6 +24,7 @@ from rankbench.results import (
     resolve_failures,
     to_csv,
 )
+from rankbench.synthgen import SynthConfig, generate
 
 REGISTRY = {
     "f1": MetricSpec("f1", Direction.HIGHER_BETTER, (0.0, 1.0)),
@@ -219,9 +228,47 @@ JSON_INGEST_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "items, outcome", JSON_INGEST_CASES.values(), ids=JSON_INGEST_CASES.keys()
-)
+# Valid JSON that is not canonical (a field the row parser normalises, or
+# NaN), with outcomes computed by the row parser before the column path
+# existed.
+NON_CANONICAL_JSON_CASES = {
+    "padded label": (
+        _minimal_items((1, {"algorithm": "a "}), (2, {"dataset": " cora"})),
+        MINIMAL_CSV,
+    ),
+    "upper-case status": (_minimal_items((0, {"status": "OK"})), MINIMAL_CSV),
+    "padded failed status": (
+        _minimal_items((3, {"value": None, "status": " oom "})),
+        MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom"),
+    ),
+    "seed with leading zero": (_minimal_items((3, {"seed": "01"})), MINIMAL_CSV),
+    "int value": (
+        _minimal_items((1, {"value": 1})),
+        MINIMAL_CSV.replace("a,cora,f1,1,0.6", "a,cora,f1,1,1.0"),
+    ),
+    "string value": (_minimal_items((0, {"value": "0.5"})), MINIMAL_CSV),
+    "bool seed": (_minimal_items((1, {"seed": True})), "row 1: bad seed 'True'"),
+    "NaN on a failed row": (
+        _minimal_items((3, {"value": math.nan, "status": "error"})),
+        "record ('b', 'cora', 'f1', 1): value nan outside bounds [0.0, 1.0]",
+    ),
+    "NaN on a failed unbounded row": (
+        [
+            dict(item, metric="loss")
+            for item in _minimal_items((3, {"value": math.nan, "status": "error"}))
+        ],
+        LOSS_CSV.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,,error"),
+    ),
+}
+ALL_JSON_CASES = {**JSON_INGEST_CASES, **NON_CANONICAL_JSON_CASES}
+# The cases that ingest reads column by column, without the row parser.
+COLUMN_PATH_CASES = {
+    "valid grid", "failed row with null value", "1e400", "-0", "10**30 seed", "duplicate",
+    "missing cell",
+}
+
+
+@pytest.mark.parametrize("items, outcome", ALL_JSON_CASES.values(), ids=ALL_JSON_CASES.keys())
 def test_json_ingest_outcomes_are_pinned(items, outcome):
     # json.dumps writes math.inf as Infinity; a 1e400 literal parses to the same float.
     text = json.dumps(items).replace("Infinity", "1e400")
@@ -231,6 +278,128 @@ def test_json_ingest_outcomes_are_pinned(items, outcome):
         with pytest.raises(ValidationError) as exc:
             ingest(text, "json", REGISTRY)
         assert str(exc.value) == outcome
+
+
+def _outcome(read) -> str:
+    """The table ``read()`` returns as canonical CSV, or its ValidationError message."""
+    try:
+        return to_csv(read())
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_ingest_matches_row_parser(items):
+    text = json.dumps(items)
+    assert _outcome(lambda: ingest(text, "json", REGISTRY)) == _outcome(
+        lambda: ResultTable.from_columns(
+            *results._parse_rows(results._json_rows(json.loads(text)), 0), REGISTRY
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "items", [items for items, _ in ALL_JSON_CASES.values()], ids=ALL_JSON_CASES.keys()
+)
+def test_json_ingest_matches_row_parser(items):
+    _assert_ingest_matches_row_parser(items)
+
+
+def _field_variants(draw, item: dict) -> dict:
+    """``item`` with each field kept or swapped for a text, type or NaN variant; at most one dropped."""
+    a, seed, value, status = item["algorithm"], item["seed"], item["value"], item["status"]
+    variants = {
+        "algorithm": [a, f" {a}", f"{a}\t", "", 1, None],
+        "dataset": [item["dataset"], f"{item['dataset']} "],
+        "metric": [item["metric"], f" {item['metric']}"],
+        "seed": [seed, str(seed), f"0{seed}", float(seed), bool(seed), None],
+        "value": [value, str(value), int(value or 0), math.nan, None, True],
+        "status": [status, status.upper(), f" {status} ", "lost", 0, None],
+    }
+    fields = {key: draw(st.sampled_from(options)) for key, options in variants.items()}
+    for key in draw(st.sets(st.sampled_from(list(fields)), max_size=1)):
+        del fields[key]
+    return fields
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_json_ingest_matches_row_parser_on_mixed_fields(data):
+    # Each item keeps every field canonical or swaps some for variants that
+    # the row parser normalises or rejects.
+    draw = data.draw
+    metric = draw(st.sampled_from(["f1", "loss"]))
+    items = []
+    for a, seed in [("a", 0), ("a", 1), ("b", 0), ("b", 1)]:
+        status = draw(st.sampled_from(["ok", "ok", "oom", "timeout", "error"]))
+        value = draw(st.one_of(st.floats(0, 1), st.none()) if status != "ok" else st.floats(0, 1))
+        item = {"algorithm": a, "dataset": "cora", "metric": metric, "seed": seed,
+                "value": value, "status": status}
+        items.append(_field_variants(draw, item) if draw(st.booleans()) else item)
+    _assert_ingest_matches_row_parser(items)
+
+
+@pytest.mark.parametrize("name", ALL_JSON_CASES)
+def test_only_non_canonical_json_reaches_row_parser(name, monkeypatch):
+    calls = []
+    parse_rows = results._parse_rows
+
+    def row_parser(rows, start):
+        calls.append(start)
+        if name in COLUMN_PATH_CASES:
+            raise AssertionError("canonical JSON reached the row parser")
+        return parse_rows(rows, start)
+
+    monkeypatch.setattr(results, "_parse_rows", row_parser)
+    items, outcome = ALL_JSON_CASES[name]
+    assert _outcome(lambda: ingest(json.dumps(items), "json", REGISTRY)) == outcome
+    assert calls == ([] if name in COLUMN_PATH_CASES else [0])
+
+
+def test_ingest_logs_which_path_parsed_the_rows(caplog):
+    with caplog.at_level(logging.INFO, logger="rankbench.results"):
+        ingest(json.dumps(_minimal_items()), "json", REGISTRY)
+        ingest(json.dumps(_minimal_items((0, {"seed": "0"}))), "json", REGISTRY)
+        ingest(MINIMAL_CSV, "csv", REGISTRY)
+    assert caplog.messages == [
+        "columns path: parsed 4 rows", "rows path: parsed 4 rows", "rows path: parsed 4 rows"
+    ]
+
+
+def _csv_writer_text(table) -> str:
+    """``to_csv`` as ``csv.writer`` writes it, one row per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
+        for alg, test, seed, v, status in table.cells()
+    )
+    return buf.getvalue()
+
+
+def test_to_csv_matches_csv_writer_on_large_synth_grid():
+    config = SynthConfig(
+        n_algorithms=10, n_datasets=100, n_metrics=4, n_seeds=100,
+        noise_scale=0.5, tie_prob=0.1, fail_prob=0.05,
+    )
+    table = generate(config)
+    assert table.values.size == 400_000
+    assert to_csv(table) == _csv_writer_text(table)
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"])
+@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
+def test_to_csv_quotes_labels_as_csv_writer_does(label, field):
+    items = _minimal_items((3, {"value": None, "status": "timeout"}))
+    for item in items:
+        item[field] = label + item[field]
+    metric = items[0]["metric"]
+    table = ResultTable.from_columns(
+        *([item[key] for item in items] for key in CSV_COLUMNS[:5]),
+        [STATUSES.index(Status(item["status"])) for item in items],
+        {metric: MetricSpec(metric, Direction.HIGHER_BETTER)},
+    )
+    assert to_csv(table) == _csv_writer_text(table)
 
 
 def test_paper_shaped_suite_size():
