@@ -404,9 +404,14 @@ def _parse_args(argv: list[str] | None):
     """Parse argv and check the flags that depend on each other, on the command's parser."""
     args, unrecognized = _build_parser().parse_known_args(argv)
     if unrecognized:
-        # An unknown flag leaves its value to fill the positional input, so name only the flags.
-        flags = [arg for arg in unrecognized if arg.startswith("-")] or unrecognized
-        args.parser.error(f"unrecognized arguments: {' '.join(flags)}")
+        # An unknown flag's value fills the positional input, which leaves the next
+        # positional over right after the flag: name every leftover but that one.
+        shown = [
+            arg
+            for prev, arg in zip(["="] + unrecognized, unrecognized)
+            if arg.startswith("-") or not prev.startswith("-") or "=" in prev
+        ]
+        args.parser.error(f"unrecognized arguments: {' '.join(shown)}")
     if hasattr(args, "coefficients"):
         supported = coefficients_for(TiePolicy(args.tie_policy))
         if args.coefficients is None:

@@ -374,10 +374,10 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     Canonical: every item is a dict whose keys are among :data:`CSV_COLUMNS`;
     every label is a non-empty ``str`` without surrounding whitespace;
     status is exactly one of the :data:`STATUSES` texts; seed is an
-    ``int`` (not a ``bool``); value is a float other than NaN, or None on a
-    failed row. The row parser reads such items to these same columns, so
-    it stays the one definer of row-level meaning and of every row error:
-    any other input goes to it instead.
+    ``int`` (not a ``bool``); value is a float, or None on a failed row.
+    The row parser reads such items to these same columns, so it stays
+    the one definer of row-level meaning and of every row error: any
+    other input goes to it instead.
     """
     keys = set(CSV_COLUMNS)
     if set(map(type, items)) != {dict} or not keys.issuperset(itertools.chain.from_iterable(items)):
@@ -394,8 +394,7 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
         all(type(label) is str and label and label.strip() == label for label in labels)
         and set(map(type, seeds)) == {int}
         and set(map(type, values)) <= {float, type(None)}
-        and not any(map(math.isnan, filter(None, values)))
-        and not any(value is None and code == OK for value, code in zip(values, codes))
+            and not any(value is None and code == OK for value, code in zip(values, codes))
     ):
         return None
     return algorithms, datasets, metrics, seeds, values, codes
@@ -476,34 +475,20 @@ def to_csv(table: ResultTable) -> str:
 
     Rows are in key order: algorithm, then test, then seed. A failed cell
     with no score has an empty value field. The text is what ``csv.writer``
-    writes; when no label needs quoting, each line is joined directly.
+    writes: each label is quoted by it once, then every line is joined.
     """
-    labels = [*table.algorithms, *itertools.chain.from_iterable(table.suite)]
-    if _csv_text([labels]) != ",".join(labels) + "\n":  # some label needs quoting
-        rows = (
-            (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
-            for alg, test, seed, v, status in table.cells()
-        )
-        return _csv_text(itertools.chain([CSV_COLUMNS], rows))
-    values = table.values.transpose(2, 0, 1).ravel().tolist()
-    codes = table.status.transpose(2, 0, 1).ravel().tolist()
-    prefixes = [
-        f"{alg},{test.dataset},{test.metric},{seed},"
-        for alg, test, seed in itertools.product(table.algorithms, table.suite, table.seeds)
-    ]
-    suffixes = [f",{s.value}\n" for s in STATUSES]
+    quoted = {}
+    for label in {*table.algorithms, *itertools.chain.from_iterable(table.suite)}:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([label, ""])
+        quoted[label] = buf.getvalue()[:-2]  # without the trailing ",\n" of the empty field
     return ",".join(CSV_COLUMNS) + "\n" + "".join(
         [
-            prefix + ("" if math.isnan(v) else repr(v)) + suffixes[code]
-            for prefix, v, code in zip(prefixes, values, codes)
+            f"{quoted[alg]},{quoted[test.dataset]},{quoted[test.metric]},{seed},"
+            f"{'' if math.isnan(v) else repr(v)},{status.value}\n"
+            for alg, test, seed, v, status in table.cells()
         ]
     )
-
-
-def _csv_text(rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 def registry_to_text(registry: dict[str, MetricSpec]) -> str:

@@ -389,12 +389,22 @@ def test_usage_error_exits_2_before_computation(
         (["--format", "csv", "{table}"], "--format"),
         (["--format=csv", "{table}"], "--format=csv"),
         (["{table}", "x.csv"], "x.csv"),
+        (["{table}", "x.csv", "--bogus"], "x.csv --bogus"),
+        (["--format", "csv", "{table}", "x.csv"], "--format x.csv"),
+        (["{table}", "--format", "csv", "x.csv"], "--format x.csv"),
+        (["--bogus", "--format", "csv", "{table}"], "--bogus --format"),
+        (["--format=csv", "{table}", "x.csv"], "--format=csv x.csv"),
     ],
-    ids=["flag and value", "flag=value", "stray positional"],
+    ids=[
+        "flag and value", "flag=value", "stray positional", "stray positional then flag",
+        "flag and value then stray", "table then flag and value then stray", "two flags",
+        "flag=value then stray",
+    ],
 )
 def test_unknown_flag_error_names_only_the_flag(args, unrecognized, registry, table, capsys):
     # An unknown flag's value fills the positional input, so the real
-    # table is left over; the message names the flag, not the table.
+    # table is left over; the message names the flag and any real stray
+    # positional, not the table.
     argv = ["validate", "--registry", registry, *(a.format(table=table) for a in args)]
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [

@@ -228,9 +228,8 @@ JSON_INGEST_CASES = {
 }
 
 
-# Valid JSON that is not canonical (a field the row parser normalises, or
-# NaN), with outcomes computed by the row parser before the column path
-# existed.
+# Valid JSON that is not canonical (a field the row parser normalises),
+# with outcomes computed by the row parser before the column path existed.
 NON_CANONICAL_JSON_CASES = {
     "padded label": (
         _minimal_items((1, {"algorithm": "a "}), (2, {"dataset": " cora"})),
@@ -248,6 +247,10 @@ NON_CANONICAL_JSON_CASES = {
     ),
     "string value": (_minimal_items((0, {"value": "0.5"})), MINIMAL_CSV),
     "bool seed": (_minimal_items((1, {"seed": True})), "row 1: bad seed 'True'"),
+}
+# NaN is a float, so these are canonical; the row parser reads it back as
+# NaN and gives the same outcome (computed on it before the column path).
+NAN_JSON_CASES = {
     "NaN on a failed row": (
         _minimal_items((3, {"value": math.nan, "status": "error"})),
         "record ('b', 'cora', 'f1', 1): value nan outside bounds [0.0, 1.0]",
@@ -260,11 +263,11 @@ NON_CANONICAL_JSON_CASES = {
         LOSS_CSV.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,,error"),
     ),
 }
-ALL_JSON_CASES = {**JSON_INGEST_CASES, **NON_CANONICAL_JSON_CASES}
+ALL_JSON_CASES = {**JSON_INGEST_CASES, **NON_CANONICAL_JSON_CASES, **NAN_JSON_CASES}
 # The cases that ingest reads column by column, without the row parser.
 COLUMN_PATH_CASES = {
     "valid grid", "failed row with null value", "1e400", "-0", "10**30 seed", "duplicate",
-    "missing cell",
+    "missing cell", *NAN_JSON_CASES,
 }
 
 
