@@ -9,14 +9,17 @@ prints the usage of the command that was run and exits 2 before any
 input is read; the one exception is a ``--sizes`` entry larger than the
 number of tests, which is known only after ingest and exits 2 right
 after it.
+
+Every input file, registry included, is read by :func:`_read`, and
+every report is built and written by :func:`_emit_report`. CSV output
+quotes labels by the one rule of :func:`results.csv_fields`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
+import itertools
 import json
 import logging
 import math
@@ -35,6 +38,7 @@ from .ranking import TiePolicy, count_ties, rank_table, ranks_to_csv
 from .resampling import plot_data_csv, subsample_convergence, summary_csv
 from .results import (
     ValidationError,
+    csv_fields,
     ingest,
     parse_registry,
     registry_to_text,
@@ -49,23 +53,23 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _decode(path: str, data: bytes) -> str:
-    # utf-8-sig: a byte-order mark must fail neither the exact CSV header
-    # check nor json.loads.
+def _read(path: str) -> tuple[str, str]:
+    """The text of an input file and the sha256 of its bytes.
+
+    Text that is not UTF-8 is a validation error naming the file. The
+    bytes are dropped on return, before the text is parsed.
+    """
+    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8-sig")
+        # utf-8-sig: a byte-order mark must fail neither the exact CSV header
+        # check nor json.loads.
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _load_registry(path: str) -> dict:
-    return parse_registry(_decode(path, Path(path).read_bytes()))
-
-
-def _read_table_file(path: str) -> tuple[str, str]:
-    # The bytes are dropped on return, before ingest parses the text into columns.
-    data = Path(path).read_bytes()
-    return _decode(path, data), hashlib.sha256(data).hexdigest()
+    return parse_registry(_read(path)[0])
 
 
 @contextmanager
@@ -80,7 +84,7 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
     """Ingest a table file; returns the table and the sha256 of the bytes parsed."""
     fmt = "json" if Path(path).suffix.lower() == ".json" else "csv"
     with _stage(f"ingest {path}"):
-        text, digest = _read_table_file(path)
+        text, digest = _read(path)
         return ingest(text, fmt, registry, drop_incomplete), digest
 
 
@@ -107,8 +111,14 @@ def _write_output(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _base_report(registry: dict, inputs: dict[str, str]) -> dict:
-    return {
+def _emit_report(args, registry: dict, inputs: dict[str, str], **body) -> None:
+    """Write the report of one command as JSON, or as CSV under ``--format csv``.
+
+    Every report names the tool and its version, the registry and the
+    sha256 of each input file; ``body`` adds the command's settings,
+    warnings and results.
+    """
+    report = {
         "tool": "rankbench",
         "version": __version__,
         "registry": {
@@ -119,11 +129,8 @@ def _base_report(registry: dict, inputs: dict[str, str]) -> dict:
             for name, spec in sorted(registry.items())
         },
         "inputs": inputs,
-        "warnings": [],
+        **body,
     }
-
-
-def _emit_report(report: dict, args) -> None:
     with _stage("write report"):
         if getattr(args, "format", "json") == "csv":
             _write_output(_report_csv(report), args.output)
@@ -132,21 +139,24 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _report_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["record", "coefficient", "dataset", "metric", "value"])
+    """The coefficient, tie-count and FCR records of a report, one CSV line each."""
+    rows = [("record", "coefficient", "dataset", "metric", "value")]
     for frag in report.get("coefficients", []):
-        writer.writerow(["total", frag["coefficient"], "", "", repr(frag["value"])])
-        for item in frag["per_test"]:
-            writer.writerow(
-                ["per_test", frag["coefficient"], item["dataset"], item["metric"], repr(item["w"])]
-            )
+        name = frag["coefficient"]
+        rows.append(("total", name, "", "", repr(frag["value"])))
+        rows.extend(
+            ("per_test", name, item["dataset"], item["metric"], repr(item["w"]))
+            for item in frag["per_test"]
+        )
     if "n_ties" in report:
-        writer.writerow(["n_ties", "", "", "", report["n_ties"]])
+        rows.append(("n_ties", "", "", "", str(report["n_ties"])))
     if "fcr" in report:
-        for label, value in sorted(report["fcr"]["fcr"].items()):
-            writer.writerow(["fcr", label, "", "", repr(value)])
-    return buf.getvalue()
+        rows.extend(
+            ("fcr", label, "", "", repr(value))
+            for label, value in sorted(report["fcr"]["fcr"].items())
+        )
+    field = csv_fields(itertools.chain.from_iterable(rows))
+    return "".join(",".join([field[text] for text in row]) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +185,15 @@ def cmd_coeff(args) -> int:
     n_ties = count_ties(cube)
     with _stage("coefficients"):
         results = [randomness(cube, name) for name in args.coefficients]
-
-    report = _base_report(registry, {args.input: digest})
-    report["settings"] = {**_ranked_settings(args, table), "coefficients": args.coefficients}
-    report["n_ties"] = n_ties
-    report["coefficients"] = [r.fragment(n_ties) for r in results]
-    report["warnings"].extend(w for r in results for w in r.warnings)
-    _emit_report(report, args)
+    _emit_report(
+        args,
+        registry,
+        {args.input: digest},
+        settings={**_ranked_settings(args, table), "coefficients": args.coefficients},
+        n_ties=n_ties,
+        coefficients=[r.fragment(n_ties) for r in results],
+        warnings=[w for r in results for w in r.warnings],
+    )
     return EXIT_OK
 
 
@@ -193,11 +205,14 @@ def cmd_fcr(args) -> int:
         frameworks[label], inputs[path] = _load_table(path, registry)
     with _stage("fcr"):
         result = fcr(frameworks, Granularity(args.granularity))
-    report = _base_report(registry, inputs)
-    report["settings"] = {"granularity": args.granularity}
-    report["fcr"] = result.fragment()
-    report["warnings"].extend(result.warnings)
-    _emit_report(report, args)
+    _emit_report(
+        args,
+        registry,
+        inputs,
+        settings={"granularity": args.granularity},
+        fcr=result.fragment(),
+        warnings=result.warnings,
+    )
     return EXIT_OK
 
 
@@ -217,23 +232,26 @@ def cmd_converge(args) -> int:
             repeats=args.repeats,
             rng_seed=args.rng_seed,
         )
-
-    report = _base_report(registry, {args.input: digest})
-    report["settings"] = {
-        **_ranked_settings(args, table),
-        "repeats": args.repeats,
-        "rng_seed": args.rng_seed,
-    }
-    report["convergence"] = conv.fragment()
-    report["warnings"].extend(conv.warnings)
-    _emit_report(report, args)
+    _emit_report(
+        args,
+        registry,
+        {args.input: digest},
+        settings={
+            **_ranked_settings(args, table),
+            "repeats": args.repeats,
+            "rng_seed": args.rng_seed,
+        },
+        convergence=conv.fragment(),
+        warnings=conv.warnings,
+    )
     with _stage("write plot files"):
-        if args.plot_out:
-            Path(args.plot_out).write_text(plot_data_csv(conv), encoding="utf-8")
-        if args.summary_out:
-            Path(args.summary_out).write_text(summary_csv(conv), encoding="utf-8")
-        if args.svg_out:
-            Path(args.svg_out).write_text(render_convergence_svg(conv), encoding="utf-8")
+        for path, write in [
+            (args.plot_out, plot_data_csv),
+            (args.summary_out, summary_csv),
+            (args.svg_out, render_convergence_svg),
+        ]:
+            if path:
+                Path(path).write_text(write(conv), encoding="utf-8")
     return EXIT_OK
 
 

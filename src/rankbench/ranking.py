@@ -12,15 +12,14 @@ every OK run at any finite epsilon.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .results import ResultTable, TestId, resolve_failures
+from .results import ResultTable, TestId, csv_fields, resolve_failures
 
 log = logging.getLogger(__name__)
 
@@ -137,14 +136,15 @@ def count_ties(cube: RankCube) -> int:
 
 
 def ranks_to_csv(cube: RankCube) -> str:
-    """Debug export: one row per (test, seed, algorithm) rank."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "metric", "seed", "algorithm", "rank"])
+    """Debug export: one row per (test, seed, algorithm) rank.
+
+    Labels are quoted by :func:`results.csv_fields`, as in ``to_csv``.
+    """
+    field = csv_fields([*cube.algorithms, *itertools.chain.from_iterable(cube.suite)])
+    algorithms = [field[alg] for alg in cube.algorithms]
+    lines = ["dataset,metric,seed,algorithm,rank\n"]
     for test, per_seed in zip(cube.suite, cube.ranks.tolist()):
         for seed, row in zip(cube.seeds, per_seed):
-            writer.writerows(
-                [test.dataset, test.metric, seed, alg, repr(rank)]
-                for alg, rank in zip(cube.algorithms, row)
-            )
-    return buf.getvalue()
+            prefix = f"{field[test.dataset]},{field[test.metric]},{seed},"
+            lines.extend([f"{prefix}{alg},{rank!r}\n" for alg, rank in zip(algorithms, row)])
+    return "".join(lines)

@@ -14,9 +14,7 @@ suite grows.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,22 +144,18 @@ def subsample_convergence(
 
 def plot_data_csv(report: ConvergenceReport) -> str:
     """Long-format CSV: size,repeat,coefficient,value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "repeat", "coefficient", "value"])
+    lines = ["size,repeat,coefficient,value\n"]
     for k, by_coefficient in zip(report.sizes, report.values.tolist()):
         for c, values in zip(report.coefficients, by_coefficient):
-            writer.writerows([k, rep, c, repr(value)] for rep, value in enumerate(values))
-    return buf.getvalue()
+            lines.extend([f"{k},{rep},{c},{value!r}\n" for rep, value in enumerate(values)])
+    return "".join(lines)
 
 
 def summary_csv(report: ConvergenceReport) -> str:
     """Summary CSV: size,coefficient,mean,std."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "coefficient", "mean", "std"])
+    lines = ["size,coefficient,mean,std\n"]
     for k, means, stds in zip(report.sizes, report.mean.tolist(), report.std.tolist()):
-        writer.writerows(
-            [k, c, repr(m), repr(sd)] for c, m, sd in zip(report.coefficients, means, stds)
+        lines.extend(
+            [f"{k},{c},{m!r},{sd!r}\n" for c, m, sd in zip(report.coefficients, means, stds)]
         )
-    return buf.getvalue()
+    return "".join(lines)

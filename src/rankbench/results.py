@@ -14,6 +14,11 @@ items; CSV and any other JSON go through the row parser
 :func:`_parse_rows`, which owns every row-level error message. Per-cell
 :class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
 which the pipeline never reads.
+
+Text crosses this module's boundary one way each: CSV is read by
+``csv.reader``, and text it cannot split is an error of the row it is
+in; every CSV writer of the package, :func:`to_csv` included, quotes
+labels by :func:`csv_fields` and joins its lines itself.
 """
 
 from __future__ import annotations
@@ -351,12 +356,29 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-def _csv_rows(reader) -> Iterable[list[str]]:
-    """Data rows after the header; blank lines are skipped and not numbered."""
-    for rowno, row in enumerate(filter(None, reader), start=2):
-        if len(row) != len(CSV_COLUMNS):
-            raise ValidationError(f"row {rowno}: wrong number of fields")
-        yield row
+def _csv_rows(text: str) -> Iterable[list[str]]:
+    """Data rows of CSV text under the exact header.
+
+    The header is row 1 and data rows count from 2; blank lines are
+    skipped and not numbered. Text that ``csv.reader`` cannot split, such
+    as a bare carriage return in an unquoted field, is an error of the row
+    it is in.
+    """
+    reader = csv.reader(io.StringIO(text))
+    rowno = 0  # the last row read
+    try:
+        header = next(reader, None)
+        rowno = 1
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ValidationError(
+                f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {header}"
+            )
+        for rowno, row in enumerate(filter(None, reader), start=2):
+            if len(row) != len(CSV_COLUMNS):
+                raise ValidationError(f"row {rowno}: wrong number of fields")
+            yield row
+    except csv.Error as exc:
+        raise ValidationError(f"row {rowno + 1}: {exc}") from None
 
 
 def _json_rows(items: list) -> Iterable[list[str]]:
@@ -446,13 +468,7 @@ def ingest(
     every row-level error message, first error first.
     """
     if fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ValidationError(
-                f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {header}"
-            )
-        columns, path = _parse_rows(_csv_rows(reader), start=2), "rows"
+        columns, path = _parse_rows(_csv_rows(text), start=2), "rows"
     elif fmt == "json":
         try:
             items = json.loads(text)
@@ -470,21 +486,33 @@ def ingest(
     return ResultTable.from_columns(*columns, registry, drop_incomplete)
 
 
+def csv_fields(labels: Iterable[str]) -> dict[str, str]:
+    """Each distinct label as a CSV field: the one quoting rule of every writer.
+
+    A label holding ``,``, ``"``, a carriage return or a newline is put in
+    double quotes, with each inner ``"`` doubled; any other label is
+    written as it is. This is the minimal quoting of the ``csv`` module's
+    writer, except that a carriage return is quoted too, so that
+    ``csv.reader`` reads every field back as it was written.
+    """
+    return {
+        label: '"' + label.replace('"', '""') + '"' if any(c in label for c in ',"\r\n') else label
+        for label in set(labels)
+    }
+
+
 def to_csv(table: ResultTable) -> str:
     """Serialize a table in the canonical CSV schema (round-trip stable).
 
     Rows are in key order: algorithm, then test, then seed. A failed cell
-    with no score has an empty value field. The text is what ``csv.writer``
-    writes: each label is quoted by it once, then every line is joined.
+    with no score has an empty value field. Labels are quoted by
+    :func:`csv_fields`, so :func:`ingest` reads every label back, a label
+    with surrounding whitespace aside (ingest strips it).
     """
-    quoted = {}
-    for label in {*table.algorithms, *itertools.chain.from_iterable(table.suite)}:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([label, ""])
-        quoted[label] = buf.getvalue()[:-2]  # without the trailing ",\n" of the empty field
+    field = csv_fields([*table.algorithms, *itertools.chain.from_iterable(table.suite)])
     return ",".join(CSV_COLUMNS) + "\n" + "".join(
         [
-            f"{quoted[alg]},{quoted[test.dataset]},{quoted[test.metric]},{seed},"
+            f"{field[alg]},{field[test.dataset]},{field[test.metric]},{seed},"
             f"{'' if math.isnan(v) else repr(v)},{status.value}\n"
             for alg, test, seed, v, status in table.cells()
         ]

@@ -1,19 +1,22 @@
 import codecs
+import csv
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.concordance import COEFFICIENTS, randomness
 from rankbench.ranking import count_ties, rank_table
-from rankbench.results import ResultTable, ingest, parse_registry
+from rankbench.results import STATUSES, ResultTable, Status, ingest, parse_registry
 from rankbench.synthgen import SynthConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -64,6 +67,23 @@ class TestValidate:
         path.write_text(GOOD_CSV.replace("f1", "nmi"))
         assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
         assert "nmi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            (b"algorithm,dataset,metric,seed,value,status\na\rx,cora,f1,0,0.5,ok\n"
+             b"b,cora,f1,0,0.4,ok\n", 2),
+            (GOOD_CSV.replace("\n", "\r").encode(), 1),
+        ],
+        ids=["bare CR in a label", "CR line ends"],
+    )
+    def test_malformed_csv_text_exits_2_naming_the_row(self, text, row, registry, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: row {row}: new-line character seen in unquoted")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_file_is_runtime_error(self, registry, tmp_path):
         assert (
@@ -210,6 +230,67 @@ def test_fcr_csv_report_rows_are_sorted_by_label(granularity, rows, registry, tm
          "--granularity", granularity, "--format", "csv", "--output", str(out)]
     ) == EXIT_OK
     assert out.read_text().splitlines() == ["record,coefficient,dataset,metric,value", *rows]
+
+
+HOSTILE_LABELS = ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"]
+
+
+def _write_quoted_csv(path: Path, text: str, old: str, new: str) -> None:
+    """Write the CSV ``text`` with every field ``old`` made ``new``, each field quoted."""
+    rows = [[new if f == old else f for f in line.split(",")] for line in text.splitlines()]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+
+
+def _report_records(report: dict) -> list[list[str]]:
+    """The fields of the CSV form of a JSON report, in the order the CSV writes them."""
+    rows = [["record", "coefficient", "dataset", "metric", "value"]]
+    for frag in report.get("coefficients", []):
+        rows.append(["total", frag["coefficient"], "", "", repr(frag["value"])])
+        rows.extend(
+            ["per_test", frag["coefficient"], item["dataset"], item["metric"], repr(item["w"])]
+            for item in frag["per_test"]
+        )
+    if "n_ties" in report:
+        rows.append(["n_ties", "", "", "", str(report["n_ties"])])
+    rows.extend(
+        ["fcr", label, "", "", repr(value)]
+        for label, value in sorted(report.get("fcr", {"fcr": {}})["fcr"].items())
+    )
+    return rows
+
+
+def _csv_and_json_reports(argv: list[str], tmp_path: Path) -> tuple[list[list[str]], dict]:
+    """Run ``argv`` once per report format: the CSV report as read by csv.reader, and the JSON."""
+    csv_out, json_out = tmp_path / "report.csv", tmp_path / "report.json"
+    assert main([*argv, "--format", "csv", "--output", str(csv_out)]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--output", str(json_out)]) == EXIT_OK
+    with open(csv_out, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f)), json.loads(json_out.read_text())
+
+
+@pytest.mark.parametrize("label", HOSTILE_LABELS)
+def test_coeff_csv_report_reads_back_hostile_labels(label, registry, tmp_path):
+    path = tmp_path / "t.csv"
+    # Ingest strips surrounding whitespace from a label, so the hostile
+    # text sits inside it.
+    _write_quoted_csv(path, GOOD_CSV, "cora", f"x{label}x")
+    argv = ["coeff", "--registry", registry, str(path)]
+    records, report = _csv_and_json_reports(argv, tmp_path)
+    assert records == _report_records(report)
+    assert {row[2] for row in records if row[0] == "per_test"} == {f"x{label}x"}
+
+
+@pytest.mark.parametrize("granularity", ["per-algorithm-test", "per-test"])
+def test_fcr_csv_report_reads_back_hostile_framework_labels(granularity, registry, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(GOOD_CSV)
+    b.write_text(GOOD_CSV.replace("0.5", "0.7").replace("0.6", "0.8"))
+    frameworks = [f"--framework={label}={path}" for label, path in zip(HOSTILE_LABELS, [a, b] * 3)]
+    argv = ["fcr", "--registry", registry, *frameworks, "--granularity", granularity]
+    records, report = _csv_and_json_reports(argv, tmp_path)
+    assert records == _report_records(report)
+    assert [row[1] for row in records if row[0] == "fcr"] == sorted(HOSTILE_LABELS)
 
 
 def test_coeff_tie_epsilon_matches_library(tmp_path):
@@ -631,6 +712,18 @@ def test_synth_draw_layouts_are_pinned(flags, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _record_reads(monkeypatch) -> list[str]:
+    """Patch the CLI's one file reader to record, in order, each path it reads."""
+    reads = []
+
+    def read(path, read=cli._read):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read", read)
+    return reads
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -641,14 +734,12 @@ def test_synth_draw_layouts_are_pinned(flags, digest, capsys):
     ids=["direction", "bounds", "empty name"],
 )
 def test_bad_registry_exits_2_before_reading_table(lines, message, tmp_path, monkeypatch, capsys):
-    def forbidden(path):
-        raise AssertionError("read the table of a bad registry")
-
-    monkeypatch.setattr(cli, "_read_table_file", forbidden)
+    reads = _record_reads(monkeypatch)
     path = tmp_path / "registry.txt"
     path.write_text(REGISTRY_TEXT + "\n".join(lines) + "\n")
     assert main(["coeff", "--registry", str(path), str(tmp_path / "t.csv")]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert reads == [str(path)]
 
 
 @pytest.mark.parametrize(
@@ -679,18 +770,12 @@ def test_synth_usage_error_exits_2_before_generating(flags, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("bad", ["registry", "table"])
 def test_non_utf8_input_exits_2_naming_the_file(bad, registry, table, monkeypatch, capsys):
-    reads = []
-
-    def read_table_file(path, read=cli._read_table_file):
-        reads.append(path)
-        return read(path)
-
-    monkeypatch.setattr(cli, "_read_table_file", read_table_file)
+    reads = _record_reads(monkeypatch)
     path = Path(registry if bad == "registry" else table)
     path.write_bytes(b"\xff" + path.read_bytes())
     assert main(["coeff", "--registry", registry, table]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"validation error: {path}: not UTF-8 text (")
-    assert reads == ([] if bad == "registry" else [table])
+    assert reads == ([registry] if bad == "registry" else [registry, table])
 
 
 def test_synth_flags_set_every_config_field():
@@ -789,6 +874,31 @@ def test_info_logging_reports_stages_and_counts(registry, tmp_path):
     for stage in ("ingest", "rank", "coefficients", "write report"):
         assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
     assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+
+def test_info_log_lines_match_the_table(tmp_path, caplog):
+    grid, reg = tmp_path / "synth.csv", tmp_path / "reg.txt"
+    assert main(["synth", "--noise-scale", "0.5", "--tie-prob", "0.3", "--fail-prob", "0.2",
+                 "--output", str(grid), "--registry-out", str(reg)]) == EXIT_OK
+    with caplog.at_level(logging.INFO, logger="rankbench"):
+        argv = ["coeff", "--registry", str(reg), "--output", str(tmp_path / "r.json"), str(grid)]
+        assert main(argv) == EXIT_OK
+    table = ingest(grid.read_text(), "csv", parse_registry(reg.read_text()))
+    counts = dict(zip(STATUSES, np.bincount(table.status.ravel(), minlength=len(STATUSES))))
+    n_ok = counts.pop(Status.OK)
+    n_ties = count_ties(rank_table(table))
+    assert n_ok < table.status.size and n_ties > 0  # the counts below are not all zero
+    failed = ", ".join(f"{status.value}={n}" for status, n in counts.items())
+    rows = len(table.suite) * table.n_seeds
+    for line in (
+        f"rows path: parsed {table.values.size} rows",
+        f"resolved {table.status.size - n_ok} failed cells: {failed}",
+        f"ranked {rows} rows: {n_ties} tie groups",
+    ):
+        assert caplog.messages.count(line) == 1, line
+    for stage in (f"ingest {grid}", "rank", "coefficients", "write report"):
+        timing = re.compile(rf"{re.escape(stage)}: \d+\.\d{{3}} s")
+        assert len([m for m in caplog.messages if timing.fullmatch(m)]) == 1, stage
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -3,12 +3,15 @@ import io
 import json
 import logging
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import table_of
 from rankbench import results
+from rankbench.ranking import rank_table, ranks_to_csv
 from rankbench.results import (
     CSV_COLUMNS,
     STATUSES,
@@ -18,6 +21,7 @@ from rankbench.results import (
     ResultTable,
     Status,
     ValidationError,
+    csv_fields,
     ingest,
     parse_registry,
     registry_to_text,
@@ -368,16 +372,26 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog):
     ]
 
 
+def _csv_records(table) -> list[list[str]]:
+    """The fields ``to_csv`` writes: the header, then one row per cell in key order."""
+    return [list(CSV_COLUMNS)] + [
+        [alg, test.dataset, test.metric, str(seed), "" if math.isnan(v) else repr(v), status.value]
+        for alg, test, seed, v, status in table.cells()
+    ]
+
+
 def _csv_writer_text(table) -> str:
     """``to_csv`` as ``csv.writer`` writes it, one row per cell."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        (alg, test.dataset, test.metric, seed, "" if math.isnan(v) else repr(v), status.value)
-        for alg, test, seed, v, status in table.cells()
-    )
+    csv.writer(buf, lineterminator="\n").writerows(_csv_records(table))
     return buf.getvalue()
+
+
+def _csv_writer_field(label: str) -> str:
+    """``label`` as ``csv.writer`` quotes it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
 def test_to_csv_matches_csv_writer_on_large_synth_grid():
@@ -390,19 +404,103 @@ def test_to_csv_matches_csv_writer_on_large_synth_grid():
     assert to_csv(table) == _csv_writer_text(table)
 
 
-@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"])
-@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
-def test_to_csv_quotes_labels_as_csv_writer_does(label, field):
+# Any text without a carriage return, with the characters that need quoting drawn often.
+NO_CR_TEXT = st.text(st.sampled_from(',"\n ab') | st.characters(exclude_characters="\r"))
+
+
+@given(st.lists(NO_CR_TEXT))
+def test_csv_fields_quote_as_csv_writer_does_without_carriage_return(labels):
+    assert csv_fields(labels) == {label: _csv_writer_field(label) for label in labels}
+
+
+@pytest.mark.parametrize("label", ["\r", "a\rb", '\r"', "\r\n"])
+def test_csv_fields_quote_a_carriage_return(label):
+    # csv.writer leaves a bare carriage return unquoted, and csv.reader then
+    # cannot read the field back; the one quoting rule quotes it.
+    field = csv_fields([label])[label]
+    assert field == '"' + label.replace('"', '""') + '"'
+    assert next(csv.reader(io.StringIO(f"{field},x\n"))) == [label, "x"]
+
+
+HOSTILE_LABELS = ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"]
+
+
+def _labelled_table(label: str, field: str):
+    """A two-by-two grid with one failed cell, whose ``field`` labels all start with ``label``."""
     items = _minimal_items((3, {"value": None, "status": "timeout"}))
     for item in items:
         item[field] = label + item[field]
     metric = items[0]["metric"]
-    table = ResultTable.from_columns(
+    return ResultTable.from_columns(
         *([item[key] for item in items] for key in CSV_COLUMNS[:5]),
         [STATUSES.index(Status(item["status"])) for item in items],
         {metric: MetricSpec(metric, Direction.HIGHER_BETTER)},
     )
-    assert to_csv(table) == _csv_writer_text(table)
+
+
+@pytest.mark.parametrize("label", HOSTILE_LABELS)
+@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
+def test_to_csv_quotes_labels_as_csv_writer_does(label, field):
+    table = _labelled_table(label, field)
+    # csv.writer leaves a field with a carriage return bare; to_csv quotes it.
+    expected = re.sub(r"[^,\n]*\r[^,\n]*", r'"\g<0>"', _csv_writer_text(table))
+    assert to_csv(table) == expected
+    assert list(csv.reader(io.StringIO(to_csv(table)))) == _csv_records(table)
+
+
+@pytest.mark.parametrize("label", HOSTILE_LABELS)
+@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
+def test_to_csv_reads_back_hostile_labels(label, field):
+    # Ingest strips surrounding whitespace from a label, so the hostile
+    # text sits inside it.
+    table = _labelled_table(f"x{label}", field)
+    again = ingest(to_csv(table), "csv", table.registry)
+    assert (again.suite, again.seeds, again.algorithms) == (
+        table.suite, table.seeds, table.algorithms
+    )
+    assert np.array_equal(again.values, table.values, equal_nan=True)
+    assert np.array_equal(again.status, table.status)
+
+
+@pytest.mark.parametrize("label", HOSTILE_LABELS)
+@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
+def test_ranks_to_csv_reads_back_hostile_labels(label, field):
+    cube = rank_table(_labelled_table(label, field))
+    assert list(csv.reader(io.StringIO(ranks_to_csv(cube)))) == [
+        ["dataset", "metric", "seed", "algorithm", "rank"]
+    ] + [
+        [test.dataset, test.metric, str(seed), alg, repr(rank)]
+        for test, per_seed in zip(cube.suite, cube.ranks.tolist())
+        for seed, row in zip(cube.seeds, per_seed)
+        for alg, rank in zip(cube.algorithms, row)
+    ]
+
+
+# The first offending record in input order is reported, and within a
+# record "status ok but no value" comes before "unknown metric".
+OK_WITHOUT_VALUE_CASES = {
+    "before a later unknown metric": (
+        [("a", "cora", "f1", 0, 0.5), ("b", "cora", "f1", 0, None), ("c", "cora", "nmi", 0, 0.1)],
+        "record ('b', 'cora', 'f1', 0): status ok but no value",
+    ),
+    "unknown metric alone": (
+        [("a", "cora", "f1", 0, 0.5), ("c", "cora", "nmi", 0, 0.1)],
+        "unknown metric 'nmi' (record ('c', 'cora', 'nmi', 0))",
+    ),
+    "same record as an unknown metric": (
+        [("a", "cora", "f1", 0, 0.5), ("c", "cora", "nmi", 0, None)],
+        "record ('c', 'cora', 'nmi', 0): status ok but no value",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, message", OK_WITHOUT_VALUE_CASES.values(), ids=OK_WITHOUT_VALUE_CASES.keys()
+)
+def test_from_columns_reports_ok_without_value_first(rows, message):
+    with pytest.raises(ValidationError) as exc:
+        table_of(rows, REGISTRY)
+    assert str(exc.value) == message
 
 
 def test_paper_shaped_suite_size():
@@ -455,6 +553,12 @@ INGEST_ERROR_CASES = {
     "long row after a blank line": (
         MINIMAL_CSV.replace("a,cora,f1,1,0.6,ok\n", "\na,cora,f1,1,0.6,ok,x\n"),
         "csv", False, "row 3: wrong number of fields",
+    ),
+    "bare carriage return after a blank line": (
+        MINIMAL_CSV.replace("a,cora,f1,1,0.6,ok\n", "\na\rx,cora,f1,1,0.6,ok\n"),
+        "csv", False,
+        "row 3: new-line character seen in unquoted field - "
+        "do you need to open the file in universal-newline mode?",
     ),
     "truncated JSON": (
         '[{"algorithm": "a",', "json", False,
