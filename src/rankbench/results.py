@@ -356,6 +356,17 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
+def _lines(text: str) -> io.TextIOWrapper:
+    """The lines of ``io.StringIO(text)``: split at ``"\\n"`` only, line ends kept.
+
+    They are decoded from one UTF-8 copy of the text, one byte per ASCII
+    character, where ``StringIO`` copies it at up to four bytes a
+    character. ``surrogatepass`` keeps lone surrogates as they are.
+    """
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n")
+
+
 def _csv_rows(text: str) -> Iterable[list[str]]:
     """Data rows of CSV text under the exact header.
 
@@ -364,7 +375,8 @@ def _csv_rows(text: str) -> Iterable[list[str]]:
     as a bare carriage return in an unquoted field, is an error of the row
     it is in.
     """
-    reader = csv.reader(io.StringIO(text))
+    lines = _lines(text)
+    reader = csv.reader(lines)
     rowno = 0  # the last row read
     try:
         header = next(reader, None)
@@ -378,7 +390,12 @@ def _csv_rows(text: str) -> Iterable[list[str]]:
                 raise ValidationError(f"row {rowno}: wrong number of fields")
             yield row
     except csv.Error as exc:
-        raise ValidationError(f"row {rowno + 1}: {exc}") from None
+        # Drop the hint "- do you need to open the file in universal-newline
+        # mode?": ingest is given text, so there is no file to reopen.
+        message = str(exc).partition(" - do you need")[0]
+        raise ValidationError(f"row {rowno + 1}: {message}") from None
+    finally:
+        lines.close()
 
 
 def _json_rows(items: list) -> Iterable[list[str]]:
@@ -422,9 +439,26 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     return algorithms, datasets, metrics, seeds, values, codes
 
 
+class _Labels(dict):
+    """Raw label field -> stripped label, one shared ``str`` per distinct label.
+
+    A field is stripped once, on first sight; a stripped label maps to
+    itself, so padded and unpadded fields of one label give one object.
+    """
+
+    def __missing__(self, field: str) -> str:
+        stripped = field.strip()
+        label = self[field] = self.setdefault(stripped, stripped)
+        return label
+
+
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
-    """Parse text rows into the six record columns; row numbers count from ``start``."""
+    """Parse text rows into the six record columns; row numbers count from ``start``.
+
+    The label columns hold one object per distinct label, not one per row.
+    """
     columns = algorithms, datasets, metrics, seeds, values, statuses = [], [], [], [], [], []
+    label = _Labels()
     for rowno, (algorithm, dataset, metric, seed, value, status) in enumerate(rows, start):
         code = _STATUS_TEXT_CODE.get(status.strip().lower())
         if code is None:
@@ -443,7 +477,7 @@ def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
             seeds.append(int(seed))
         except ValueError:
             raise ValidationError(f"row {rowno}: bad seed {seed!r}") from None
-        algorithm, dataset, metric = algorithm.strip(), dataset.strip(), metric.strip()
+        algorithm, dataset, metric = label[algorithm], label[dataset], label[metric]
         if not (algorithm and dataset and metric):
             raise ValidationError(f"row {rowno}: empty identifier")
         algorithms.append(algorithm)
