@@ -81,11 +81,13 @@ def _stage(name: str):
 
 
 def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
-    """Ingest a table file; returns the table and the sha256 of the bytes parsed."""
-    fmt = "json" if Path(path).suffix.lower() == ".json" else "csv"
+    """Ingest a table file; returns the table and the sha256 of the bytes parsed.
+
+    Its text, not its name, says whether it is CSV or JSON (see :func:`ingest`).
+    """
     with _stage(f"ingest {path}"):
         text, digest = _read(path)
-        return ingest(text, fmt, registry, drop_incomplete), digest
+        return ingest(text, registry, drop_incomplete), digest
 
 
 def _ranked(table, args):

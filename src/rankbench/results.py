@@ -15,7 +15,8 @@ items; CSV and any other JSON go through the row parser
 :class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
 which the pipeline never reads.
 
-Text crosses this module's boundary one way each: CSV is read by
+Text crosses this module's boundary one way each: :func:`ingest` tells
+CSV from JSON by the text's first non-whitespace character; CSV is read by
 ``csv.reader``, and text it cannot split is an error of the row it is
 in; every CSV writer of the package, :func:`to_csv` included, quotes
 labels by :func:`csv_fields` and joins its lines itself.
@@ -29,6 +30,7 @@ import itertools
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from enum import Enum
@@ -188,6 +190,8 @@ class ResultTable:
 
         ``value_column`` holds None where a failed run has no score, and
         ``status_column`` each record's index into :data:`STATUSES`.
+        Every algorithm, dataset and metric label must be a non-empty
+        ``str`` without surrounding whitespace, as ingest gives them.
         Record-level errors name the first offending record in input
         order, with the same check order as a record-by-record scan:
         status ok without a value, unknown metric, value outside bounds,
@@ -198,9 +202,9 @@ class ResultTable:
         n = len(algorithm_column)
         if not n:
             raise ValidationError("no records")
-        algorithms, alg = _codes(algorithm_column)
-        datasets, dataset = _codes(dataset_column)
-        metrics, metric = _codes(metric_column)
+        algorithms, alg = _codes(algorithm_column, "algorithm")
+        datasets, dataset = _codes(dataset_column, "dataset")
+        metrics, metric = _codes(metric_column, "metric")
         seeds, seed = _codes(seed_column)
         values = np.array(value_column, dtype=float)  # None becomes NaN
         status = np.array(status_column, dtype=np.int8)
@@ -289,9 +293,25 @@ class ResultTable:
         )
 
 
-def _codes(column: Sequence) -> tuple[tuple, np.ndarray]:
-    """Sorted distinct labels of a column and each entry's index into them."""
-    labels = tuple(sorted(set(column)))
+def _is_label(x) -> bool:
+    """Whether ``x`` is a label as ingest gives it: non-empty ``str``, no surrounding whitespace."""
+    return type(x) is str and x != "" and x.strip() == x
+
+
+def _codes(column: Sequence, field: str | None = None) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct labels of a column and each entry's index into them.
+
+    With ``field``, every distinct label must pass :func:`_is_label`. It is
+    checked before sorting, so a column of mixed types is a ValidationError
+    too; the message names the first bad entry in column order.
+    """
+    distinct = set(column)
+    if field is not None and not all(map(_is_label, distinct)):
+        bad = next(x for x in column if not _is_label(x))
+        raise ValidationError(
+            f"bad {field} label {bad!r}: not a non-empty str without surrounding whitespace"
+        )
+    labels = tuple(sorted(distinct))
     index = {x: i for i, x in enumerate(labels)}
     return labels, np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
 
@@ -430,10 +450,10 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable field
         return None
     if not (
-        all(type(label) is str and label and label.strip() == label for label in labels)
+        all(map(_is_label, labels))
         and set(map(type, seeds)) == {int}
         and set(map(type, values)) <= {float, type(None)}
-            and not any(value is None and code == OK for value, code in zip(values, codes))
+        and not any(value is None and code == OK for value, code in zip(values, codes))
     ):
         return None
     return algorithms, datasets, metrics, seeds, values, codes
@@ -489,21 +509,20 @@ def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
 
 def ingest(
     text: str,
-    fmt: str,
     registry: dict[str, MetricSpec],
     drop_incomplete: bool = False,
 ) -> ResultTable:
-    """Read a result table from CSV or JSON text.
+    """Read a result table from CSV or JSON text; the text says which.
 
-    CSV requires the exact header ``algorithm,dataset,metric,seed,value,status``.
-    JSON is an array of objects with the same field names. Canonical JSON
-    (exact field types, see :func:`_json_columns`) is read column by
-    column; CSV and any other JSON go through the row parser, which gives
-    every row-level error message, first error first.
+    Text whose first non-whitespace character is ``[`` or ``{`` is JSON,
+    an array of objects with the fields of :data:`CSV_COLUMNS`; any other
+    text is CSV, which must begin with the exact header
+    ``algorithm,dataset,metric,seed,value,status``, so the two never
+    overlap. Canonical JSON (exact field types, see :func:`_json_columns`)
+    is read column by column; CSV and any other JSON go through the row
+    parser, which gives every row-level error message, first error first.
     """
-    if fmt == "csv":
-        columns, path = _parse_rows(_csv_rows(text), start=2), "rows"
-    elif fmt == "json":
+    if re.match(r"\s*[\[{]", text):  # a match, not text.lstrip(), so the text is not copied
         try:
             items = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -514,7 +533,7 @@ def ingest(
         if columns is None:
             columns, path = _parse_rows(_json_rows(items), start=0), "rows"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        columns, path = _parse_rows(_csv_rows(text), start=2), "rows"
 
     log.info("%s path: parsed %d rows", path, len(columns[0]))
     return ResultTable.from_columns(*columns, registry, drop_incomplete)
@@ -540,8 +559,7 @@ def to_csv(table: ResultTable) -> str:
 
     Rows are in key order: algorithm, then test, then seed. A failed cell
     with no score has an empty value field. Labels are quoted by
-    :func:`csv_fields`, so :func:`ingest` reads every label back, a label
-    with surrounding whitespace aside (ingest strips it).
+    :func:`csv_fields`, so :func:`ingest` reads every label back.
     """
     field = csv_fields([*table.algorithms, *itertools.chain.from_iterable(table.suite)])
     return ",".join(CSV_COLUMNS) + "\n" + "".join(

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -304,7 +305,7 @@ def test_coeff_tie_epsilon_matches_library(tmp_path):
          str(grid)]
     ) == EXIT_OK
     report = json.loads(out.read_text())
-    table = ingest(grid.read_text(), "csv", parse_registry(registry.read_text()))
+    table = ingest(grid.read_text(), parse_registry(registry.read_text()))
     cube = rank_table(table, tie_epsilon=0.5)
     assert report["settings"]["tie_epsilon"] == 0.5
     assert report["n_ties"] == count_ties(cube) > count_ties(rank_table(table))
@@ -528,6 +529,60 @@ def test_bom_prefixed_inputs(tmp_path):
     report = json.loads(out.read_text())
     assert report["inputs"] == {str(path): hashlib.sha256(data).hexdigest()}
     assert [frag["n_ties"] for frag in report["coefficients"]] == [report["n_ties"]] * 3
+
+
+def _json_grid(table) -> str:
+    """``table`` as canonical JSON: int seeds, float values, null for a failed run without score."""
+    return json.dumps(
+        [
+            {"algorithm": alg, "dataset": test.dataset, "metric": test.metric, "seed": seed,
+             "value": None if math.isnan(value) else value, "status": status.value}
+            for alg, test, seed, value, status in table.cells()
+        ]
+    )
+
+
+@pytest.mark.parametrize("name, as_json", [("grid.txt", True), ("grid.json", False)])
+def test_validate_reads_the_format_from_the_text_not_the_name(name, as_json, registry, tmp_path):
+    path = tmp_path / name
+    table = ingest(GOOD_CSV, parse_registry(REGISTRY_TEXT))
+    path.write_text(_json_grid(table) if as_json else GOOD_CSV)
+    assert main(["validate", "--registry", registry, str(path)]) == EXIT_OK
+
+
+def test_coeff_and_fcr_write_the_same_report_from_json_as_from_csv(tmp_path):
+    reg = tmp_path / "reg.txt"
+    for label, seed in (("p", "1"), ("q", "2")):
+        grid = tmp_path / f"{label}.csv"
+        argv = ["synth", "--rng-seed", seed, "--noise-scale", "0.5", "--tie-prob", "0.3",
+                "--fail-prob", "0.2", "--output", str(grid), "--registry-out", str(reg)]
+        assert main(argv) == EXIT_OK
+        table = ingest(grid.read_text(), parse_registry(reg.read_text()))
+        assert (table.status != 0).any()  # the JSON holds null values
+        (tmp_path / f"{label}.json").write_text(_json_grid(table))
+
+    def report(argv):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--registry", str(reg), "--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        del report["inputs"]
+        return report
+
+    p_csv, q_csv, p_json, q_json = (tmp_path / f for f in ("p.csv", "q.csv", "p.json", "q.json"))
+    assert report(["coeff", str(p_json)]) == report(["coeff", str(p_csv)])
+    assert report(["fcr", "--framework", f"p={p_json}", "--framework", f"q={q_json}"]) == report(
+        ["fcr", "--framework", f"p={p_csv}", "--framework", f"q={q_csv}"]
+    )
+
+
+def test_runtime_value_error_exits_1_with_its_message(registry, table, monkeypatch, capsys):
+    def fail(cube, name):
+        raise ValueError(f"{name} failed")
+
+    monkeypatch.setattr(cli, "randomness", fail)
+    assert main(["coeff", "--registry", registry, "--coefficients", "w", table]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: w failed\n")
 
 
 def test_coeff_and_converge_report_the_same_warnings(registry, tmp_path):
@@ -883,7 +938,7 @@ def test_info_log_lines_match_the_table(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="rankbench"):
         argv = ["coeff", "--registry", str(reg), "--output", str(tmp_path / "r.json"), str(grid)]
         assert main(argv) == EXIT_OK
-    table = ingest(grid.read_text(), "csv", parse_registry(reg.read_text()))
+    table = ingest(grid.read_text(), parse_registry(reg.read_text()))
     counts = dict(zip(STATUSES, np.bincount(table.status.ravel(), minlength=len(STATUSES))))
     n_ok = counts.pop(Status.OK)
     n_ties = count_ties(rank_table(table))

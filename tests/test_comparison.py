@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +134,13 @@ def test_mismatched_directions_rejected():
     flipped = {"score": MetricSpec("score", Direction.LOWER_BETTER)}
     with pytest.raises(ValidationError, match="metric 'score' direction mismatch"):
         fcr({"p": table_from_grid(BASE), "q": table_from_grid(BASE, registry=flipped)})
+
+
+def test_empty_suite_rejected():
+    table = table_from_grid(BASE)
+    empty = replace(table, suite=(), values=table.values[:0], status=table.status[:0])
+    with pytest.raises(ValidationError, match=r"^empty suite$"):
+        fcr({"p": empty, "q": empty})
 
 
 def test_fewer_than_two_frameworks_rejected():

@@ -116,6 +116,10 @@ class TestWRandomness:
         with pytest.raises(ValueError, match="empty"):
             randomness(empty, "w")
 
+    def test_one_algorithm_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least 2 algorithms$"):
+            randomness(cube_of([[1], [1]]), "w")
+
     def test_seed_permutation_invariance(self):
         rng = np.random.default_rng(3)
         rows = [list(rng.permutation(4) + 1) for _ in range(5)]

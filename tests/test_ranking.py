@@ -175,7 +175,7 @@ class TestRankTable:
             "c,d,loss,0,5,ok\n"
         )
         registry = {"loss": MetricSpec("loss", Direction.LOWER_BETTER)}
-        cube = rank_table(ingest(csv_text, "csv", registry), tie_epsilon=eps)
+        cube = rank_table(ingest(csv_text, registry), tie_epsilon=eps)
         assert cube.ranks[0, 0].tolist() == expected
 
     def test_ok_score_at_worst_bound_ties_with_failures(self):
@@ -186,7 +186,7 @@ class TestRankTable:
             "c,d,f1,0,,oom\n"
         )
         registry = {"f1": MetricSpec("f1", Direction.HIGHER_BETTER, (0.0, 1.0))}
-        cube = rank_table(ingest(csv_text, "csv", registry))
+        cube = rank_table(ingest(csv_text, registry))
         assert cube.ranks[0, 0].tolist() == [1.0, 2.5, 2.5]
 
     def test_paper_shaped_table(self):

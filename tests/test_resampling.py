@@ -98,6 +98,8 @@ def test_errors():
         subsample_convergence(cube, coefficients=[])
     with pytest.raises(ValueError, match="unknown coefficient"):
         subsample_convergence(cube, coefficients=["spearman"])
+    with pytest.raises(ValueError, match=r"^repeats must be >= 1$"):
+        subsample_convergence(cube, repeats=0)
     with pytest.raises(ValueError, match="empty suite"):
         subsample_convergence(
             RankCube((), (0,), ("a", "b"), TiePolicy.MEAN_OF_TIED, np.empty((0, 1, 2)))

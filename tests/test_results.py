@@ -47,7 +47,7 @@ b,cora,f1,1,0.3,ok
 
 
 def test_ingest_minimal_grid():
-    table = ingest(MINIMAL_CSV, "csv", REGISTRY)
+    table = ingest(MINIMAL_CSV, REGISTRY)
     assert table.n_algorithms == 2
     assert table.n_seeds == 2
     assert len(table.suite) == 1
@@ -57,35 +57,35 @@ def test_ingest_minimal_grid():
 def test_missing_cell_is_named():
     truncated = "\n".join(MINIMAL_CSV.splitlines()[:-1]) + "\n"
     with pytest.raises(ValidationError, match=r"algorithm=b.*seed=1"):
-        ingest(truncated, "csv", REGISTRY)
+        ingest(truncated, REGISTRY)
 
 
 def test_duplicate_key_rejected():
     dup = MINIMAL_CSV + "b,cora,f1,1,0.35,ok\n"
     with pytest.raises(ValidationError, match="duplicate"):
-        ingest(dup, "csv", REGISTRY)
+        ingest(dup, REGISTRY)
 
 
 def test_unknown_metric_rejected():
     with pytest.raises(ValidationError, match="unknown metric"):
-        ingest(MINIMAL_CSV.replace("f1", "nmi"), "csv", REGISTRY)
+        ingest(MINIMAL_CSV.replace("f1", "nmi"), REGISTRY)
 
 
 def test_bad_header_rejected():
     with pytest.raises(ValidationError, match="header"):
-        ingest(MINIMAL_CSV.replace("algorithm", "alg"), "csv", REGISTRY)
+        ingest(MINIMAL_CSV.replace("algorithm", "alg"), REGISTRY)
 
 
 def test_ok_row_requires_value():
     bad = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,ok")
     with pytest.raises(ValidationError, match="status ok requires a value"):
-        ingest(bad, "csv", REGISTRY)
+        ingest(bad, REGISTRY)
 
 
 def test_value_outside_bounds_rejected():
     bad = MINIMAL_CSV.replace("0.6", "1.5")
     with pytest.raises(ValidationError, match="bounds"):
-        ingest(bad, "csv", REGISTRY)
+        ingest(bad, REGISTRY)
 
 
 # "loss" is unbounded, so no bounds check applies to its values.
@@ -97,15 +97,15 @@ def test_non_finite_ok_value_rejected(value):
     bad = LOSS_CSV.replace("b,cora,loss,1,0.3,ok", f"b,cora,loss,1,{value},ok")
     message = rf"record \('b', 'cora', 'loss', 1\): non-finite value {value}$"
     with pytest.raises(ValidationError, match=message):
-        ingest(bad, "csv", REGISTRY)
+        ingest(bad, REGISTRY)
 
 
 def test_failed_cell_may_carry_infinity():
     csv_text = LOSS_CSV.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,inf,oom")
-    table = ingest(csv_text, "csv", REGISTRY)
+    table = ingest(csv_text, REGISTRY)
     resolved = to_csv(resolve_failures(table))
     assert "b,cora,loss,1,inf,oom" in resolved.splitlines()
-    assert to_csv(ingest(resolved, "csv", REGISTRY)) == resolved
+    assert to_csv(ingest(resolved, REGISTRY)) == resolved
 
 
 def test_to_csv_writes_key_order_and_empty_failed_scores():
@@ -116,7 +116,7 @@ def test_to_csv_writes_key_order_and_empty_failed_scores():
         "b,cora,loss,0,0.3,ok\n"
         "a,cora,loss,0,1e-300,ok\n"
     )
-    assert to_csv(ingest(shuffled, "csv", REGISTRY)).splitlines() == [
+    assert to_csv(ingest(shuffled, REGISTRY)).splitlines() == [
         "algorithm,dataset,metric,seed,value,status",
         "a,cora,loss,0,1e-300,ok",
         "a,cora,loss,1,-0.0,ok",
@@ -133,7 +133,7 @@ def test_records_view_lists_every_cell_in_key_order():
         "b,cora,loss,1,0.3,ok\n"
         "a,cora,loss,1,0.5,ok\n"
     )
-    table = ingest(csv_text, "csv", REGISTRY)
+    table = ingest(csv_text, REGISTRY)
     assert table.records == (
         ResultRecord("a", "cora", "loss", 0, math.inf, Status.OUT_OF_MEMORY),
         ResultRecord("a", "cora", "loss", 1, 0.5),
@@ -149,8 +149,8 @@ def test_json_ingest_matches_csv():
         {"algorithm": "b", "dataset": "cora", "metric": "f1", "seed": 0, "value": 0.4, "status": "ok"},
         {"algorithm": "b", "dataset": "cora", "metric": "f1", "seed": 1, "value": 0.3, "status": "ok"},
     ]
-    via_json = ingest(json.dumps(items), "json", REGISTRY)
-    via_csv = ingest(MINIMAL_CSV, "csv", REGISTRY)
+    via_json = ingest(json.dumps(items), REGISTRY)
+    via_csv = ingest(MINIMAL_CSV, REGISTRY)
     assert to_csv(via_json) == to_csv(via_csv)
 
 
@@ -281,10 +281,10 @@ def test_json_ingest_outcomes_are_pinned(items, outcome):
     # json.dumps writes math.inf as Infinity; a 1e400 literal parses to the same float.
     text = json.dumps(items).replace("Infinity", "1e400")
     if outcome.startswith("algorithm,"):
-        assert to_csv(ingest(text, "json", REGISTRY)) == outcome
+        assert to_csv(ingest(text, REGISTRY)) == outcome
     else:
         with pytest.raises(ValidationError) as exc:
-            ingest(text, "json", REGISTRY)
+            ingest(text, REGISTRY)
         assert str(exc.value) == outcome
 
 
@@ -298,7 +298,7 @@ def _outcome(read) -> str:
 
 def _assert_ingest_matches_row_parser(items):
     text = json.dumps(items)
-    assert _outcome(lambda: ingest(text, "json", REGISTRY)) == _outcome(
+    assert _outcome(lambda: ingest(text, REGISTRY)) == _outcome(
         lambda: ResultTable.from_columns(
             *results._parse_rows(results._json_rows(json.loads(text)), 0), REGISTRY
         )
@@ -359,15 +359,15 @@ def test_only_non_canonical_json_reaches_row_parser(name, monkeypatch):
 
     monkeypatch.setattr(results, "_parse_rows", row_parser)
     items, outcome = ALL_JSON_CASES[name]
-    assert _outcome(lambda: ingest(json.dumps(items), "json", REGISTRY)) == outcome
+    assert _outcome(lambda: ingest(json.dumps(items), REGISTRY)) == outcome
     assert calls == ([] if name in COLUMN_PATH_CASES else [0])
 
 
 def test_ingest_logs_which_path_parsed_the_rows(caplog):
     with caplog.at_level(logging.INFO, logger="rankbench.results"):
-        ingest(json.dumps(_minimal_items()), "json", REGISTRY)
-        ingest(json.dumps(_minimal_items((0, {"seed": "0"}))), "json", REGISTRY)
-        ingest(MINIMAL_CSV, "csv", REGISTRY)
+        ingest(json.dumps(_minimal_items()), REGISTRY)
+        ingest(json.dumps(_minimal_items((0, {"seed": "0"}))), REGISTRY)
+        ingest(MINIMAL_CSV, REGISTRY)
     assert caplog.messages == [
         "columns path: parsed 4 rows", "rows path: parsed 4 rows", "rows path: parsed 4 rows"
     ]
@@ -427,10 +427,13 @@ HOSTILE_LABELS = ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"]
 
 
 def _labelled_table(label: str, field: str):
-    """A two-by-two grid with one failed cell, whose ``field`` labels all start with ``label``."""
+    """A two-by-two grid with one failed cell; every ``field`` label starts with ``"x" + label``.
+
+    The ``x`` keeps a hostile ``label`` that starts with whitespace a valid label.
+    """
     items = _minimal_items((3, {"value": None, "status": "timeout"}))
     for item in items:
-        item[field] = label + item[field]
+        item[field] = "x" + label + item[field]
     metric = items[0]["metric"]
     return ResultTable.from_columns(
         *([item[key] for item in items] for key in CSV_COLUMNS[:5]),
@@ -452,10 +455,8 @@ def test_to_csv_quotes_labels_as_csv_writer_does(label, field):
 @pytest.mark.parametrize("label", HOSTILE_LABELS)
 @pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
 def test_to_csv_reads_back_hostile_labels(label, field):
-    # Ingest strips surrounding whitespace from a label, so the hostile
-    # text sits inside it.
-    table = _labelled_table(f"x{label}", field)
-    again = ingest(to_csv(table), "csv", table.registry)
+    table = _labelled_table(label, field)
+    again = ingest(to_csv(table), table.registry)
     assert (again.suite, again.seeds, again.algorithms) == (
         table.suite, table.seeds, table.algorithms
     )
@@ -475,6 +476,71 @@ def test_ranks_to_csv_reads_back_hostile_labels(label, field):
         for seed, row in zip(cube.seeds, per_seed)
         for alg, rank in zip(cube.algorithms, row)
     ]
+
+
+def _columns_with(field: str, label) -> list[list]:
+    """The columns of the two-by-two grid, with ``field`` of its first record set to ``label``."""
+    items = _minimal_items((0, {field: label}))
+    return [
+        *([item[key] for item in items] for key in CSV_COLUMNS[:5]),
+        [STATUSES.index(Status(item["status"])) for item in items],
+    ]
+
+
+# Labels that ingest never gives. The int and None mix types in a column,
+# which used to raise TypeError from sorting the distinct labels.
+BAD_LABELS = {
+    "trailing newline": "x\n",
+    "leading space": " x",
+    "inner text padded": "\tx y\u2028",
+    "empty": "",
+    "whitespace only": " ",
+    "int": 1,
+    "None": None,
+}
+
+
+@pytest.mark.parametrize("label", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+@pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
+def test_from_columns_rejects_labels_ingest_never_gives(label, field):
+    with pytest.raises(ValidationError) as exc:
+        ResultTable.from_columns(*_columns_with(field, label), REGISTRY)
+    assert str(exc.value) == (
+        f"bad {field} label {label!r}: not a non-empty str without surrounding whitespace"
+    )
+
+
+LABELS = st.text(min_size=1).filter(lambda label: label.strip() == label)
+
+
+@given(
+    st.lists(LABELS, min_size=2, max_size=3, unique=True),
+    st.lists(LABELS, min_size=1, max_size=2, unique=True),
+    st.lists(LABELS, min_size=1, max_size=2, unique=True),
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=2, unique=True),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_to_csv_reads_back_any_valid_labels(algorithms, datasets, metrics, seeds, data):
+    keys = [(a, d, m, s) for a in algorithms for d in datasets for m in metrics for s in seeds]
+    codes = st.sampled_from(range(len(STATUSES)))
+    statuses = data.draw(st.lists(codes, min_size=len(keys), max_size=len(keys)))
+    values = [
+        data.draw(
+            st.floats(allow_nan=False, allow_infinity=False)
+            if STATUSES[code] is Status.OK
+            else st.one_of(st.none(), st.floats(allow_nan=False))
+        )
+        for code in statuses
+    ]
+    registry = {m: MetricSpec(m, Direction.HIGHER_BETTER) for m in metrics}
+    table = ResultTable.from_columns(*map(list, zip(*keys)), values, statuses, registry)
+    again = ingest(to_csv(table), registry)
+    assert (again.suite, again.seeds, again.algorithms) == (
+        table.suite, table.seeds, table.algorithms
+    )
+    assert np.array_equal(again.values, table.values, equal_nan=True)
+    assert np.array_equal(again.status, table.status)
 
 
 # The first offending record in input order is reported, and within a
@@ -520,8 +586,8 @@ def test_paper_shaped_suite_size():
 
 
 def test_round_trip_stability():
-    table = ingest(MINIMAL_CSV, "csv", REGISTRY)
-    again = ingest(to_csv(table), "csv", REGISTRY)
+    table = ingest(MINIMAL_CSV, REGISTRY)
+    again = ingest(to_csv(table), REGISTRY)
     assert to_csv(again) == to_csv(table)
     assert again.suite == table.suite
 
@@ -529,7 +595,7 @@ def test_round_trip_stability():
 def test_row_order_independence():
     lines = MINIMAL_CSV.splitlines()
     shuffled = "\n".join([lines[0]] + list(reversed(lines[1:]))) + "\n"
-    assert to_csv(ingest(shuffled, "csv", REGISTRY)) == to_csv(ingest(MINIMAL_CSV, "csv", REGISTRY))
+    assert to_csv(ingest(shuffled, REGISTRY)) == to_csv(ingest(MINIMAL_CSV, REGISTRY))
 
 
 def test_drop_incomplete_removes_whole_test():
@@ -538,52 +604,51 @@ def test_drop_incomplete_removes_whole_test():
         "a,cora,conductance,1,0.2,ok\n"
         "b,cora,conductance,0,0.3,ok\n"
     )  # conductance test misses (b, seed 1)
-    table = ingest(two_tests, "csv", REGISTRY, drop_incomplete=True)
+    table = ingest(two_tests, REGISTRY, drop_incomplete=True)
     assert [t.metric for t in table.suite] == ["f1"]
     with pytest.raises(ValidationError, match="incomplete"):
-        ingest(two_tests, "csv", REGISTRY)
+        ingest(two_tests, REGISTRY)
 
 
 # Messages computed before the CLI declared its inputs once: the text,
-# its format, drop_incomplete and the ValidationError message.
+# drop_incomplete and the ValidationError message.
 INGEST_ERROR_CASES = {
     "short row": (
         MINIMAL_CSV.replace("b,cora,f1,0,0.4,ok", "b,cora,f1,0,0.4"),
-        "csv", False, "row 4: wrong number of fields",
+        False, "row 4: wrong number of fields",
     ),
     "long row after a blank line": (
         MINIMAL_CSV.replace("a,cora,f1,1,0.6,ok\n", "\na,cora,f1,1,0.6,ok,x\n"),
-        "csv", False, "row 3: wrong number of fields",
+        False, "row 3: wrong number of fields",
     ),
     "bare carriage return after a blank line": (
         MINIMAL_CSV.replace("a,cora,f1,1,0.6,ok\n", "\na\rx,cora,f1,1,0.6,ok\n"),
-        "csv", False,
-        "row 3: new-line character seen in unquoted field",
+        False, "row 3: new-line character seen in unquoted field",
     ),
     "truncated JSON": (
-        '[{"algorithm": "a",', "json", False,
+        '[{"algorithm": "a",', False,
         "bad JSON: Expecting property name enclosed in double quotes: line 1 column 20 (char 19)",
     ),
-    "JSON object": ('{"algorithm": "a"}', "json", False, "JSON input must be an array of objects"),
+    "JSON object": ('{"algorithm": "a"}', False, "JSON input must be an array of objects"),
     "one algorithm": (
         "".join(line for line in MINIMAL_CSV.splitlines(True) if not line.startswith("b,")),
-        "csv", False, "need at least 2 algorithms",
+        False, "need at least 2 algorithms",
     ),
     "every test incomplete": (
         "\n".join(MINIMAL_CSV.splitlines()[:-1]) + "\n",
-        "csv", True, "every test has missing cells; nothing left",
+        True, "every test has missing cells; nothing left",
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "text, fmt, drop_incomplete, message",
+    "text, drop_incomplete, message",
     INGEST_ERROR_CASES.values(),
     ids=INGEST_ERROR_CASES.keys(),
 )
-def test_ingest_error_messages_are_pinned(text, fmt, drop_incomplete, message):
+def test_ingest_error_messages_are_pinned(text, drop_incomplete, message):
     with pytest.raises(ValidationError) as exc:
-        ingest(text, fmt, REGISTRY, drop_incomplete)
+        ingest(text, REGISTRY, drop_incomplete)
     assert str(exc.value) == message
 
 
@@ -636,7 +701,7 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     text = to_csv(table)
     tracemalloc.start()
     try:
-        ingest(text, "csv", table.registry)
+        ingest(text, table.registry)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,14 +711,14 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
 class TestResolveFailures:
     def test_bounded_metric_gets_worst_endpoint(self):
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
-        table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
+        table = resolve_failures(ingest(csv_text, REGISTRY))
         assert table.values[0, 1, 1] == 0.0  # (cora/f1, seed 1, b)
 
     def test_lower_better_bounded_gets_upper_endpoint(self):
         csv_text = MINIMAL_CSV.replace("f1", "conductance").replace(
             "b,cora,conductance,1,0.3,ok", "b,cora,conductance,1,,timeout"
         )
-        table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
+        table = resolve_failures(ingest(csv_text, REGISTRY))
         assert table.values[0, 1, 1] == 1.0  # (cora/conductance, seed 1, b)
 
     def test_unbounded_sentinel_strictly_worse(self):
@@ -663,7 +728,7 @@ class TestResolveFailures:
             "b,cora,loss,0,0.5,ok\n"
             "c,cora,loss,0,,error\n"
         )
-        table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
+        table = resolve_failures(ingest(csv_text, REGISTRY))
         sentinel = table.values[0, 0, 2]  # (cora/loss, seed 0, c)
         assert sentinel == math.inf  # no bound: worse than any finite score
 
@@ -674,13 +739,13 @@ class TestResolveFailures:
             "b,cora,loss,0,,oom\n"
             "c,cora,loss,0,,oom\n"
         )
-        table = resolve_failures(ingest(csv_text, "csv", REGISTRY))
+        table = resolve_failures(ingest(csv_text, REGISTRY))
         b, c = table.values[0, 0, 1:]
         assert b == c
 
     def test_idempotent_and_ok_untouched(self):
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
-        once = resolve_failures(ingest(csv_text, "csv", REGISTRY))
+        once = resolve_failures(ingest(csv_text, REGISTRY))
         twice = resolve_failures(once)
         assert to_csv(once) == to_csv(twice)
         assert once.values[0, 0, 0] == 0.5  # (cora/f1, seed 0, a)

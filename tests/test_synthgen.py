@@ -143,7 +143,7 @@ def test_failure_records_have_oom_status():
 )
 def test_cubes_match_their_csv_ingested(config):
     table = generate(config)
-    again = ingest(to_csv(table), "csv", table.registry)
+    again = ingest(to_csv(table), table.registry)
     assert (again.suite, again.seeds, again.algorithms) == (
         table.suite,
         table.seeds,
