@@ -22,7 +22,8 @@ def _scale(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> floa
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def render_convergence_svg(report: ConvergenceReport) -> str:
+def render_convergence_svg(report: ConvergenceReport) -> list[str]:
+    """The SVG document, one element per line, as a list of its lines."""
     x_lo, x_hi = min(report.sizes), max(report.sizes)
     order = np.argsort(report.sizes, kind="stable")
     sizes = [report.sizes[i] for i in order]
@@ -79,4 +80,4 @@ def render_convergence_svg(report: ConvergenceReport) -> str:
         )
 
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return [part + "\n" for part in parts]

@@ -142,20 +142,29 @@ def subsample_convergence(
     )
 
 
-def plot_data_csv(report: ConvergenceReport) -> str:
-    """Long-format CSV: size,repeat,coefficient,value."""
-    lines = ["size,repeat,coefficient,value\n"]
-    for k, by_coefficient in zip(report.sizes, report.values.tolist()):
-        for c, values in zip(report.coefficients, by_coefficient):
-            lines.extend([f"{k},{rep},{c},{value!r}\n" for rep, value in enumerate(values)])
-    return "".join(lines)
-
-
-def summary_csv(report: ConvergenceReport) -> str:
-    """Summary CSV: size,coefficient,mean,std."""
-    lines = ["size,coefficient,mean,std\n"]
-    for k, means, stds in zip(report.sizes, report.mean.tolist(), report.std.tolist()):
-        lines.extend(
-            [f"{k},{c},{m!r},{sd!r}\n" for c, m, sd in zip(report.coefficients, means, stds)]
+def plot_data_csv(report: ConvergenceReport) -> list[str]:
+    """Long-format CSV ``size,repeat,coefficient,value``: the header, then one piece per size."""
+    pieces = ["size,repeat,coefficient,value\n"]
+    for k, by_coefficient in zip(report.sizes, report.values):
+        pieces.append(
+            "".join(
+                [
+                    f"{k},{rep},{c},{value!r}\n"
+                    for c, values in zip(report.coefficients, by_coefficient.tolist())
+                    for rep, value in enumerate(values)
+                ]
+            )
         )
-    return "".join(lines)
+    return pieces
+
+
+def summary_csv(report: ConvergenceReport) -> list[str]:
+    """Summary CSV ``size,coefficient,mean,std``: the header, then one piece per size."""
+    pieces = ["size,coefficient,mean,std\n"]
+    for k, means, stds in zip(report.sizes, report.mean.tolist(), report.std.tolist()):
+        pieces.append(
+            "".join(
+                [f"{k},{c},{m!r},{sd!r}\n" for c, m, sd in zip(report.coefficients, means, stds)]
+            )
+        )
+    return pieces

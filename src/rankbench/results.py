@@ -191,7 +191,8 @@ class ResultTable:
         ``value_column`` holds None where a failed run has no score, and
         ``status_column`` each record's index into :data:`STATUSES`.
         Every algorithm, dataset and metric label must be a non-empty
-        ``str`` without surrounding whitespace, as ingest gives them.
+        ``str`` without surrounding whitespace, and every seed an ``int``,
+        as ingest gives them.
         Record-level errors name the first offending record in input
         order, with the same check order as a record-by-record scan:
         status ok without a value, unknown metric, value outside bounds,
@@ -205,7 +206,7 @@ class ResultTable:
         algorithms, alg = _codes(algorithm_column, "algorithm")
         datasets, dataset = _codes(dataset_column, "dataset")
         metrics, metric = _codes(metric_column, "metric")
-        seeds, seed = _codes(seed_column)
+        seeds, seed = _codes(seed_column, "seed")
         values = np.array(value_column, dtype=float)  # None becomes NaN
         status = np.array(status_column, dtype=np.int8)
         has_value = np.array([v is not None for v in value_column], dtype=bool)
@@ -298,16 +299,30 @@ def _is_label(x) -> bool:
     return type(x) is str and x != "" and x.strip() == x
 
 
-def _codes(column: Sequence, field: str | None = None) -> tuple[tuple, np.ndarray]:
-    """Sorted distinct labels of a column and each entry's index into them.
+def _is_seed(x) -> bool:
+    """Whether ``x`` is a seed as ingest gives it: an ``int``, not a ``bool``."""
+    return type(x) is int
 
-    With ``field``, every distinct label must pass :func:`_is_label`. It is
-    checked before sorting, so a column of mixed types is a ValidationError
-    too; the message names the first bad entry in column order.
+
+def _codes(column: Sequence, field: str) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct entries of a column and each entry's index into them.
+
+    Every entry must be as ingest gives it: a seed an ``int`` (not a
+    ``bool``), any other field a label that passes :func:`_is_label`. The
+    check runs before sorting, and an unhashable entry fails it too, so a
+    column of mixed or unhashable types is a ValidationError naming the
+    column and its first bad entry in column order.
     """
-    distinct = set(column)
-    if field is not None and not all(map(_is_label, distinct)):
-        bad = next(x for x in column if not _is_label(x))
+    valid = _is_seed if field == "seed" else _is_label
+    try:
+        distinct = set(column)
+        ok = all(map(valid, distinct))
+    except TypeError:  # an unhashable entry, which is never valid
+        ok = False
+    if not ok:
+        bad = next(x for x in column if not valid(x))
+        if field == "seed":
+            raise ValidationError(f"bad seed {bad!r}: not an int")
         raise ValidationError(
             f"bad {field} label {bad!r}: not a non-empty str without surrounding whitespace"
         )

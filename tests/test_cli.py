@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import hashlib
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.concordance import COEFFICIENTS, randomness
 from rankbench.ranking import count_ties, rank_table
+from rankbench.resampling import subsample_convergence
 from rankbench.results import STATUSES, ResultTable, Status, ingest, parse_registry
-from rankbench.synthgen import SynthConfig
+from rankbench.synthgen import SynthConfig, generate
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -893,6 +896,69 @@ def test_rank_and_converge_outputs_are_pinned(tmp_path, monkeypatch):
             assert report["convergence"]["provenance"] == (
                 "03d2b37110415ba5df23bd59b1f7d661e0f19355b9070de4b118d9398a371976"
             )
+
+
+def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path):
+    # 1,000 tests give 1,000 sizes. Built whole, with its chunk list, the
+    # text peaks near 7x the bytes written; in pieces, one batch is held.
+    table = generate(SynthConfig(n_algorithms=3, n_datasets=250, n_metrics=4, n_seeds=3,
+                                 noise_scale=0.5))
+    conv = subsample_convergence(rank_table(table), repeats=2)
+    fragment = conv.fragment()
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._emit_report(argparse.Namespace(output=str(out)), table.registry, {},
+                         convergence=fragment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fragment["sizes"]) == 1000
+    assert json.loads(out.read_text())["convergence"] == fragment
+    assert peak < 2 * out.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["converge", "coeff"])
+def test_stdout_output_is_the_bytes_written_to_a_file(command, tmp_path):
+    # An unbuffered stdout takes one write per batch of pieces, and the report
+    # spans several batches: no piece of the indented JSON holds two newlines.
+    grid, reg, out = tmp_path / "grid.csv", tmp_path / "reg.txt", tmp_path / "report.json"
+    assert main(["synth", "--datasets", "100", "--noise-scale", "0.5", "--tie-prob", "0.2",
+                 "--output", str(grid), "--registry-out", str(reg)]) == EXIT_OK
+    argv = [command, "--registry", str(reg), str(grid), "--output"]
+    assert main([*argv, str(out)]) == EXIT_OK
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "rankbench.cli", *argv, "-"],
+                          env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout.count(b"\n") > 2 * cli._WRITE_BATCH
+    assert proc.stdout == out.read_bytes()
+
+
+def test_every_output_is_written_as_pieces(tmp_path, monkeypatch):
+    # A bare str would be written one character at a time.
+    write, outputs = cli._write_output, []
+
+    def pieces_only(pieces, output):
+        assert not isinstance(pieces, str), output
+        outputs.append(Path(output).name)
+        write(pieces, output)
+
+    monkeypatch.setattr(cli, "_write_output", pieces_only)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["synth", "--output", "grid.csv", "--registry-out", "reg.txt"],
+        ["rank", "--registry", "reg.txt", "--output", "ranks.csv", "grid.csv"],
+        ["coeff", "--registry", "reg.txt", "--format", "csv", "--output", "coeff.csv", "grid.csv"],
+        ["fcr", "--registry", "reg.txt", "--framework", "p=grid.csv", "--framework", "q=grid.csv",
+         "--output", "fcr.json"],
+        ["converge", "--registry", "reg.txt", "--output", "converge.json", "--plot-out", "plot.csv",
+         "--summary-out", "summary.csv", "--svg-out", "chart.svg", "grid.csv"],
+    ):
+        assert main(argv) == EXIT_OK
+    assert outputs == ["grid.csv", "reg.txt", "ranks.csv", "coeff.csv", "fcr.json",
+                       "converge.json", "plot.csv", "summary.csv", "chart.svg"]
 
 
 def _run_cli(argv, cwd, level=None):

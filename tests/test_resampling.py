@@ -108,10 +108,10 @@ def test_errors():
 
 def test_csv_outputs():
     report = subsample_convergence(noisy_suite(), ["w"], sizes=[1, 2], repeats=3)
-    plot = plot_data_csv(report).splitlines()
+    plot = "".join(plot_data_csv(report)).splitlines()
     assert plot[0] == "size,repeat,coefficient,value"
     assert len(plot) == 1 + 2 * 3
-    summary = summary_csv(report).splitlines()
+    summary = "".join(summary_csv(report)).splitlines()
     assert summary[0] == "size,coefficient,mean,std"
     assert len(summary) == 1 + 2
 

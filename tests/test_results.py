@@ -488,7 +488,8 @@ def _columns_with(field: str, label) -> list[list]:
 
 
 # Labels that ingest never gives. The int and None mix types in a column,
-# which used to raise TypeError from sorting the distinct labels.
+# which used to raise TypeError from sorting the distinct labels, and the
+# list used to raise TypeError from hashing them.
 BAD_LABELS = {
     "trailing newline": "x\n",
     "leading space": " x",
@@ -497,6 +498,7 @@ BAD_LABELS = {
     "whitespace only": " ",
     "int": 1,
     "None": None,
+    "unhashable": ["a"],
 }
 
 
@@ -508,6 +510,19 @@ def test_from_columns_rejects_labels_ingest_never_gives(label, field):
     assert str(exc.value) == (
         f"bad {field} label {label!r}: not a non-empty str without surrounding whitespace"
     )
+
+
+# Seeds that ingest never gives. A float or bool equal to an int seed used
+# to merge with it; the str and None raised TypeError from sorting and the
+# list from hashing.
+BAD_SEEDS = {"str": "0", "float": 0.0, "bool": False, "None": None, "unhashable": [0]}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS.values(), ids=BAD_SEEDS.keys())
+def test_from_columns_rejects_seeds_ingest_never_gives(seed):
+    with pytest.raises(ValidationError) as exc:
+        ResultTable.from_columns(*_columns_with("seed", seed), REGISTRY)
+    assert str(exc.value) == f"bad seed {seed!r}: not an int"
 
 
 LABELS = st.text(min_size=1).filter(lambda label: label.strip() == label)
