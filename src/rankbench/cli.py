@@ -463,6 +463,15 @@ def _parse_args(argv: list[str] | None):
             args.parser.error("fcr needs at least two --framework")
         if len(dict(args.framework)) < len(args.framework):
             args.parser.error("framework labels must be unique")
+    if hasattr(args, "output"):
+        # Outputs on one stdout would run together, so at most one may go there.
+        # The report (synth's table) goes there unless --output names a file.
+        paths = {"--output" if args.output else "--output (omitted)": args.output or "-"}
+        for flag in ("--plot-out", "--summary-out", "--svg-out", "--registry-out"):
+            paths[flag] = getattr(args, flag[2:].replace("-", "_"), None)
+        to_stdout = [flag for flag, path in paths.items() if path == "-"]
+        if len(to_stdout) > 1:
+            args.parser.error(f"only one output may go to stdout, got {', '.join(to_stdout)}")
     if args.command == "synth":
         try:
             args.config = SynthConfig(

@@ -8,9 +8,10 @@ may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 :meth:`ResultTable.from_columns` is the one constructor: ingest hands
-it one column per field. JSON that is already canonical (see
-:func:`_json_columns`) gives those columns straight from the loaded
-items; CSV and any other JSON go through the row parser
+it one column per field. A JSON array that is already canonical (see
+:func:`_json_columns`) gives those columns straight from its items, read
+about 250 kB of text at a time (:func:`_chunked_json_columns`); CSV and
+any other JSON, parsed whole, go through the row parser
 :func:`_parse_rows`, which owns every row-level error message. Per-cell
 :class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
 which the pipeline never reads.
@@ -487,6 +488,41 @@ class _Labels(dict):
         return label
 
 
+# JSON text is read in chunks of about this many characters, so only one
+# chunk's items are held as dicts at a time.
+_JSON_CHUNK = 250_000
+
+
+def _chunked_json_columns(text: str) -> tuple[list, ...] | None:
+    """The six record columns of a canonical JSON array, read a chunk at a time.
+
+    The text is cut after the first ``},`` past every :data:`_JSON_CHUNK`
+    characters, and each chunk is parsed as an array. None if a chunk does
+    not parse (as after a cut inside a string) or :func:`_json_columns`
+    finds it not canonical. Labels map through one :class:`_Labels`.
+    """
+    columns = [], [], [], [], [], []
+    label = _Labels()
+    start = 0
+    while True:
+        cut = text.find("},", start + _JSON_CHUNK) + 1  # the comma's index; 0 in the last chunk
+        # The first chunk opens the array and the last one closes it.
+        chunk = ("[" if start else "") + (text[start:cut] + "]" if cut else text[start:])
+        try:
+            parts = _json_columns(json.loads(chunk))
+        except json.JSONDecodeError:
+            return None
+        if parts is None:
+            return None
+        for column, part in zip(columns[:3], parts):
+            column.extend(map(label.__getitem__, part))
+        for column, part in zip(columns[3:], parts[3:]):
+            column.extend(part)
+        if not cut:
+            return columns
+        start = cut + 1
+
+
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
     """Parse text rows into the six record columns; row numbers count from ``start``.
 
@@ -533,19 +569,21 @@ def ingest(
     an array of objects with the fields of :data:`CSV_COLUMNS`; any other
     text is CSV, which must begin with the exact header
     ``algorithm,dataset,metric,seed,value,status``, so the two never
-    overlap. Canonical JSON (exact field types, see :func:`_json_columns`)
-    is read column by column; CSV and any other JSON go through the row
+    overlap. A canonical JSON array (exact field types, see
+    :func:`_json_columns`) is read column by column, a chunk at a time;
+    any other JSON is parsed whole and, like CSV, goes through the row
     parser, which gives every row-level error message, first error first.
     """
-    if re.match(r"\s*[\[{]", text):  # a match, not text.lstrip(), so the text is not copied
-        try:
-            items = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad JSON: {exc}") from None
-        if not isinstance(items, list):
-            raise ValidationError("JSON input must be an array of objects")
-        columns, path = _json_columns(items), "columns"
+    # A match, not text.lstrip(), so the text is not copied.
+    if opening := re.match(r"\s*([\[{])", text):
+        columns, path = _chunked_json_columns(text) if opening[1] == "[" else None, "columns"
         if columns is None:
+            try:
+                items = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"bad JSON: {exc}") from None
+            if not isinstance(items, list):
+                raise ValidationError("JSON input must be an array of objects")
             columns, path = _parse_rows(_json_rows(items), start=0), "rows"
     else:
         columns, path = _parse_rows(_csv_rows(text), start=2), "rows"

@@ -2,6 +2,7 @@ import argparse
 import codecs
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -466,6 +467,49 @@ def test_usage_error_exits_2_before_computation(
     assert stages == (["ingest"] if after_ingest else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
     _assert_usage_error(capsys.readouterr().err, argv[0])
+
+
+# Outputs that would share stdout and run together; --output omitted means stdout.
+STDOUT_CLASHES = {
+    "plot-out alone": ["converge", "--registry", "{registry}", "--plot-out", "-", "{table}"],
+    "output and summary-out": [
+        "converge", "--registry", "{registry}", "--output", "-", "--summary-out", "-", "{table}"
+    ],
+    "svg-out and plot-out": [
+        "converge", "--registry", "{registry}", "--output", "{d}/report.json",
+        "--svg-out", "-", "--plot-out", "-", "{table}",
+    ],
+    "synth registry-out alone": ["synth", "--registry-out", "-"],
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_CLASHES.values(), ids=STDOUT_CLASHES.keys())
+def test_two_outputs_on_stdout_exit_2_before_reading_input(
+    argv, registry, table, tmp_path, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read or generated")
+
+    monkeypatch.setattr(cli, "ingest", fail)
+    monkeypatch.setattr(cli, "generate", fail)
+    argv = [a.format(d=tmp_path, registry=registry, table=table) for a in argv]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
+    _assert_usage_error(err, argv[0])
+    assert "only one output may go to stdout" in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--plot-out", "--summary-out", "--svg-out"])
+def test_one_output_on_stdout_is_the_file_it_would_write(flag, registry, table, tmp_path, capsys):
+    outputs = {f: str(tmp_path / f[2:]) for f in ("--output", "--plot-out", "--summary-out", "--svg-out")}
+    argv = ["converge", "--registry", registry, "--repeats", "2", table]
+    assert main([*argv, *itertools.chain(*outputs.items())]) == EXIT_OK
+    written = Path(outputs[flag]).read_text()
+    assert capsys.readouterr().out == ""
+    assert main([*argv, *itertools.chain(*{**outputs, flag: "-"}.items())]) == EXIT_OK
+    assert capsys.readouterr().out == written != ""
 
 
 @pytest.mark.parametrize(

@@ -269,6 +269,8 @@ NAN_JSON_CASES = {
     ),
 }
 ALL_JSON_CASES = {**JSON_INGEST_CASES, **NON_CANONICAL_JSON_CASES, **NAN_JSON_CASES}
+# Chunk sizes that cut a small JSON grid after every item or every few items.
+SMALL_CHUNKS = [0, 1, 50, 300]
 # The cases that ingest reads column by column, without the row parser.
 COLUMN_PATH_CASES = {
     "valid grid", "failed row with null value", "1e400", "-0", "10**30 seed", "duplicate",
@@ -333,8 +335,10 @@ def _field_variants(draw, item: dict) -> dict:
 @settings(max_examples=200, deadline=None)
 def test_json_ingest_matches_row_parser_on_mixed_fields(data):
     # Each item keeps every field canonical or swaps some for variants that
-    # the row parser normalises or rejects.
+    # the row parser normalises or rejects. Small chunks cut the text after
+    # every item or every few items.
     draw = data.draw
+    chunk = draw(st.sampled_from([results._JSON_CHUNK, *SMALL_CHUNKS]))
     metric = draw(st.sampled_from(["f1", "loss"]))
     items = []
     for a, seed in [("a", 0), ("a", 1), ("b", 0), ("b", 1)]:
@@ -343,7 +347,9 @@ def test_json_ingest_matches_row_parser_on_mixed_fields(data):
         item = {"algorithm": a, "dataset": "cora", "metric": metric, "seed": seed,
                 "value": value, "status": status}
         items.append(_field_variants(draw, item) if draw(st.booleans()) else item)
-    _assert_ingest_matches_row_parser(items)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(results, "_JSON_CHUNK", chunk)
+        _assert_ingest_matches_row_parser(items)
 
 
 @pytest.mark.parametrize("name", ALL_JSON_CASES)
@@ -371,6 +377,139 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog):
     assert caplog.messages == [
         "columns path: parsed 4 rows", "rows path: parsed 4 rows", "rows path: parsed 4 rows"
     ]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("items, outcome", ALL_JSON_CASES.values(), ids=ALL_JSON_CASES.keys())
+def test_json_ingest_outcomes_hold_across_chunks(items, outcome, chunk, monkeypatch):
+    monkeypatch.setattr(results, "_JSON_CHUNK", chunk)
+    test_json_ingest_outcomes_are_pinned(items, outcome)
+
+
+def _grid_items(table) -> list[dict]:
+    """Every cell of ``table`` as a canonical JSON item."""
+    return [
+        {"algorithm": alg, "dataset": test.dataset, "metric": test.metric, "seed": seed,
+         "value": None if math.isnan(value) else value, "status": status.value}
+        for alg, test, seed, value, status in table.cells()
+    ]
+
+
+def _whole_text_outcome(text: str, registry) -> str:
+    """The outcome of JSON ``text`` read whole: the reference for the chunked reader."""
+    def read():
+        try:
+            items = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"bad JSON: {exc}") from None
+        if not isinstance(items, list):
+            raise ValidationError("JSON input must be an array of objects")
+        columns = results._json_columns(items) or results._parse_rows(results._json_rows(items), 0)
+        return ResultTable.from_columns(*columns, registry)
+
+    return _outcome(read)
+
+
+_BATTERY_TABLE = generate(
+    SynthConfig(n_algorithms=3, n_datasets=2, n_metrics=2, n_seeds=3, fail_prob=0.2, rng_seed=3)
+)
+BATTERY_REGISTRY = _BATTERY_TABLE.registry
+PLAIN_ITEMS = _grid_items(_BATTERY_TABLE)
+# The same grid with labels that hold "}," "}, {" and a newline, inside and
+# across the quotes of the JSON text.
+_HOSTILE = dict(zip(_BATTERY_TABLE.algorithms, ["a},", "b}, {", "c\nd"]))
+_HOSTILE.update(zip(sorted({t.dataset for t in _BATTERY_TABLE.suite}), ['x"},{"y', "z}"]))
+HOSTILE_ITEMS = [
+    dict(item, algorithm=_HOSTILE[item["algorithm"]], dataset=_HOSTILE[item["dataset"]])
+    for item in PLAIN_ITEMS
+]
+_PLAIN = json.dumps(PLAIN_ITEMS)
+_LAST = PLAIN_ITEMS[-1]
+# JSON texts, each read in chunks and whole; True where the text is a canonical array.
+JSON_CHUNK_BATTERY = {
+    "hostile labels": (json.dumps(HOSTILE_ITEMS), True),
+    "hostile labels, indent=2": (json.dumps(HOSTILE_ITEMS, indent=2), True),
+    "hostile labels, compact": (json.dumps(HOSTILE_ITEMS, separators=(",", ":")), True),
+    "default dump": (_PLAIN, True),
+    "indent=2": (json.dumps(PLAIN_ITEMS, indent=2), True),
+    "compact": (json.dumps(PLAIN_ITEMS, separators=(",", ":")), True),
+    "leading whitespace": (" \n\t\r" + _PLAIN, True),
+    "leading non-JSON whitespace": ("\u00a0" + _PLAIN, False),
+    "trailing whitespace": (_PLAIN + " \n", True),
+    "trailing text": (_PLAIN + " x", False),
+    "second array": (_PLAIN + _PLAIN, False),
+    "trailing comma": (_PLAIN[:-1] + ",]", False),
+    "truncated after a comma": (_PLAIN[:-1] + ",", False),
+    "unclosed": (_PLAIN[:-1], False),
+    "top-level object": (json.dumps(_LAST), False),
+    "nested array": (json.dumps([PLAIN_ITEMS]), False),
+    "array in the last item": (json.dumps([*PLAIN_ITEMS[:-1], [_LAST]]), False),
+    "empty array": ("[]", False),
+    "empty array with space": (" [ ] ", False),
+    "non-canonical last item": (json.dumps([*PLAIN_ITEMS[:-1], dict(_LAST, status="OK")]), False),
+    "bad last item": (json.dumps([*PLAIN_ITEMS[:-1], dict(_LAST, seed="x")]), False),
+    "extra key in the last item": (json.dumps([*PLAIN_ITEMS[:-1], dict(_LAST, note="x")]), False),
+    "duplicate last item": (json.dumps([*PLAIN_ITEMS, PLAIN_ITEMS[0]]), True),
+}
+
+
+@pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, results._JSON_CHUNK])
+@pytest.mark.parametrize(
+    "text, canonical", JSON_CHUNK_BATTERY.values(), ids=JSON_CHUNK_BATTERY.keys()
+)
+def test_chunked_json_ingest_matches_the_whole_text(text, canonical, chunk, monkeypatch):
+    monkeypatch.setattr(results, "_JSON_CHUNK", chunk)
+    outcome = _outcome(lambda: ingest(text, BATTERY_REGISTRY))
+    assert outcome == _whole_text_outcome(text, BATTERY_REGISTRY)
+    if canonical and outcome.startswith("algorithm,"):
+        # Bit for bit the cubes the row parser's columns give.
+        table = ingest(text, BATTERY_REGISTRY)
+        rows = results._parse_rows(results._json_rows(json.loads(text)), 0)
+        reference = ResultTable.from_columns(*rows, BATTERY_REGISTRY)
+        assert (table.suite, table.seeds, table.algorithms) == (
+            reference.suite, reference.seeds, reference.algorithms
+        )
+        assert table.values.tobytes() == reference.values.tobytes()
+        assert table.status.tobytes() == reference.status.tobytes()
+
+
+# Plain-labelled texts cut after every few items, with whether each chunk
+# read is canonical, in order: a fault ends the reading at its chunk.
+PLAIN_CHUNK_READS = {
+    "default dump": [True] * 12,
+    "indent=2": [True] * 12,
+    "leading whitespace": [True] * 12,
+    "non-canonical last item": [True] * 11 + [False],
+    "bad last item": [True] * 11 + [False],
+    "array in the last item": [True] * 11 + [False],
+    "trailing comma": [True] * 12 + [False],
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_CHUNK_READS)
+def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
+    read, json_columns = [], results._json_columns
+
+    def spy(items):
+        columns = json_columns(items)
+        read.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(results, "_JSON_CHUNK", 300)
+    monkeypatch.setattr(results, "_json_columns", spy)
+    columns = results._chunked_json_columns(JSON_CHUNK_BATTERY[name][0])
+    assert read == PLAIN_CHUNK_READS[name]
+    assert (columns is None) == (not all(read))
+    if columns is not None:
+        assert list(zip(*columns[:5])) == [
+            tuple(map(item.get, CSV_COLUMNS[:5])) for item in PLAIN_ITEMS
+        ]
+
+
+def test_a_cut_inside_a_label_leaves_the_text_to_the_row_parser(monkeypatch):
+    monkeypatch.setattr(results, "_JSON_CHUNK", 0)
+    assert results._chunked_json_columns(json.dumps(HOSTILE_ITEMS)) is None
+    assert len(results._chunked_json_columns(_PLAIN)[0]) == len(PLAIN_ITEMS)
 
 
 def _csv_records(table) -> list[list[str]]:
@@ -721,6 +860,27 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 5 * len(text)
+
+
+def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text():
+    # The same 40k rows as canonical JSON (4.8 MB, about 20 chunks); peak over
+    # text length: 5.5-6.1x with every item loaded as a dict at once,
+    # 1.4-1.6x with one chunk of items at a time.
+    table = generate(
+        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
+    )
+    text = json.dumps(_grid_items(table))
+    tracemalloc.start()
+    try:
+        ingest(text, table.registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
+    # One label object per distinct label, across every chunk.
+    assert len(text) > 10 * results._JSON_CHUNK
+    for column in results._chunked_json_columns(text)[:3]:
+        assert len({id(label) for label in column}) == len(set(column)) > 1
 
 
 class TestResolveFailures:
