@@ -10,13 +10,25 @@ sizes × coefficients × repeats array, with the mean and std of each
 (size, coefficient) taken along the repeats axis. Small-k spread shows
 how quickly a coefficient converges to its full-suite value as the
 suite grows.
+
+Repeat ``rep`` of size ``k`` draws from its own stream, numpy's
+``default_rng(SeedSequence(rng_seed, spawn_key=(k, rep)))``
+(``RNG_ALGORITHM``). Every stream is seeded in one vectorised pass by
+:func:`_pcg64_states`, which reimplements the SeedSequence → PCG64
+seeding that NumPy's compatibility policy keeps stable, and each state
+is set on one reused generator. The draw itself is numpy's own
+``Generator.choice``, which carries no such guarantee: a numpy release
+that changes it changes the draws, and the pinned converge outputs in
+the tests fail.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +36,19 @@ from .concordance import coefficients_for, randomness
 from .ranking import RankCube
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
+
+# numpy.random.SeedSequence's hash constants (its pool holds 4 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Streams seeded per block. Only one block's words are held at once, so
+# memory does not grow with sizes x repeats; a block spans many sizes,
+# because one numpy pass per size costs most of what the pass saves.
+_SEED_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +100,58 @@ def _digest(cube: RankCube) -> str:
     return h.hexdigest()
 
 
+def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of every word; returns the words and the next constant."""
+    words = words ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    words *= np.uint32(hash_const)
+    return words ^ (words >> 16), hash_const
+
+
+def _pcg64_states(rng_seed: int, sizes: Sequence[int], repeats: int) -> Iterator[dict]:
+    """``PCG64(SeedSequence(rng_seed, spawn_key=(k, rep))).state`` for every stream.
+
+    Yields one state per (size, repeat), sizes outer, computed with
+    uint32 array arithmetic a block of streams at a time. Every stream
+    shares ``SeedSequence(rng_seed).pool``: a spawn key pads the seed's
+    words to the 4-word pool, so the two spawn-key words k and rep (each
+    below 2**32) are mixed in after 4 × max(4, seed words) hash steps.
+    """
+    pool = np.random.SeedSequence(rng_seed).pool
+    seed_words = max(1, -(-operator.index(rng_seed).bit_length() // 32))
+    mixed_const = _INIT_A * pow(_MULT_A, 4 * max(4, seed_words), 1 << 32) & _MASK32
+    sizes = np.asarray(sizes, dtype=np.uint32)
+    n_streams = len(sizes) * repeats
+    for start in range(0, n_streams, _SEED_BLOCK):
+        stream = np.arange(start, min(start + _SEED_BLOCK, n_streams))
+        mixer = np.tile(pool, (len(stream), 1))
+        hash_const = mixed_const
+        for key in (sizes[stream // repeats], (stream % repeats).astype(np.uint32)):
+            for i in range(4):
+                hashed, hash_const = _hashmix(key, hash_const, _MULT_A)
+                mixed = mixer[:, i] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+                mixer[:, i] = mixed ^ (mixed >> 16)
+        # generate_state(4, uint64): 8 words cycled from the mixer, paired
+        # little-endian into (seed high, seed low, inc high, inc low).
+        words = np.empty((len(stream), 8), dtype=np.uint32)
+        hash_const = _INIT_B
+        for i in range(8):
+            words[:, i], hash_const = _hashmix(mixer[:, i % 4], hash_const, _MULT_B)
+        words = words.astype("<u4").view("<u8").astype(np.uint64)
+        for row in words:
+            seed_hi, seed_lo, inc_hi, inc_lo = row.tolist()
+            # pcg_setseq_128_srandom_r: inc = 2·initseq + 1, then two LCG
+            # steps from 0 with the seed added between them.
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            yield {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+
 def subsample_convergence(
     cube: RankCube,
     coefficients: Sequence[str] | None = None,
@@ -86,9 +163,11 @@ def subsample_convergence(
 
     Deterministic for a given rng_seed: each (size, repeat) pair gets
     its own RNG stream derived from the seed, so the draws do not depend
-    on evaluation order. At k = number of tests every repeat reproduces
-    the full-suite value exactly. By default every coefficient defined
-    for the cube's tie policy is studied.
+    on evaluation order. The streams are seeded in one pass and replay
+    numpy's ``SeedSequence(rng_seed, spawn_key=(k, rep))`` generators
+    draw for draw. At k = number of tests every repeat reproduces the
+    full-suite value exactly. By default every coefficient defined for
+    the cube's tie policy is studied.
     """
     n_tests = len(cube.suite)
     if not n_tests:
@@ -106,20 +185,24 @@ def subsample_convergence(
         if not 1 <= k <= n_tests:
             raise ValueError(f"subsample size {k} out of range [1, {n_tests}]")
 
-    results = [randomness(cube, c) for c in coefficients]
-    terms = [np.array(r.per_test) for r in results]
-
+    # Allocated first, so that a study too large for memory fails at once.
     values = np.empty((len(sizes), len(coefficients), repeats))
+    results = [randomness(cube, c) for c in coefficients]
+    terms = np.array([r.per_test for r in results])  # coefficients x tests
+
+    bit_generator = np.random.PCG64(0)  # every stream sets its own state
+    rng = np.random.Generator(bit_generator)
+    states = _pcg64_states(rng_seed, sizes, repeats)
     for i, k in enumerate(sizes):
-        draws = []
-        for rep in range(repeats):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(k, rep))
-            )
-            draws.append(np.sort(rng.choice(n_tests, size=k, replace=False)))
-        draws = np.array(draws)  # repeats x k test indexes
-        for j, per_test in enumerate(terms):
-            values[i, j] = 1.0 - per_test[draws].mean(axis=1)
+        draws = np.empty((repeats, k), dtype=np.intp)  # repeats x k test indexes
+        for draw, state in zip(draws, itertools.islice(states, repeats)):
+            bit_generator.state = state
+            draw[:] = rng.choice(n_tests, size=k, replace=False)
+        draws.sort(axis=1)
+        # take() is C-contiguous, so each mean sums its k terms in the order
+        # a one-coefficient gather does; terms[:, draws] is not, and changes
+        # the last bits of some means from k = 8.
+        values[i] = 1.0 - terms.take(draws, axis=1).mean(axis=2)
 
     if repeats == 1:
         std = np.zeros(values.shape[:2])

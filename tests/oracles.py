@@ -1,12 +1,16 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 Kept deliberately naive (pure Python, Fractions, explicit breakpoint
-integration) and separate from the library code paths they check. One
-helper, :func:`table_of`, builds a library table from plain rows.
+integration, one numpy generator per random draw) and separate from the
+library code paths they check. One helper, :func:`table_of`, builds a
+library table from plain rows.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
+from rankbench.concordance import randomness
 from rankbench.results import STATUSES, ResultTable, Status
 
 
@@ -88,3 +92,33 @@ def loop_rank_row(values, higher_better, lowest_shared, tie_epsilon):
             sizes.append(size)
         pos = end
     return ranks, sizes
+
+
+def loop_subsample_convergence(cube, coefficients, sizes, repeats, rng_seed):
+    """(values, mean, std) of a convergence study, one generator per stream.
+
+    Each (size k, repeat rep) draws from its own
+    ``default_rng(SeedSequence(entropy=rng_seed, spawn_key=(k, rep)))``;
+    each coefficient gathers its own per-test terms. The reference for
+    the one-pass seeding and the batched gather of
+    ``resampling.subsample_convergence``.
+    """
+    n_tests = len(cube.suite)
+    terms = [np.array(randomness(cube, c).per_test) for c in coefficients]
+    values = np.empty((len(sizes), len(coefficients), repeats))
+    for i, k in enumerate(sizes):
+        draws = []
+        for rep in range(repeats):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=rng_seed, spawn_key=(k, rep))
+            )
+            draws.append(np.sort(rng.choice(n_tests, size=k, replace=False)))
+        draws = np.array(draws)  # repeats x k test indexes
+        for j, per_test in enumerate(terms):
+            values[i, j] = 1.0 - per_test[draws].mean(axis=1)
+    if repeats == 1:
+        std = np.zeros(values.shape[:2])
+    else:
+        agree = (values == values[..., :1]).all(axis=-1)
+        std = np.where(agree, 0.0, values.std(axis=-1, ddof=1))
+    return values, values.mean(axis=-1), std

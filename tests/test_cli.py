@@ -632,6 +632,24 @@ def test_runtime_value_error_exits_1_with_its_message(registry, table, monkeypat
     assert (captured.out, captured.err) == ("", "error: w failed\n")
 
 
+def test_converge_too_large_for_memory_exits_1_without_a_traceback(tmp_path, capsys):
+    # 200 sizes x 3 coefficients x 1e11 repeats of float64 is 436 TiB, more
+    # than a 47-bit address space, so the allocation fails even where the
+    # kernel overcommits memory.
+    grid, reg = tmp_path / "grid.csv", tmp_path / "reg.txt"
+    assert main(["synth", "--algorithms", "3", "--datasets", "100", "--metrics", "2",
+                 "--seeds", "3", "--output", str(grid), "--registry-out", str(reg)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["converge", "--registry", str(reg), "--repeats", "100000000000",
+            "--output", str(tmp_path / "report.json"), str(grid)]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_coeff_and_converge_report_the_same_warnings(registry, tmp_path):
     # Three algorithms tie at the top on both seeds: lowest-shared ranks
     # 1 1 1 4 give per-test W = 1.8, outside [0, 1].

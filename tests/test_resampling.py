@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rankbench.concordance import kendall_w
+from rankbench import resampling
+from rankbench.concordance import coefficients_for, kendall_w
 from rankbench.ranking import RankCube, TiePolicy, rank_table
 from rankbench.resampling import (
     plot_data_csv,
@@ -11,10 +12,11 @@ from rankbench.resampling import (
 from rankbench.results import resolve_failures
 from rankbench.synthgen import SynthConfig, generate
 
+from oracles import loop_subsample_convergence
 from test_concordance import cube_of, term
 
 
-def noisy_suite(n_tests=8, rng_seed=5):
+def noisy_suite(n_tests=8, rng_seed=5, policy=TiePolicy.MEAN_OF_TIED, tie_prob=0.0):
     table = generate(
         SynthConfig(
             n_algorithms=4,
@@ -23,10 +25,45 @@ def noisy_suite(n_tests=8, rng_seed=5):
             n_seeds=4,
             quality_gap=0.2,
             noise_scale=0.5,
+            tie_prob=tie_prob,
             rng_seed=rng_seed,
         )
     )
-    return rank_table(resolve_failures(table))
+    return rank_table(resolve_failures(table), policy)
+
+
+# Seeds of one to ten 32-bit words: a spawn key pads a seed to the
+# 4-word pool, so seeds past 2**128 mix the key in later.
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**300 - 2**150 + 7]
+
+
+@pytest.mark.parametrize("block", [4096, 7])
+@pytest.mark.parametrize("rng_seed", [*sorted({*SEEDS, 1, 901, 2**127}), np.uint64(2**64 - 1)])
+def test_one_pass_seeding_gives_numpys_pcg64_states(rng_seed, block, monkeypatch):
+    monkeypatch.setattr(resampling, "_SEED_BLOCK", block)
+    sizes, repeats = [1, 2, 77, 1200, 2**31], 3
+    states = list(resampling._pcg64_states(rng_seed, sizes, repeats))
+    expected = [
+        np.random.PCG64(np.random.SeedSequence(rng_seed, spawn_key=(k, rep))).state
+        for k in sizes
+        for rep in range(repeats)
+    ]
+    assert states == expected  # state and inc, 128 bits each
+
+
+@pytest.mark.parametrize("rng_seed", SEEDS)
+@pytest.mark.parametrize("repeats", [1, 2, 10])
+@pytest.mark.parametrize("sizes", [None, [9, 1, 30, 9, 2, 30, 17]], ids=["all", "unsorted-duplicates"])
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_convergence_replays_one_generator_per_stream(policy, sizes, repeats, rng_seed):
+    cube = noisy_suite(n_tests=30, policy=policy, tie_prob=0.2)
+    coefficients = coefficients_for(policy)
+    report = subsample_convergence(cube, sizes=sizes, repeats=repeats, rng_seed=rng_seed)
+    expected = loop_subsample_convergence(
+        cube, coefficients, sizes or range(1, 31), repeats, rng_seed
+    )
+    for got, want in zip((report.values, report.mean, report.std), expected):
+        assert np.array_equal(got, want)
 
 
 def test_full_size_subsample_is_exact():
