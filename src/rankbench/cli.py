@@ -10,11 +10,22 @@ input is read; the one exception is a ``--sizes`` entry larger than the
 number of tests, which is known only after ingest and exits 2 right
 after it.
 
-Every input file, registry included, is read by :func:`_read`, and
-every report is built by :func:`_emit_report`. Every output is written
-by :func:`_write_output` as a sequence of text pieces, so none is held
-whole as one string; an output path of ``-`` is stdout. CSV output
-quotes labels by the one rule of :func:`results.csv_fields`.
+Every output has its own destination: at most one goes to stdout, and
+no output path names another output's file or a file the command reads
+(compared after ``os.path.realpath``), a usage error otherwise.
+
+Every input file, registry included, is read by :func:`_read`. Every
+report is written by :func:`_emit_report`, and its body (settings,
+results, warnings) is built here, by the ``cmd_*`` function of its
+command: the library's result types carry numbers only. Every output
+goes through :func:`_write_output` as a sequence of text pieces; an
+output path of ``-`` is stdout. The JSON reports and converge's plot
+CSV, summary CSV and SVG stream in small pieces. The other outputs are
+built whole as one string first: synth's table and registry
+(:func:`results.to_csv`), rank's CSV (:func:`ranking.ranks_to_csv`;
+about 30 MB over validate's peak RSS on a 400k-cell grid) and the
+``--format csv`` reports of coeff and fcr (:func:`_report_csv`). CSV
+output quotes labels by the one rule of :func:`results.csv_fields`.
 """
 
 from __future__ import annotations
@@ -135,8 +146,8 @@ def _emit_report(args, registry: dict, inputs: dict[str, str], **body) -> None:
     """Write the report of one command as JSON, or as CSV under ``--format csv``.
 
     Every report names the tool and its version, the registry and the
-    sha256 of each input file; ``body`` adds the command's settings,
-    warnings and results.
+    sha256 of each input file; ``body``, built by the command, adds its
+    settings, warnings and results.
     """
     report = {
         "tool": "rankbench",
@@ -212,7 +223,18 @@ def cmd_coeff(args) -> int:
         {args.input: digest},
         settings={**_ranked_settings(args, table), "coefficients": args.coefficients},
         n_ties=n_ties,
-        coefficients=[r.fragment(n_ties) for r in results],
+        coefficients=[
+            {
+                "coefficient": r.coefficient,
+                "value": r.value,
+                "n_ties": n_ties,
+                "per_test": [
+                    {"dataset": t.dataset, "metric": t.metric, "w": w}
+                    for t, w in zip(cube.suite, r.per_test)
+                ],
+            }
+            for r in results
+        ],
         warnings=[w for r in results for w in r.warnings],
     )
     return EXIT_OK
@@ -231,7 +253,12 @@ def cmd_fcr(args) -> int:
         registry,
         inputs,
         settings={"granularity": args.granularity},
-        fcr=result.fragment(),
+        fcr={
+            "fcr": result.ranks,
+            "units": result.units,
+            "granularity": args.granularity,
+            "seeds": result.seeds,
+        },
         warnings=result.warnings,
     )
     return EXIT_OK
@@ -262,7 +289,22 @@ def cmd_converge(args) -> int:
             "repeats": args.repeats,
             "rng_seed": args.rng_seed,
         },
-        convergence=conv.fragment(),
+        convergence={
+            "sizes": list(conv.sizes),
+            "repeats": conv.repeats,
+            "coefficients": list(conv.coefficients),
+            "rng_seed": conv.rng_seed,
+            "rng_algorithm": conv.rng_algorithm,
+            "provenance": conv.provenance,
+            "full_suite_value": conv.full_suite_value,
+            "cells": [
+                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
+                for k, vs, ms, sds in zip(
+                    conv.sizes, conv.values.tolist(), conv.mean.tolist(), conv.std.tolist()
+                )
+                for c, v, m, sd in zip(conv.coefficients, vs, ms, sds)
+            ],
+        },
         warnings=conv.warnings,
     )
     with _stage("write plot files"):
@@ -464,14 +506,24 @@ def _parse_args(argv: list[str] | None):
         if len(dict(args.framework)) < len(args.framework):
             args.parser.error("framework labels must be unique")
     if hasattr(args, "output"):
-        # Outputs on one stdout would run together, so at most one may go there.
-        # The report (synth's table) goes there unless --output names a file.
+        # Every output gets its own destination: outputs on one stdout would run
+        # together, and an output on a file the command reads, or on another
+        # output's file, would replace it. The report (synth's table) goes to
+        # stdout unless --output names a file.
         paths = {"--output" if args.output else "--output (omitted)": args.output or "-"}
         for flag in ("--plot-out", "--summary-out", "--svg-out", "--registry-out"):
             paths[flag] = getattr(args, flag[2:].replace("-", "_"), None)
         to_stdout = [flag for flag, path in paths.items() if path == "-"]
         if len(to_stdout) > 1:
             args.parser.error(f"only one output may go to stdout, got {', '.join(to_stdout)}")
+        reads = [("the input", vars(args).get("input")), ("--registry", vars(args).get("registry"))]
+        reads += [(f"--framework {label}", path) for label, path in vars(args).get("framework", [])]
+        taken = {os.path.realpath(path): name for name, path in reads if path}
+        for flag, path in paths.items():
+            if path and path != "-":
+                if (real := os.path.realpath(path)) in taken:
+                    args.parser.error(f"{flag} {path} would overwrite {taken[real]}")
+                taken[real] = flag
     if args.command == "synth":
         try:
             args.config = SynthConfig(
@@ -483,11 +535,12 @@ def _parse_args(argv: list[str] | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("RANKBENCH_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        level = os.environ.get("RANKBENCH_LOG", "WARNING")
+        # getLevelName gives the number of a level name logging knows, else a str.
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ValidationError(f"RANKBENCH_LOG: unknown level {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = _parse_args(argv)
         return args.func(args)
     except ValidationError as exc:

@@ -28,17 +28,8 @@ class Granularity(Enum):
 class FcrResult:
     ranks: dict[str, float]  # label -> mean rank
     units: int
-    granularity: Granularity
     seeds: dict[str, int]  # label -> number of seeds averaged per unit
     warnings: tuple[str, ...] = ()
-
-    def fragment(self) -> dict:
-        return {
-            "fcr": dict(self.ranks),
-            "units": self.units,
-            "granularity": self.granularity.value,
-            "seeds": dict(self.seeds),
-        }
 
 
 def fcr(
@@ -99,7 +90,6 @@ def fcr(
     return FcrResult(
         ranks={label: float(r) for label, r in zip(frameworks, mean_ranks)},
         units=len(ranks),
-        granularity=granularity,
         seeds=seeds,
         warnings=warnings,
     )

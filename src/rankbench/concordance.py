@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ranking import RankCube, TiePolicy, tie_groups
-from .results import TestId
 from .wasserstein import wasserstein_w
 
 
@@ -93,25 +92,12 @@ def coefficients_for(policy: TiePolicy) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CoefficientResult:
-    """Suite value of one coefficient with its per-test terms, in TestId order."""
+    """Suite value of one coefficient with its per-test terms, in the cube's suite order."""
 
     coefficient: str
     value: float
-    tests: tuple[TestId, ...]
     per_test: tuple[float, ...]
     warnings: tuple[str, ...]
-
-    def fragment(self, n_ties: int) -> dict:
-        """JSON-ready report fragment."""
-        return {
-            "coefficient": self.coefficient,
-            "value": self.value,
-            "n_ties": n_ties,
-            "per_test": [
-                {"dataset": t.dataset, "metric": t.metric, "w": w}
-                for t, w in zip(self.tests, self.per_test)
-            ],
-        }
 
 
 def randomness(cube: RankCube, name: str) -> CoefficientResult:
@@ -133,7 +119,6 @@ def randomness(cube: RankCube, name: str) -> CoefficientResult:
     return CoefficientResult(
         coefficient=name,
         value=1.0 - float(np.mean(terms)),
-        tests=cube.suite,
         per_test=tuple(terms.tolist()),
         warnings=tuple(
             f"test {cube.suite[t].dataset}/{cube.suite[t].metric}: {text}"

@@ -73,24 +73,6 @@ class ConvergenceReport:
     std: np.ndarray  # sizes x coefficients
     warnings: tuple[str, ...]  # kernel warnings of the full-suite terms
 
-    def fragment(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "repeats": self.repeats,
-            "coefficients": list(self.coefficients),
-            "rng_seed": self.rng_seed,
-            "rng_algorithm": self.rng_algorithm,
-            "provenance": self.provenance,
-            "full_suite_value": dict(self.full_suite_value),
-            "cells": [
-                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
-                for k, vs, ms, sds in zip(
-                    self.sizes, self.values.tolist(), self.mean.tolist(), self.std.tolist()
-                )
-                for c, v, m, sd in zip(self.coefficients, vs, ms, sds)
-            ],
-        }
-
 
 def _digest(cube: RankCube) -> str:
     h = hashlib.sha256()

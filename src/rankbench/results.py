@@ -7,14 +7,16 @@ Every OK score is finite. Failed runs (out-of-memory, timeout, error)
 may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
-:meth:`ResultTable.from_columns` is the one constructor: ingest hands
-it one column per field. A JSON array that is already canonical (see
-:func:`_json_columns`) gives those columns straight from its items, read
-about 250 kB of text at a time (:func:`_chunked_json_columns`); CSV and
-any other JSON, parsed whole, go through the row parser
-:func:`_parse_rows`, which owns every row-level error message. Per-cell
-:class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
-which the pipeline never reads.
+:meth:`ResultTable.from_columns` is the one validating constructor:
+ingest hands it one column per field. ``synthgen.generate`` builds its
+table from cubes it fills directly, valid by construction, and
+:func:`resolve_failures` copies a table with new values. A JSON array
+that is already canonical (see :func:`_json_columns`) gives the columns
+straight from its items, read about 250 kB of text at a time
+(:func:`_chunked_json_columns`); CSV and any other JSON, parsed whole,
+go through the row parser :func:`_parse_rows`, which owns every
+row-level error message. Per-cell :class:`ResultRecord` objects exist
+only in :attr:`ResultTable.records`, which the pipeline never reads.
 
 Text crosses this module's boundary one way each: :func:`ingest` tells
 CSV from JSON by the text's first non-whitespace character; CSV is read by
@@ -192,8 +194,9 @@ class ResultTable:
         ``value_column`` holds None where a failed run has no score, and
         ``status_column`` each record's index into :data:`STATUSES`.
         Every algorithm, dataset and metric label must be a non-empty
-        ``str`` without surrounding whitespace, and every seed an ``int``,
-        as ingest gives them.
+        ``str`` without surrounding whitespace, every seed an ``int`` and
+        every value a ``float`` (numpy floats included) or None, as ingest
+        gives them; otherwise the ValidationError names the first bad entry.
         Record-level errors name the first offending record in input
         order, with the same check order as a record-by-record scan:
         status ok without a value, unknown metric, value outside bounds,
@@ -208,6 +211,9 @@ class ResultTable:
         datasets, dataset = _codes(dataset_column, "dataset")
         metrics, metric = _codes(metric_column, "metric")
         seeds, seed = _codes(seed_column, "seed")
+        if not all(map(_is_value_type, set(map(type, value_column)))):
+            bad = next(x for x in value_column if not _is_value_type(type(x)))
+            raise ValidationError(f"bad value {bad!r}: not a float or None")
         values = np.array(value_column, dtype=float)  # None becomes NaN
         status = np.array(status_column, dtype=np.int8)
         has_value = np.array([v is not None for v in value_column], dtype=bool)
@@ -303,6 +309,11 @@ def _is_label(x) -> bool:
 def _is_seed(x) -> bool:
     """Whether ``x`` is a seed as ingest gives it: an ``int``, not a ``bool``."""
     return type(x) is int
+
+
+def _is_value_type(kind: type) -> bool:
+    """Whether a value of type ``kind`` is a score as ingest gives it: a float (numpy's too) or None."""
+    return kind is type(None) or issubclass(kind, (float, np.floating))
 
 
 def _codes(column: Sequence, field: str) -> tuple[tuple, np.ndarray]:

@@ -1,4 +1,3 @@
-import argparse
 import codecs
 import csv
 import hashlib
@@ -20,9 +19,8 @@ from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.concordance import COEFFICIENTS, randomness
 from rankbench.ranking import count_ties, rank_table
-from rankbench.resampling import subsample_convergence
 from rankbench.results import STATUSES, ResultTable, Status, ingest, parse_registry
-from rankbench.synthgen import SynthConfig, generate
+from rankbench.synthgen import SynthConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -314,7 +312,16 @@ def test_coeff_tie_epsilon_matches_library(tmp_path):
     assert report["settings"]["tie_epsilon"] == 0.5
     assert report["n_ties"] == count_ties(cube) > count_ties(rank_table(table))
     assert report["coefficients"] == [
-        randomness(cube, name).fragment(report["n_ties"]) for name in COEFFICIENTS
+        {
+            "coefficient": r.coefficient,
+            "value": r.value,
+            "n_ties": report["n_ties"],
+            "per_test": [
+                {"dataset": t.dataset, "metric": t.metric, "w": w}
+                for t, w in zip(cube.suite, r.per_test)
+            ],
+        }
+        for r in (randomness(cube, name) for name in COEFFICIENTS)
     ]
 
 
@@ -469,23 +476,50 @@ def test_usage_error_exits_2_before_computation(
     _assert_usage_error(capsys.readouterr().err, argv[0])
 
 
-# Outputs that would share stdout and run together; --output omitted means stdout.
+# Outputs that would share stdout and run together; --output omitted means
+# stdout. After them, outputs that would replace one another's file or a
+# file the command reads, each with its message.
+STDOUT = "only one output may go to stdout"
 STDOUT_CLASHES = {
-    "plot-out alone": ["converge", "--registry", "{registry}", "--plot-out", "-", "{table}"],
-    "output and summary-out": [
-        "converge", "--registry", "{registry}", "--output", "-", "--summary-out", "-", "{table}"
-    ],
-    "svg-out and plot-out": [
-        "converge", "--registry", "{registry}", "--output", "{d}/report.json",
-        "--svg-out", "-", "--plot-out", "-", "{table}",
-    ],
-    "synth registry-out alone": ["synth", "--registry-out", "-"],
+    "plot-out alone": (["converge", "--registry", "{registry}", "--plot-out", "-", "{table}"], STDOUT),
+    "output and summary-out": (
+        ["converge", "--registry", "{registry}", "--output", "-", "--summary-out", "-", "{table}"],
+        STDOUT,
+    ),
+    "svg-out and plot-out": (
+        ["converge", "--registry", "{registry}", "--output", "{d}/report.json",
+         "--svg-out", "-", "--plot-out", "-", "{table}"],
+        STDOUT,
+    ),
+    "synth registry-out alone": (["synth", "--registry-out", "-"], STDOUT),
+    "output and plot-out": (
+        ["converge", "--registry", "{registry}", "--output", "{d}/r.json",
+         "--plot-out", "{d}/./r.json", "{table}"],
+        "--plot-out {d}/./r.json would overwrite --output",
+    ),
+    "output on the input": (
+        ["rank", "--registry", "{registry}", "--output", "{table}", "{table}"],
+        "--output {table} would overwrite the input",
+    ),
+    "output on the registry": (
+        ["coeff", "--registry", "{registry}", "--output", "{registry}", "{table}"],
+        "--output {registry} would overwrite --registry",
+    ),
+    "output on a framework": (
+        ["fcr", "--registry", "{registry}", "--framework", "p={table}", "--framework", "q={table}",
+         "--output", "{d}/../{d.name}/results.csv"],
+        "--output {d}/../{d.name}/results.csv would overwrite --framework q",
+    ),
+    "synth output and registry-out": (
+        ["synth", "--output", "{d}/g.csv", "--registry-out", "{d}/g.csv"],
+        "--registry-out {d}/g.csv would overwrite --output",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", STDOUT_CLASHES.values(), ids=STDOUT_CLASHES.keys())
+@pytest.mark.parametrize("argv, message", STDOUT_CLASHES.values(), ids=STDOUT_CLASHES.keys())
 def test_two_outputs_on_stdout_exit_2_before_reading_input(
-    argv, registry, table, tmp_path, monkeypatch, capsys
+    argv, message, registry, table, tmp_path, monkeypatch, capsys
 ):
     def fail(*args, **kwargs):
         raise AssertionError("input read or generated")
@@ -498,7 +532,7 @@ def test_two_outputs_on_stdout_exit_2_before_reading_input(
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
     _assert_usage_error(err, argv[0])
-    assert "only one output may go to stdout" in err
+    assert message.format(d=tmp_path, registry=registry, table=table) in err
 
 
 @pytest.mark.parametrize("flag", ["--output", "--plot-out", "--summary-out", "--svg-out"])
@@ -960,23 +994,73 @@ def test_rank_and_converge_outputs_are_pinned(tmp_path, monkeypatch):
             )
 
 
-def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path):
+# sha256 of every coeff and fcr report, JSON then CSV, on the synth grids
+# below, computed while the result types still built their own report
+# fragments.
+FCR_FRAMEWORKS = ("--framework", "default=synth.csv", "--framework", "tuned=tuned.csv")
+REPORT_PINS = {
+    ("coeff", "--tie-policy", "mean", "synth.csv"): (
+        "5c0ed6f8cc2cfa03c31a49a9f6e23a1b4e94236067abb151a01019133891b629",
+        "88c0777ab601e7df206870a816199b8b050381062fe14dbe3ee1238cfaaf47a3",
+    ),
+    ("coeff", "--tie-policy", "lowest", "synth.csv"): (
+        "552a39068b80f3106ef73e5313329f759b3d8b69fa95a3a9f74dee0cde14247f",
+        "957b5493d9e7a580d2983102f2e618b4a3a085e373035b249730e2e7f7bf1622",
+    ),
+    ("fcr", "--granularity", "per-algorithm-test", *FCR_FRAMEWORKS): (
+        "e7acf329837c1078331c3bea03627bf1f80f0b1cd362cf5b18b9d30718c5a525",
+        "308074ced034286950ff283d0bf90a45bfc2b2bb82dd1ba721c3cf30d52a7e43",
+    ),
+    ("fcr", "--granularity", "per-test", *FCR_FRAMEWORKS): (
+        "8a18d83d04b4ac8a1d8a2bcfad02c7f056925be5ebec1a529ee7eaa11e175b4f",
+        "23a26c5256419d9ebbbedb1e8ae073ddcb2c77ce24aab5e020d988cdc4b3d5c2",
+    ),
+}
+
+
+def test_coeff_and_fcr_reports_are_pinned(tmp_path, monkeypatch):
+    # Relative paths keep each report's input keys independent of the
+    # temporary directory.
+    monkeypatch.chdir(tmp_path)
+    synth = ["synth", "--algorithms", "6", "--datasets", "3", "--metrics", "2", "--seeds", "4",
+             "--noise-scale", "0.5", "--tie-prob", "0.2"]
+    assert main([*synth, "--fail-prob", "0.1",
+                 "--output", "synth.csv", "--registry-out", "registry.txt"]) == EXIT_OK
+    assert main([*synth, "--fail-prob", "0.05", "--rng-seed", "7", "--output", "tuned.csv"]) == EXIT_OK
+    for (command, *flags), digests in REPORT_PINS.items():
+        for fmt, digest in zip(("json", "csv"), digests):
+            argv = [command, "--registry", "registry.txt", *flags, "--format", fmt,
+                    "--output", f"report.{fmt}"]
+            assert main(argv) == EXIT_OK
+            written = (tmp_path / f"report.{fmt}").read_bytes()
+            assert hashlib.sha256(written).hexdigest() == digest, (command, *flags, fmt)
+
+
+def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path, monkeypatch):
     # 1,000 tests give 1,000 sizes. Built whole, with its chunk list, the
     # text peaks near 7x the bytes written; in pieces, one batch is held.
-    table = generate(SynthConfig(n_algorithms=3, n_datasets=250, n_metrics=4, n_seeds=3,
-                                 noise_scale=0.5))
-    conv = subsample_convergence(rank_table(table), repeats=2)
-    fragment = conv.fragment()
+    emit, bodies, peaks = cli._emit_report, [], []
+
+    def traced(args, registry, inputs, **body):
+        tracemalloc.start()
+        try:
+            emit(args, registry, inputs, **body)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        bodies.append(body)
+
+    monkeypatch.setattr(cli, "_emit_report", traced)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--algorithms", "3", "--datasets", "250", "--metrics", "4",
+                 "--seeds", "3", "--noise-scale", "0.5",
+                 "--output", "grid.csv", "--registry-out", "reg.txt"]) == EXIT_OK
+    argv = ["converge", "--registry", "reg.txt", "--repeats", "2", "--output", "report.json"]
+    assert main([*argv, "grid.csv"]) == EXIT_OK
     out = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        cli._emit_report(argparse.Namespace(output=str(out)), table.registry, {},
-                         convergence=fragment)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(fragment["sizes"]) == 1000
-    assert json.loads(out.read_text())["convergence"] == fragment
+    [body], [peak] = bodies, peaks
+    assert len(body["convergence"]["sizes"]) == 1000
+    assert json.loads(out.read_text())["convergence"] == body["convergence"]
     assert peak < 2 * out.stat().st_size
 
 
@@ -1057,6 +1141,20 @@ def test_info_logging_reports_stages_and_counts(registry, tmp_path):
     for stage in ("ingest", "rank", "coefficients", "write report"):
         assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
     assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+
+@pytest.mark.parametrize("level", ["verbose", "", "10"])
+def test_unknown_log_level_exits_2_before_reading_input(level, tmp_path):
+    # Neither file exists: reading either would exit 1 with an i/o error.
+    proc = _run_cli(["validate", "--registry", "reg.txt", "grid.csv"], tmp_path, level=level)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == f"validation error: RANKBENCH_LOG: unknown level {level!r}\n"
+
+
+def test_every_level_name_logging_knows_is_accepted(registry, table, tmp_path):
+    for level in ("debug", "Warn", "fatal", "NOTSET"):
+        proc = _run_cli(["validate", "--registry", registry, table], tmp_path, level=level)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, f"{table}: valid complete grid\n"), level
 
 
 def test_info_log_lines_match_the_table(tmp_path, caplog):

@@ -106,7 +106,7 @@ class TestWRandomness:
         result = randomness(cube, "w")
         assert result.value == pytest.approx(1 - (1 + 168 / 216) / 2, abs=1e-12)
         assert result.value == pytest.approx(0.111111, abs=1e-6)
-        assert result.tests == cube.suite
+        assert result.per_test == pytest.approx((1.0, 168 / 216), abs=1e-12)
 
     def test_all_concordant_is_zero(self):
         assert randomness(cube_of(*[[[1, 2, 3]] * 4] * 5), "w").value == 0.0

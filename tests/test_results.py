@@ -664,6 +664,24 @@ def test_from_columns_rejects_seeds_ingest_never_gives(seed):
     assert str(exc.value) == f"bad seed {seed!r}: not an int"
 
 
+# Values that ingest never gives. The str and bool used to read as 0.5 and
+# 1.0, and "abc" raised a bare ValueError from the float conversion.
+BAD_VALUES = {"str": "0.5", "text": "abc", "bool": True, "int": 1, "list": [0.5]}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_from_columns_rejects_values_ingest_never_gives(value):
+    with pytest.raises(ValidationError) as exc:
+        ResultTable.from_columns(*_columns_with("value", value), REGISTRY)
+    assert str(exc.value) == f"bad value {value!r}: not a float or None"
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5)], ids=["float64", "float32"])
+def test_from_columns_takes_numpy_float_values(value):
+    table = ResultTable.from_columns(*_columns_with("value", value), REGISTRY)
+    assert 0.5 in table.values
+
+
 LABELS = st.text(min_size=1).filter(lambda label: label.strip() == label)
 
 
