@@ -18,14 +18,13 @@ Every input file, registry included, is read by :func:`_read`. Every
 report is written by :func:`_emit_report`, and its body (settings,
 results, warnings) is built here, by the ``cmd_*`` function of its
 command: the library's result types carry numbers only. Every output
-goes through :func:`_write_output` as a sequence of text pieces; an
-output path of ``-`` is stdout. The JSON reports and converge's plot
-CSV, summary CSV and SVG stream in small pieces. The other outputs are
-built whole as one string first: synth's table and registry
-(:func:`results.to_csv`), rank's CSV (:func:`ranking.ranks_to_csv`;
-about 30 MB over validate's peak RSS on a 400k-cell grid) and the
-``--format csv`` reports of coeff and fcr (:func:`_report_csv`). CSV
-output quotes labels by the one rule of :func:`results.csv_fields`.
+goes through :func:`_write_output` as a sequence of small text pieces;
+an output path of ``-`` is stdout. No output is built whole: the JSON
+reports come from ``json.JSONEncoder.iterencode``, converge's plot and
+summary CSVs one piece per size, its SVG one piece per element, and
+every other CSV (synth's table and registry, rank's export, the
+``--format csv`` reports) one line per piece. CSV output quotes labels
+by the one rule of :func:`results.csv_fields`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .comparison import Granularity, fcr
@@ -130,10 +129,9 @@ def _write_output(pieces: Iterable[str], output: str | None) -> None:
 
     Pieces are joined :data:`_WRITE_BATCH` at a time, one ``write`` per
     batch: no output is held whole as one string, and an unbuffered
-    stdout (``PYTHONUNBUFFERED``) still sees few writes. Callers keep
-    each piece small (a JSON token, one size's CSV lines, one SVG element)
-    or pass one string as a one-item list; a bare ``str`` would be
-    written a character at a time.
+    stdout (``PYTHONUNBUFFERED``) still sees few writes. Every caller
+    passes small pieces: a JSON token, one size's CSV lines, one SVG
+    element or one CSV line.
     """
     to_stdout = output is None or output == "-"
     with nullcontext(sys.stdout) if to_stdout else open(output, "w", encoding="utf-8") as out:
@@ -164,14 +162,14 @@ def _emit_report(args, registry: dict, inputs: dict[str, str], **body) -> None:
     }
     with _stage("write report"):
         if getattr(args, "format", "json") == "csv":
-            _write_output([_report_csv(report)], args.output)
+            _write_output(_report_csv(report), args.output)
         else:
             encoder = json.JSONEncoder(indent=2, sort_keys=True)
             _write_output(itertools.chain(encoder.iterencode(report), ["\n"]), args.output)
 
 
-def _report_csv(report: dict) -> str:
-    """The coefficient, tie-count and FCR records of a report, one CSV line each."""
+def _report_csv(report: dict) -> Iterator[str]:
+    """A report's coefficient, tie-count and FCR records: a header, then one CSV line each."""
     rows = [("record", "coefficient", "dataset", "metric", "value")]
     for frag in report.get("coefficients", []):
         name = frag["coefficient"]
@@ -188,7 +186,7 @@ def _report_csv(report: dict) -> str:
             for label, value in sorted(report["fcr"]["fcr"].items())
         )
     field = csv_fields(itertools.chain.from_iterable(rows))
-    return "".join(",".join([field[text] for text in row]) + "\n" for row in rows)
+    yield from (",".join([field[text] for text in row]) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def cmd_rank(args) -> int:
     table, _ = _load_table(args.input, _load_registry(args.registry), args.drop_incomplete)
     cube = _ranked(table, args)
     with _stage("write ranks"):
-        _write_output([ranks_to_csv(cube)], args.output)
+        _write_output(ranks_to_csv(cube), args.output)
     return EXIT_OK
 
 
@@ -320,9 +318,9 @@ def cmd_converge(args) -> int:
 
 def cmd_synth(args) -> int:
     table = generate(args.config)
-    _write_output([to_csv(table)], args.output)
+    _write_output(to_csv(table), args.output)
     if args.registry_out:
-        _write_output([registry_to_text(table.registry)], args.registry_out)
+        _write_output(registry_to_text(table.registry), args.registry_out)
     return EXIT_OK
 
 
@@ -509,8 +507,8 @@ def _parse_args(argv: list[str] | None):
         # Every output gets its own destination: outputs on one stdout would run
         # together, and an output on a file the command reads, or on another
         # output's file, would replace it. The report (synth's table) goes to
-        # stdout unless --output names a file.
-        paths = {"--output" if args.output else "--output (omitted)": args.output or "-"}
+        # stdout unless --output is given; an empty path names no file.
+        paths = {"--output (omitted)": "-"} if args.output is None else {"--output": args.output}
         for flag in ("--plot-out", "--summary-out", "--svg-out", "--registry-out"):
             paths[flag] = getattr(args, flag[2:].replace("-", "_"), None)
         to_stdout = [flag for flag, path in paths.items() if path == "-"]
@@ -520,6 +518,8 @@ def _parse_args(argv: list[str] | None):
         reads += [(f"--framework {label}", path) for label, path in vars(args).get("framework", [])]
         taken = {os.path.realpath(path): name for name, path in reads if path}
         for flag, path in paths.items():
+            if path == "":
+                args.parser.error(f"{flag}: empty path")
             if path and path != "-":
                 if (real := os.path.realpath(path)) in taken:
                     args.parser.error(f"{flag} {path} would overwrite {taken[real]}")

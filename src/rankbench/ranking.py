@@ -16,6 +16,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -135,16 +136,15 @@ def count_ties(cube: RankCube) -> int:
     return len(tie_groups(cube.ranks)[1])
 
 
-def ranks_to_csv(cube: RankCube) -> str:
-    """Debug export: one row per (test, seed, algorithm) rank.
+def ranks_to_csv(cube: RankCube) -> Iterator[str]:
+    """Debug export: the header, then one line per (test, seed, algorithm) rank.
 
     Labels are quoted by :func:`results.csv_fields`, as in ``to_csv``.
     """
     field = csv_fields([*cube.algorithms, *itertools.chain.from_iterable(cube.suite)])
     algorithms = [field[alg] for alg in cube.algorithms]
-    lines = ["dataset,metric,seed,algorithm,rank\n"]
-    for test, per_seed in zip(cube.suite, cube.ranks.tolist()):
-        for seed, row in zip(cube.seeds, per_seed):
+    yield "dataset,metric,seed,algorithm,rank\n"
+    for test, per_seed in zip(cube.suite, cube.ranks):
+        for seed, row in zip(cube.seeds, per_seed.tolist()):
             prefix = f"{field[test.dataset]},{field[test.metric]},{seed},"
-            lines.extend([f"{prefix}{alg},{rank!r}\n" for alg, rank in zip(algorithms, row)])
-    return "".join(lines)
+            yield from (f"{prefix}{alg},{rank!r}\n" for alg, rank in zip(algorithms, row))

@@ -22,7 +22,7 @@ Text crosses this module's boundary one way each: :func:`ingest` tells
 CSV from JSON by the text's first non-whitespace character; CSV is read by
 ``csv.reader``, and text it cannot split is an error of the row it is
 in; every CSV writer of the package, :func:`to_csv` included, quotes
-labels by :func:`csv_fields` and joins its lines itself.
+labels by :func:`csv_fields` and yields its lines itself, one piece each.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -618,31 +618,29 @@ def csv_fields(labels: Iterable[str]) -> dict[str, str]:
     }
 
 
-def to_csv(table: ResultTable) -> str:
+def to_csv(table: ResultTable) -> Iterator[str]:
     """Serialize a table in the canonical CSV schema (round-trip stable).
 
-    Rows are in key order: algorithm, then test, then seed. A failed cell
-    with no score has an empty value field. Labels are quoted by
-    :func:`csv_fields`, so :func:`ingest` reads every label back.
+    Yields the header, then one line per cell in key order: algorithm,
+    then test, then seed. A failed cell with no score has an empty value
+    field. Labels are quoted by :func:`csv_fields`, so :func:`ingest`
+    reads every label back.
     """
     field = csv_fields([*table.algorithms, *itertools.chain.from_iterable(table.suite)])
-    return ",".join(CSV_COLUMNS) + "\n" + "".join(
-        [
-            f"{field[alg]},{field[test.dataset]},{field[test.metric]},{seed},"
-            f"{'' if math.isnan(v) else repr(v)},{status.value}\n"
-            for alg, test, seed, v, status in table.cells()
-        ]
+    yield ",".join(CSV_COLUMNS) + "\n"
+    yield from (
+        f"{field[alg]},{field[test.dataset]},{field[test.metric]},{seed},"
+        f"{'' if math.isnan(v) else repr(v)},{status.value}\n"
+        for alg, test, seed, v, status in table.cells()
     )
 
 
-def registry_to_text(registry: dict[str, MetricSpec]) -> str:
-    lines = []
-    for name in sorted(registry):
-        spec = registry[name]
-        lines.append(f"metric.{name}.direction = {spec.direction.value}")
+def registry_to_text(registry: dict[str, MetricSpec]) -> Iterator[str]:
+    """A registry in the text form :func:`parse_registry` reads, one line each, by metric name."""
+    for name, spec in sorted(registry.items()):
+        yield f"metric.{name}.direction = {spec.direction.value}\n"
         if spec.bounds is not None:
-            lines.append(f"metric.{name}.bounds = {spec.bounds[0]},{spec.bounds[1]}")
-    return "\n".join(lines) + "\n"
+            yield f"metric.{name}.bounds = {spec.bounds[0]},{spec.bounds[1]}\n"
 
 
 # ---------------------------------------------------------------------------

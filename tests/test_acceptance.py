@@ -228,8 +228,8 @@ def test_09_convergence_exactness(tmp_path):
     table_path = tmp_path / "table.csv"
     registry_path = tmp_path / "registry.txt"
     table = generate(config)
-    table_path.write_text(to_csv(table))
-    registry_path.write_text(registry_to_text(table.registry))
+    table_path.write_text("".join(to_csv(table)))
+    registry_path.write_text("".join(registry_to_text(table.registry)))
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
@@ -298,8 +298,8 @@ def test_11_tie_policy_divergence(tmp_path):
     # Both values surface in CLI reports.
     table_path = tmp_path / "table.csv"
     registry_path = tmp_path / "registry.txt"
-    table_path.write_text(to_csv(table))
-    registry_path.write_text(registry_to_text(registry))
+    table_path.write_text("".join(to_csv(table)))
+    registry_path.write_text("".join(registry_to_text(registry)))
     reported = {}
     for policy, flag in ((TiePolicy.MEAN_OF_TIED, "mean"), (TiePolicy.LOWEST_SHARED_RANK, "lowest")):
         out = tmp_path / f"{flag}.json"

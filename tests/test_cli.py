@@ -19,8 +19,8 @@ from rankbench import cli, comparison, ranking
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.concordance import COEFFICIENTS, randomness
 from rankbench.ranking import count_ties, rank_table
-from rankbench.results import STATUSES, ResultTable, Status, ingest, parse_registry
-from rankbench.synthgen import SynthConfig
+from rankbench.results import STATUSES, ResultTable, Status, ingest, parse_registry, to_csv
+from rankbench.synthgen import SynthConfig, generate
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -514,6 +514,19 @@ STDOUT_CLASHES = {
         ["synth", "--output", "{d}/g.csv", "--registry-out", "{d}/g.csv"],
         "--registry-out {d}/g.csv would overwrite --output",
     ),
+    # An empty path is no file and not stdout.
+    "rank empty output": (["rank", "--registry", "{registry}", "--output", "", "{table}"],
+                          "--output: empty path"),
+    "coeff empty output": (["coeff", "--registry", "{registry}", "--output", "", "{table}"],
+                           "--output: empty path"),
+    "empty plot-out": (["converge", "--registry", "{registry}", "--plot-out", "", "{table}"],
+                       "--plot-out: empty path"),
+    "empty summary-out": (["converge", "--registry", "{registry}", "--summary-out", "", "{table}"],
+                          "--summary-out: empty path"),
+    "empty svg-out": (["converge", "--registry", "{registry}", "--svg-out", "", "{table}"],
+                      "--svg-out: empty path"),
+    "synth empty registry-out": (["synth", "--output", "{d}/g.csv", "--registry-out", ""],
+                                 "--registry-out: empty path"),
 }
 
 
@@ -1062,6 +1075,26 @@ def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path, monkeypatch):
     assert len(body["convergence"]["sizes"]) == 1000
     assert json.loads(out.read_text())["convergence"] == body["convergence"]
     assert peak < 2 * out.stat().st_size
+
+
+@pytest.mark.parametrize("writer", ["ranks_to_csv", "to_csv"])
+def test_csv_writers_stream_one_batch_at_a_time(writer, tmp_path):
+    # 20,000 cells: each output spans about 80 write batches. Built whole as one
+    # string, the rank export peaked near 4.7x the bytes written and the table
+    # near 3.3x; line by line, the table's peak is its cells() lists (about 1x).
+    table = generate(SynthConfig(n_algorithms=10, n_datasets=50, n_metrics=4, n_seeds=10,
+                                 noise_scale=0.5, tie_prob=0.1, fail_prob=0.05))
+    subject = rank_table(table) if writer == "ranks_to_csv" else table
+    write = ranking.ranks_to_csv if writer == "ranks_to_csv" else to_csv
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli._write_output(write(subject), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text().count("\n") == table.values.size + 1 > 50 * cli._WRITE_BATCH
+    assert peak < 1.5 * out.stat().st_size
 
 
 @pytest.mark.parametrize("command", ["converge", "coeff"])

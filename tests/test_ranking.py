@@ -242,7 +242,7 @@ class TestCountTies:
 
 def test_debug_csv_export():
     table = _table({"a": {"d": {"m": [0.1]}}, "b": {"d": {"m": [0.2]}}})
-    text = ranks_to_csv(rank_table(table))
+    text = "".join(ranks_to_csv(rank_table(table)))
     lines = text.splitlines()
     assert lines[0] == "dataset,metric,seed,algorithm,rank"
     assert "d,m,0,b,1.0" in lines

@@ -103,9 +103,9 @@ def test_non_finite_ok_value_rejected(value):
 def test_failed_cell_may_carry_infinity():
     csv_text = LOSS_CSV.replace("b,cora,loss,1,0.3,ok", "b,cora,loss,1,inf,oom")
     table = ingest(csv_text, REGISTRY)
-    resolved = to_csv(resolve_failures(table))
+    resolved = "".join(to_csv(resolve_failures(table)))
     assert "b,cora,loss,1,inf,oom" in resolved.splitlines()
-    assert to_csv(ingest(resolved, REGISTRY)) == resolved
+    assert "".join(to_csv(ingest(resolved, REGISTRY))) == resolved
 
 
 def test_to_csv_writes_key_order_and_empty_failed_scores():
@@ -116,7 +116,7 @@ def test_to_csv_writes_key_order_and_empty_failed_scores():
         "b,cora,loss,0,0.3,ok\n"
         "a,cora,loss,0,1e-300,ok\n"
     )
-    assert to_csv(ingest(shuffled, REGISTRY)).splitlines() == [
+    assert "".join(to_csv(ingest(shuffled, REGISTRY))).splitlines() == [
         "algorithm,dataset,metric,seed,value,status",
         "a,cora,loss,0,1e-300,ok",
         "a,cora,loss,1,-0.0,ok",
@@ -151,7 +151,7 @@ def test_json_ingest_matches_csv():
     ]
     via_json = ingest(json.dumps(items), REGISTRY)
     via_csv = ingest(MINIMAL_CSV, REGISTRY)
-    assert to_csv(via_json) == to_csv(via_csv)
+    assert "".join(to_csv(via_json)) == "".join(to_csv(via_csv))
 
 
 def _minimal_items(*edits: tuple[int, dict]) -> list:
@@ -283,7 +283,7 @@ def test_json_ingest_outcomes_are_pinned(items, outcome):
     # json.dumps writes math.inf as Infinity; a 1e400 literal parses to the same float.
     text = json.dumps(items).replace("Infinity", "1e400")
     if outcome.startswith("algorithm,"):
-        assert to_csv(ingest(text, REGISTRY)) == outcome
+        assert "".join(to_csv(ingest(text, REGISTRY))) == outcome
     else:
         with pytest.raises(ValidationError) as exc:
             ingest(text, REGISTRY)
@@ -293,7 +293,7 @@ def test_json_ingest_outcomes_are_pinned(items, outcome):
 def _outcome(read) -> str:
     """The table ``read()`` returns as canonical CSV, or its ValidationError message."""
     try:
-        return to_csv(read())
+        return "".join(to_csv(read()))
     except ValidationError as exc:
         return str(exc)
 
@@ -541,7 +541,7 @@ def test_to_csv_matches_csv_writer_on_large_synth_grid():
     )
     table = generate(config)
     assert table.values.size == 400_000
-    assert to_csv(table) == _csv_writer_text(table)
+    assert "".join(to_csv(table)) == _csv_writer_text(table)
 
 
 # Any text without a carriage return, with the characters that need quoting drawn often.
@@ -587,15 +587,15 @@ def test_to_csv_quotes_labels_as_csv_writer_does(label, field):
     table = _labelled_table(label, field)
     # csv.writer leaves a field with a carriage return bare; to_csv quotes it.
     expected = re.sub(r"[^,\n]*\r[^,\n]*", r'"\g<0>"', _csv_writer_text(table))
-    assert to_csv(table) == expected
-    assert list(csv.reader(io.StringIO(to_csv(table)))) == _csv_records(table)
+    assert "".join(to_csv(table)) == expected
+    assert list(csv.reader(io.StringIO("".join(to_csv(table))))) == _csv_records(table)
 
 
 @pytest.mark.parametrize("label", HOSTILE_LABELS)
 @pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
 def test_to_csv_reads_back_hostile_labels(label, field):
     table = _labelled_table(label, field)
-    again = ingest(to_csv(table), table.registry)
+    again = ingest("".join(to_csv(table)), table.registry)
     assert (again.suite, again.seeds, again.algorithms) == (
         table.suite, table.seeds, table.algorithms
     )
@@ -607,7 +607,7 @@ def test_to_csv_reads_back_hostile_labels(label, field):
 @pytest.mark.parametrize("field", ["algorithm", "dataset", "metric"])
 def test_ranks_to_csv_reads_back_hostile_labels(label, field):
     cube = rank_table(_labelled_table(label, field))
-    assert list(csv.reader(io.StringIO(ranks_to_csv(cube)))) == [
+    assert list(csv.reader(io.StringIO("".join(ranks_to_csv(cube))))) == [
         ["dataset", "metric", "seed", "algorithm", "rank"]
     ] + [
         [test.dataset, test.metric, str(seed), alg, repr(rank)]
@@ -707,7 +707,7 @@ def test_to_csv_reads_back_any_valid_labels(algorithms, datasets, metrics, seeds
     ]
     registry = {m: MetricSpec(m, Direction.HIGHER_BETTER) for m in metrics}
     table = ResultTable.from_columns(*map(list, zip(*keys)), values, statuses, registry)
-    again = ingest(to_csv(table), registry)
+    again = ingest("".join(to_csv(table)), registry)
     assert (again.suite, again.seeds, again.algorithms) == (
         table.suite, table.seeds, table.algorithms
     )
@@ -759,15 +759,16 @@ def test_paper_shaped_suite_size():
 
 def test_round_trip_stability():
     table = ingest(MINIMAL_CSV, REGISTRY)
-    again = ingest(to_csv(table), REGISTRY)
-    assert to_csv(again) == to_csv(table)
+    again = ingest("".join(to_csv(table)), REGISTRY)
+    assert "".join(to_csv(again)) == "".join(to_csv(table))
     assert again.suite == table.suite
 
 
 def test_row_order_independence():
     lines = MINIMAL_CSV.splitlines()
     shuffled = "\n".join([lines[0]] + list(reversed(lines[1:]))) + "\n"
-    assert to_csv(ingest(shuffled, REGISTRY)) == to_csv(ingest(MINIMAL_CSV, REGISTRY))
+    canonical = "".join(to_csv(ingest(MINIMAL_CSV, REGISTRY)))
+    assert "".join(to_csv(ingest(shuffled, REGISTRY))) == canonical
 
 
 def test_drop_incomplete_removes_whole_test():
@@ -852,7 +853,7 @@ def test_lines_are_the_lines_of_stringio(text, filler):
 
 def test_label_columns_hold_one_object_per_distinct_label():
     table = generate(SynthConfig(n_algorithms=3, n_datasets=2, n_metrics=2, n_seeds=3))
-    lines = to_csv(table).splitlines(True)
+    lines = "".join(to_csv(table)).splitlines(True)
     # Pad some label fields: each still gives the one stripped label object.
     lines[1:] = [
         f" {line}" if i % 3 else line.replace(",", " ,", 3) for i, line in enumerate(lines[1:])
@@ -870,7 +871,7 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
-    text = to_csv(table)
+    text = "".join(to_csv(table))
     tracemalloc.start()
     try:
         ingest(text, table.registry)
@@ -940,7 +941,7 @@ class TestResolveFailures:
         csv_text = MINIMAL_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,oom")
         once = resolve_failures(ingest(csv_text, REGISTRY))
         twice = resolve_failures(once)
-        assert to_csv(once) == to_csv(twice)
+        assert "".join(to_csv(once)) == "".join(to_csv(twice))
         assert once.values[0, 0, 0] == 0.5  # (cora/f1, seed 0, a)
 
 
@@ -957,9 +958,10 @@ class TestRegistry:
         assert reg["conductance"].direction is Direction.LOWER_BETTER
         assert reg["conductance"].bounds is None
 
-    def test_round_trip(self):
-        reg = parse_registry(registry_to_text(REGISTRY))
-        assert reg == REGISTRY
+    @pytest.mark.parametrize("registry", [REGISTRY, {}], ids=["registry", "empty"])
+    def test_round_trip(self, registry):
+        # The empty registry writes no line at all; parse_registry reads "" as {}.
+        assert parse_registry("".join(registry_to_text(registry))) == registry
 
     @pytest.mark.parametrize(
         "line",

@@ -19,9 +19,9 @@ def coefficients(config):
 
 def test_deterministic_given_seed():
     cfg = SynthConfig(noise_scale=0.5, tie_prob=0.2, fail_prob=0.1, rng_seed=11)
-    assert to_csv(generate(cfg)) == to_csv(generate(cfg))
+    assert "".join(to_csv(generate(cfg))) == "".join(to_csv(generate(cfg)))
     other = SynthConfig(noise_scale=0.5, tie_prob=0.2, fail_prob=0.1, rng_seed=12)
-    assert to_csv(generate(other)) != to_csv(generate(cfg))
+    assert "".join(to_csv(generate(other))) != "".join(to_csv(generate(cfg)))
 
 
 def test_grid_shape():
@@ -143,7 +143,7 @@ def test_failure_records_have_oom_status():
 )
 def test_cubes_match_their_csv_ingested(config):
     table = generate(config)
-    again = ingest(to_csv(table), table.registry)
+    again = ingest("".join(to_csv(table)), table.registry)
     assert (again.suite, again.seeds, again.algorithms) == (
         table.suite,
         table.seeds,
