@@ -10,13 +10,15 @@ so that failures rank below every OK run and tie with each other.
 :meth:`ResultTable.from_columns` is the one validating constructor:
 ingest hands it one column per field. ``synthgen.generate`` builds its
 table from cubes it fills directly, valid by construction, and
-:func:`resolve_failures` copies a table with new values. A JSON array
-that is already canonical (see :func:`_json_columns`) gives the columns
-straight from its items, read about 250 kB of text at a time
-(:func:`_chunked_json_columns`); CSV and any other JSON, parsed whole,
-go through the row parser :func:`_parse_rows`, which owns every
-row-level error message. Per-cell :class:`ResultRecord` objects exist
-only in :attr:`ResultTable.records`, which the pipeline never reads.
+:func:`resolve_failures` copies a table with new values. JSON has one
+reader, :func:`_read_json`: it parses about 250 kB of text at a time,
+and a chunk of canonical items (see :func:`_json_columns`) gives its
+columns straight from them. CSV, and any JSON chunk that is not
+canonical, go through the row parser :func:`_parse_rows`, which owns
+every row-level error message. A fault in any chunk reads the text again
+as one chunk, so errors are those of reading it whole. Per-cell
+:class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
+which the pipeline never reads.
 
 Text crosses this module's boundary one way each: :func:`ingest` tells
 CSV from JSON by the text's first non-whitespace character; CSV is read by
@@ -153,10 +155,15 @@ class ResultTable:
 
     def cells(self) -> Iterable[tuple[str, TestId, int, float, Status]]:
         """``(algorithm, test, seed, value, status)`` of every cell, in key order."""
-        values = self.values.transpose(2, 0, 1).ravel().tolist()
-        codes = self.status.transpose(2, 0, 1).ravel().tolist()
-        keys = itertools.product(self.algorithms, self.suite, self.seeds)
-        return ((*key, value, STATUSES[code]) for key, value, code in zip(keys, values, codes))
+        # One algorithm's slab at a time, so at most 1/a of the cubes is held as lists.
+        for alg, values, codes in zip(
+            self.algorithms, self.values.transpose(2, 0, 1), self.status.transpose(2, 0, 1)
+        ):
+            keys = itertools.product(self.suite, self.seeds)
+            yield from (
+                (alg, *key, value, STATUSES[code])
+                for key, value, code in zip(keys, values.ravel().tolist(), codes.ravel().tolist())
+            )
 
     @cached_property
     def records(self) -> tuple[ResultRecord, ...]:
@@ -348,6 +355,7 @@ def _codes(column: Sequence, field: str) -> tuple[tuple, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = ("algorithm", "dataset", "metric", "seed", "value", "status")
+_FIELDS = frozenset(CSV_COLUMNS)  # the keys a JSON item may have
 
 
 def parse_registry(text: str) -> dict[str, MetricSpec]:
@@ -445,11 +453,13 @@ def _csv_rows(text: str) -> Iterable[list[str]]:
         lines.close()
 
 
-def _json_rows(items: list) -> Iterable[list[str]]:
-    """Rows of text fields, as a CSV reader would give them; stops at the first bad item."""
-    columns = set(CSV_COLUMNS)
-    for i, item in enumerate(items):
-        if not isinstance(item, dict) or not item.keys() <= columns:
+def _json_rows(items: list, start: int = 0) -> Iterable[list[str]]:
+    """Rows of text fields, as a CSV reader would give them; stops at the first bad item.
+
+    Items are numbered from ``start``, as in a chunk that begins at that item.
+    """
+    for i, item in enumerate(items, start):
+        if not isinstance(item, dict) or not item.keys() <= _FIELDS:
             raise ValidationError(f"JSON item {i}: unexpected shape")
         yield ["" if v is None else str(v) for v in map(item.get, CSV_COLUMNS)]
 
@@ -465,8 +475,9 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     the one definer of row-level meaning and of every row error: any
     other input goes to it instead.
     """
-    keys = set(CSV_COLUMNS)
-    if set(map(type, items)) != {dict} or not keys.issuperset(itertools.chain.from_iterable(items)):
+    if set(map(type, items)) != {dict} or not _FIELDS.issuperset(
+        itertools.chain.from_iterable(items)
+    ):
         return None
     algorithms, datasets, metrics, seeds, values, statuses = (
         [item.get(key) for item in items] for key in CSV_COLUMNS
@@ -504,34 +515,52 @@ class _Labels(dict):
 _JSON_CHUNK = 250_000
 
 
-def _chunked_json_columns(text: str) -> tuple[list, ...] | None:
-    """The six record columns of a canonical JSON array, read a chunk at a time.
+def _read_json(text: str) -> tuple[tuple[list, ...], int, int]:
+    """The six record columns of a JSON array; how many chunks the row parser read, of how many.
 
     The text is cut after the first ``},`` past every :data:`_JSON_CHUNK`
-    characters, and each chunk is parsed as an array. None if a chunk does
-    not parse (as after a cut inside a string) or :func:`_json_columns`
-    finds it not canonical. Labels map through one :class:`_Labels`.
+    characters, and each chunk is parsed as an array. A canonical chunk
+    (see :func:`_json_columns`) gives its columns straight from its items;
+    any other goes through the row parser, with items and rows numbered
+    across chunks. Labels map through one :class:`_Labels`. A fault in a
+    chunk (bad JSON, as after a cut inside a string; a row error; or an
+    empty chunk, as a trailing ``},]`` leaves) reads the text again as one
+    chunk, the whole text, so every outcome is that of reading it whole: a
+    syntax error anywhere wins over a row error in an earlier chunk.
     """
-    columns = [], [], [], [], [], []
-    label = _Labels()
-    start = 0
-    while True:
-        cut = text.find("},", start + _JSON_CHUNK) + 1  # the comma's index; 0 in the last chunk
-        # The first chunk opens the array and the last one closes it.
-        chunk = ("[" if start else "") + (text[start:cut] + "]" if cut else text[start:])
+    for size in _JSON_CHUNK, len(text):
+        columns = [], [], [], [], [], []
+        label = _Labels()
+        start = by_rows = 0
         try:
-            parts = _json_columns(json.loads(chunk))
-        except json.JSONDecodeError:
-            return None
-        if parts is None:
-            return None
-        for column, part in zip(columns[:3], parts):
-            column.extend(map(label.__getitem__, part))
-        for column, part in zip(columns[3:], parts[3:]):
-            column.extend(part)
-        if not cut:
-            return columns
-        start = cut + 1
+            for chunks in itertools.count(1):
+                cut = text.find("},", start + size) + 1  # the comma's index; 0 in the last chunk
+                whole = not (start or cut)
+                # The first chunk opens the array and the last one closes it.
+                items = json.loads(
+                    ("[" if start else "") + (text[start:cut] + "]" if cut else text[start:])
+                )
+                # An empty chunk of several is a fault too: a trailing "},]" leaves one.
+                if not isinstance(items, list) or not (items or whole):
+                    raise ValidationError("JSON input must be an array of objects")
+                parts = _json_columns(items)
+                if parts is None:
+                    by_rows += 1
+                    parts = _parse_rows(_json_rows(items, len(columns[0])), len(columns[0]))
+                for column, part in zip(columns[:3], parts):
+                    column.extend(map(label.__getitem__, part))
+                for column, part in zip(columns[3:], parts[3:]):
+                    column.extend(part)
+                del items, parts  # before the next chunk is parsed
+                if not cut:
+                    return columns, by_rows, chunks
+                start = cut + 1
+        except json.JSONDecodeError as exc:
+            if whole:
+                raise ValidationError(f"bad JSON: {exc}") from None
+        except ValidationError:
+            if whole:
+                raise
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
@@ -580,26 +609,18 @@ def ingest(
     an array of objects with the fields of :data:`CSV_COLUMNS`; any other
     text is CSV, which must begin with the exact header
     ``algorithm,dataset,metric,seed,value,status``, so the two never
-    overlap. A canonical JSON array (exact field types, see
-    :func:`_json_columns`) is read column by column, a chunk at a time;
-    any other JSON is parsed whole and, like CSV, goes through the row
-    parser, which gives every row-level error message, first error first.
+    overlap. JSON is read a chunk at a time by :func:`_read_json`, and
+    each chunk that is not canonical goes through the row parser; CSV goes
+    through it as one chunk. The row parser gives every row-level error
+    message, first error first. The log line says how many chunks it read,
+    so a run shows whether the slow parser ran.
     """
     # A match, not text.lstrip(), so the text is not copied.
-    if opening := re.match(r"\s*([\[{])", text):
-        columns, path = _chunked_json_columns(text) if opening[1] == "[" else None, "columns"
-        if columns is None:
-            try:
-                items = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"bad JSON: {exc}") from None
-            if not isinstance(items, list):
-                raise ValidationError("JSON input must be an array of objects")
-            columns, path = _parse_rows(_json_rows(items), start=0), "rows"
-    else:
-        columns, path = _parse_rows(_csv_rows(text), start=2), "rows"
-
-    log.info("%s path: parsed %d rows", path, len(columns[0]))
+    json_text = re.match(r"\s*[\[{]", text)
+    columns, by_rows, chunks = (
+        _read_json(text) if json_text else (_parse_rows(_csv_rows(text), start=2), 1, 1)
+    )
+    log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, chunks, len(columns[0]))
     return ResultTable.from_columns(*columns, registry, drop_incomplete)
 
 

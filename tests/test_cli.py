@@ -1077,11 +1077,12 @@ def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path, monkeypatch):
     assert peak < 2 * out.stat().st_size
 
 
-@pytest.mark.parametrize("writer", ["ranks_to_csv", "to_csv"])
-def test_csv_writers_stream_one_batch_at_a_time(writer, tmp_path):
+@pytest.mark.parametrize("writer, bound", [("ranks_to_csv", 1.5), ("to_csv", 0.3)])
+def test_csv_writers_stream_one_batch_at_a_time(writer, bound, tmp_path):
     # 20,000 cells: each output spans about 80 write batches. Built whole as one
     # string, the rank export peaked near 4.7x the bytes written and the table
-    # near 3.3x; line by line, the table's peak is its cells() lists (about 1x).
+    # near 3.3x. Line by line, they peak at 0.12x and 0.17x; the table peaked
+    # at 1.03x while cells() converted both cubes to lists at once.
     table = generate(SynthConfig(n_algorithms=10, n_datasets=50, n_metrics=4, n_seeds=10,
                                  noise_scale=0.5, tie_prob=0.1, fail_prob=0.05))
     subject = rank_table(table) if writer == "ranks_to_csv" else table
@@ -1094,7 +1095,7 @@ def test_csv_writers_stream_one_batch_at_a_time(writer, tmp_path):
     finally:
         tracemalloc.stop()
     assert out.read_text().count("\n") == table.values.size + 1 > 50 * cli._WRITE_BATCH
-    assert peak < 1.5 * out.stat().st_size
+    assert peak < bound * out.stat().st_size
 
 
 @pytest.mark.parametrize("command", ["converge", "coeff"])
@@ -1205,7 +1206,7 @@ def test_info_log_lines_match_the_table(tmp_path, caplog):
     failed = ", ".join(f"{status.value}={n}" for status, n in counts.items())
     rows = len(table.suite) * table.n_seeds
     for line in (
-        f"rows path: parsed {table.values.size} rows",
+        f"1 of 1 chunks by the row parser: parsed {table.values.size} rows",
         f"resolved {table.status.size - n_ok} failed cells: {failed}",
         f"ranked {rows} rows: {n_ties} tie groups",
     ):

@@ -352,8 +352,39 @@ def test_json_ingest_matches_row_parser_on_mixed_fields(data):
         _assert_ingest_matches_row_parser(items)
 
 
+# With one item per chunk, the first row the row parser reads in each call:
+# the non-canonical items up to the first fault, then 0 where that fault
+# rereads the whole text. A non-dict item has no "}," after it, so it shares
+# a chunk with the item that follows it.
+ROW_PARSER_STARTS_PER_ITEM = {
+    "bool value": [1, 0],
+    "float seed": [1, 0],
+    "string seed": [2],
+    "null status": [1, 0],
+    "int status": [1, 0],
+    "list value": [1, 0],
+    "extra key": [2, 0],
+    "non-dict item": [2, 0],
+    "bad row before bad item": [1, 0],
+    "bad item before bad row": [1, 0],
+    "missing key": [2, 0],
+    "ok row with null value": [3, 0],
+    "blank algorithm": [0, 0],
+    "empty array": [0],
+    "nested array": [0],
+    "padded label": [1, 2],
+    "upper-case status": [0],
+    "padded failed status": [3],
+    "seed with leading zero": [3],
+    "int value": [1],
+    "string value": [0],
+    "bool seed": [1, 0],
+}
+
+
+@pytest.mark.parametrize("chunk", [results._JSON_CHUNK, 0])
 @pytest.mark.parametrize("name", ALL_JSON_CASES)
-def test_only_non_canonical_json_reaches_row_parser(name, monkeypatch):
+def test_only_non_canonical_json_reaches_row_parser(name, chunk, monkeypatch):
     calls = []
     parse_rows = results._parse_rows
 
@@ -363,19 +394,29 @@ def test_only_non_canonical_json_reaches_row_parser(name, monkeypatch):
             raise AssertionError("canonical JSON reached the row parser")
         return parse_rows(rows, start)
 
+    monkeypatch.setattr(results, "_JSON_CHUNK", chunk)
     monkeypatch.setattr(results, "_parse_rows", row_parser)
     items, outcome = ALL_JSON_CASES[name]
     assert _outcome(lambda: ingest(json.dumps(items), REGISTRY)) == outcome
-    assert calls == ([] if name in COLUMN_PATH_CASES else [0])
+    if name in COLUMN_PATH_CASES:
+        assert calls == []
+    else:
+        assert calls == ([0] if chunk else ROW_PARSER_STARTS_PER_ITEM[name])
 
 
-def test_ingest_logs_which_path_parsed_the_rows(caplog):
+def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
+    seed_text = json.dumps(_minimal_items((0, {"seed": "0"})))
     with caplog.at_level(logging.INFO, logger="rankbench.results"):
         ingest(json.dumps(_minimal_items()), REGISTRY)
-        ingest(json.dumps(_minimal_items((0, {"seed": "0"}))), REGISTRY)
+        ingest(seed_text, REGISTRY)
         ingest(MINIMAL_CSV, REGISTRY)
+        monkeypatch.setattr(results, "_JSON_CHUNK", 0)
+        ingest(seed_text, REGISTRY)
     assert caplog.messages == [
-        "columns path: parsed 4 rows", "rows path: parsed 4 rows", "rows path: parsed 4 rows"
+        "0 of 1 chunks by the row parser: parsed 4 rows",
+        "1 of 1 chunks by the row parser: parsed 4 rows",
+        "1 of 1 chunks by the row parser: parsed 4 rows",
+        "1 of 4 chunks by the row parser: parsed 4 rows",
     ]
 
 
@@ -450,6 +491,11 @@ JSON_CHUNK_BATTERY = {
     "bad last item": (json.dumps([*PLAIN_ITEMS[:-1], dict(_LAST, seed="x")]), False),
     "extra key in the last item": (json.dumps([*PLAIN_ITEMS[:-1], dict(_LAST, note="x")]), False),
     "duplicate last item": (json.dumps([*PLAIN_ITEMS, PLAIN_ITEMS[0]]), True),
+    # A row error in the first chunk and a syntax error in the last: the
+    # syntax error wins, as when the text is read whole.
+    "bad first item, unclosed": (
+        json.dumps([dict(PLAIN_ITEMS[0], seed="x"), *PLAIN_ITEMS[1:]])[:-1], False
+    ),
 }
 
 
@@ -473,16 +519,18 @@ def test_chunked_json_ingest_matches_the_whole_text(text, canonical, chunk, monk
         assert table.status.tobytes() == reference.status.tobytes()
 
 
-# Plain-labelled texts cut after every few items, with whether each chunk
-# read is canonical, in order: a fault ends the reading at its chunk.
+# Plain-labelled texts cut after every few items (12 chunks): whether each
+# chunk read is canonical, in order, and how many chunks the row parser read.
+# A fault (None) rereads the whole text as one chunk, the last entry where
+# that chunk parses, and the whole text's error is raised.
 PLAIN_CHUNK_READS = {
-    "default dump": [True] * 12,
-    "indent=2": [True] * 12,
-    "leading whitespace": [True] * 12,
-    "non-canonical last item": [True] * 11 + [False],
-    "bad last item": [True] * 11 + [False],
-    "array in the last item": [True] * 11 + [False],
-    "trailing comma": [True] * 12 + [False],
+    "default dump": ([True] * 12, 0),
+    "indent=2": ([True] * 12, 0),
+    "leading whitespace": ([True] * 12, 0),
+    "non-canonical last item": ([True] * 11 + [False], 1),
+    "bad last item": ([True] * 11 + [False, False], None),
+    "array in the last item": ([True] * 11 + [False, False], None),
+    "trailing comma": ([True] * 12, None),
 }
 
 
@@ -497,19 +545,25 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
 
     monkeypatch.setattr(results, "_JSON_CHUNK", 300)
     monkeypatch.setattr(results, "_json_columns", spy)
-    columns = results._chunked_json_columns(JSON_CHUNK_BATTERY[name][0])
-    assert read == PLAIN_CHUNK_READS[name]
-    assert (columns is None) == (not all(read))
-    if columns is not None:
+    reads, by_rows = PLAIN_CHUNK_READS[name]
+    if by_rows is None:
+        with pytest.raises(ValidationError):
+            results._read_json(JSON_CHUNK_BATTERY[name][0])
+    else:
+        columns, *counts = results._read_json(JSON_CHUNK_BATTERY[name][0])
+        assert counts == [by_rows, 12]
         assert list(zip(*columns[:5])) == [
             tuple(map(item.get, CSV_COLUMNS[:5])) for item in PLAIN_ITEMS
         ]
+    assert read == reads
 
 
-def test_a_cut_inside_a_label_leaves_the_text_to_the_row_parser(monkeypatch):
+def test_a_cut_inside_a_label_rereads_the_whole_text(monkeypatch):
     monkeypatch.setattr(results, "_JSON_CHUNK", 0)
-    assert results._chunked_json_columns(json.dumps(HOSTILE_ITEMS)) is None
-    assert len(results._chunked_json_columns(_PLAIN)[0]) == len(PLAIN_ITEMS)
+    columns, *counts = results._read_json(json.dumps(HOSTILE_ITEMS))
+    assert (len(columns[0]), counts) == (len(HOSTILE_ITEMS), [0, 1])
+    columns, *counts = results._read_json(_PLAIN)
+    assert (len(columns[0]), counts) == (len(PLAIN_ITEMS), [0, len(PLAIN_ITEMS)])
 
 
 def _csv_records(table) -> list[list[str]]:
@@ -881,14 +935,20 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     assert peak < 5 * len(text)
 
 
-def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text():
-    # The same 40k rows as canonical JSON (4.8 MB, about 20 chunks); peak over
+@pytest.mark.parametrize("ok_status", ["ok", "OK"])
+def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
+    # The same 40k rows as JSON (4.8 MB, about 20 chunks), canonical or with
+    # every ok status spelled "OK", which the row parser reads; peak over
     # text length: 5.5-6.1x with every item loaded as a dict at once,
     # 1.4-1.6x with one chunk of items at a time.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
-    text = json.dumps(_grid_items(table))
+    items = _grid_items(table)
+    for item in items:
+        item["status"] = ok_status if item["status"] == "ok" else item["status"]
+    text = json.dumps(items)
+    del items
     tracemalloc.start()
     try:
         ingest(text, table.registry)
@@ -898,7 +958,7 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text():
     assert peak < 2 * len(text)
     # One label object per distinct label, across every chunk.
     assert len(text) > 10 * results._JSON_CHUNK
-    for column in results._chunked_json_columns(text)[:3]:
+    for column in results._read_json(text)[0][:3]:
         assert len({id(label) for label in column}) == len(set(column)) > 1
 
 
