@@ -7,18 +7,25 @@ Every OK score is finite. Failed runs (out-of-memory, timeout, error)
 may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
-:meth:`ResultTable.from_columns` is the one validating constructor:
-ingest hands it one column per field. ``synthgen.generate`` builds its
-table from cubes it fills directly, valid by construction, and
-:func:`resolve_failures` copies a table with new values. JSON has one
-reader, :func:`_read_json`: it parses about 250 kB of text at a time,
-and a chunk of canonical items (see :func:`_json_columns`) gives its
-columns straight from them. CSV, and any JSON chunk that is not
-canonical, go through the row parser :func:`_parse_rows`, which owns
-every row-level error message. A fault in any chunk reads the text again
-as one chunk, so errors are those of reading it whole. Per-cell
-:class:`ResultRecord` objects exist only in :attr:`ResultTable.records`,
-which the pipeline never reads.
+
+Ingest reads text a chunk at a time: :func:`_read_csv` splits CSV into
+lines a slice of about 250k characters at a time and parses 10,000 rows
+at a time, and :func:`_read_json` parses about 250k characters of JSON
+at a time. A chunk gives the six record columns, from the row parser
+:func:`_parse_rows`, which owns every row-level error message, or, for a
+chunk of canonical JSON items, from :func:`_json_columns`.
+:func:`_chunk` turns them into arrays at once:
+int32 codes for the labels and seeds through one first-seen code dict per
+field, float64 values, has-value flags and int8 statuses. So only one
+chunk is ever held as Python objects. A fault in a JSON chunk reads the
+text again as one chunk, so errors are those of reading it whole.
+:meth:`ResultTable._from_chunks` is the one validating core: it joins the
+chunks, sorts the labels once and checks every record over the arrays.
+:meth:`ResultTable.from_columns` type-checks plain columns and hands them
+to it as one chunk. ``synthgen.generate`` builds its table from cubes it
+fills directly, valid by construction, and :func:`resolve_failures`
+copies a table with new values. Per-cell :class:`ResultRecord` objects
+exist only in :attr:`ResultTable.records`, which the pipeline never reads.
 
 Text crosses this module's boundary one way each: :func:`ingest` tells
 CSV from JSON by the text's first non-whitespace character; CSV is read by
@@ -203,27 +210,46 @@ class ResultTable:
         Every algorithm, dataset and metric label must be a non-empty
         ``str`` without surrounding whitespace, every seed an ``int`` and
         every value a ``float`` (numpy floats included) or None, as ingest
-        gives them; otherwise the ValidationError names the first bad entry.
-        Record-level errors name the first offending record in input
-        order, with the same check order as a record-by-record scan:
-        status ok without a value, unknown metric, value outside bounds,
-        non-finite ok value, duplicate key. With ``drop_incomplete`` every
-        test with any missing cell is dropped (never imputed); otherwise
-        an incomplete grid is an error listing every missing cell.
+        gives them; otherwise the ValidationError names the first bad entry,
+        column by column. The columns then go as one chunk to
+        :meth:`_from_chunks`, the validating core that ingest uses too.
         """
-        n = len(algorithm_column)
-        if not n:
+        columns = algorithm_column, dataset_column, metric_column, seed_column, value_column
+        for (valid, message), column in zip(_ENTRY_RULES.values(), columns):
+            for bad in itertools.filterfalse(valid, column):
+                raise ValidationError(message.format(bad))
+        codes = _Codes(), _Codes(), _Codes(), _Codes()
+        chunks = [_chunk((*columns, status_column), codes)]
+        return cls._from_chunks(codes, chunks, registry, drop_incomplete)
+
+    @classmethod
+    def _from_chunks(
+        cls,
+        codes: tuple[_Codes, ...],
+        chunks: list[tuple[np.ndarray, ...]],
+        registry: dict[str, MetricSpec],
+        drop_incomplete: bool,
+    ) -> "ResultTable":
+        """Validate records, read as :func:`_chunk` arrays, into a complete grid: the one core.
+
+        The chunks are joined, and dropped from ``chunks``. Record-level
+        errors name the first offending record in input order, with the
+        same check order as a record-by-record scan: status ok without a
+        value, unknown metric, value outside bounds, non-finite ok value,
+        duplicate key. With ``drop_incomplete`` every test with any missing
+        cell is dropped (never imputed); otherwise an incomplete grid is an
+        error listing every missing cell.
+        """
+        if not sum(len(chunk[0]) for chunk in chunks):
             raise ValidationError("no records")
-        algorithms, alg = _codes(algorithm_column, "algorithm")
-        datasets, dataset = _codes(dataset_column, "dataset")
-        metrics, metric = _codes(metric_column, "metric")
-        seeds, seed = _codes(seed_column, "seed")
-        if not all(map(_is_value_type, set(map(type, value_column)))):
-            bad = next(x for x in value_column if not _is_value_type(type(x)))
-            raise ValidationError(f"bad value {bad!r}: not a float or None")
-        values = np.array(value_column, dtype=float)  # None becomes NaN
-        status = np.array(status_column, dtype=np.int8)
-        has_value = np.array([v is not None for v in value_column], dtype=bool)
+        alg, dataset, metric, seed, values, has_value, status = map(np.concatenate, zip(*chunks))
+        chunks.clear()
+        algorithms, datasets, metrics, seeds = labels = [tuple(sorted(field)) for field in codes]
+        # Codes count in first-seen order; renumber each field's in label order, in place.
+        for field, field_labels, column in zip(codes, labels, (alg, dataset, metric, seed)):
+            rank = {label: code for code, label in enumerate(field_labels)}
+            remap = np.fromiter(map(rank.__getitem__, field), np.int32, len(rank))
+            np.take(remap, column, out=column)
 
         specs = [registry.get(m) for m in metrics]
         known = np.array([spec is not None for spec in specs])[metric]
@@ -233,11 +259,14 @@ class ResultTable:
         with np.errstate(invalid="ignore"):
             in_bounds = (lo[metric] <= values) & (values <= hi[metric])
 
-        test_codes, test = np.unique(dataset * len(metrics) + metric, return_inverse=True)
+        # Each record's test code, then its cell.
+        cell = dataset.astype(np.int64) * len(metrics) + metric
+        # With return_counts, np.unique sorts; its hash path imports numpy.ma (0.1 s).
+        test_codes = np.unique(cell, return_counts=True)[0]
         t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
-        cell = (test * s_n + seed) * a_n + alg
+        cell = (np.searchsorted(test_codes, cell) * s_n + seed) * a_n + alg
         counts = np.bincount(cell, minlength=t_n * s_n * a_n)
-        repeated = np.zeros(n, dtype=bool)
+        repeated = np.zeros(len(cell), dtype=bool)
         if counts.max() > 1:
             repeated[:] = True
             repeated[np.unique(cell, return_index=True)[1]] = False
@@ -249,7 +278,7 @@ class ResultTable:
         invalid = no_value | ~known | out_of_bounds | non_finite | repeated
         if invalid.any():
             i = int(np.argmax(invalid))
-            key = (algorithm_column[i], dataset_column[i], metric_column[i], seed_column[i])
+            key = (algorithms[alg[i]], datasets[dataset[i]], metrics[metric[i]], seeds[seed[i]])
             if no_value[i]:
                 raise ValidationError(f"record {key}: status ok but no value")
             if not known[i]:
@@ -257,10 +286,10 @@ class ResultTable:
             if out_of_bounds[i]:
                 lo_i, hi_i = specs[metric[i]].bounds
                 raise ValidationError(
-                    f"record {key}: value {value_column[i]} outside bounds [{lo_i}, {hi_i}]"
+                    f"record {key}: value {values[i].item()} outside bounds [{lo_i}, {hi_i}]"
                 )
             if non_finite[i]:
-                raise ValidationError(f"record {key}: non-finite value {value_column[i]!r}")
+                raise ValidationError(f"record {key}: non-finite value {values[i].item()!r}")
             raise ValidationError(f"duplicate record for {key}")
 
         if len(algorithms) < 2:
@@ -313,41 +342,29 @@ def _is_label(x) -> bool:
     return type(x) is str and x != "" and x.strip() == x
 
 
-def _is_seed(x) -> bool:
-    """Whether ``x`` is a seed as ingest gives it: an ``int``, not a ``bool``."""
-    return type(x) is int
+class _Codes(dict):
+    """Label -> int code, counted in first-seen order, which is also the dict's order."""
+
+    def __missing__(self, label) -> int:
+        code = self[label] = len(self)
+        return code
 
 
-def _is_value_type(kind: type) -> bool:
-    """Whether a value of type ``kind`` is a score as ingest gives it: a float (numpy's too) or None."""
-    return kind is type(None) or issubclass(kind, (float, np.floating))
+def _chunk(columns: Sequence[list], codes: tuple[_Codes, ...]) -> tuple[np.ndarray, ...]:
+    """One chunk of records as arrays, from the six columns :meth:`ResultTable.from_columns` takes.
 
-
-def _codes(column: Sequence, field: str) -> tuple[tuple, np.ndarray]:
-    """Sorted distinct entries of a column and each entry's index into them.
-
-    Every entry must be as ingest gives it: a seed an ``int`` (not a
-    ``bool``), any other field a label that passes :func:`_is_label`. The
-    check runs before sorting, and an unhashable entry fails it too, so a
-    column of mixed or unhashable types is a ValidationError naming the
-    column and its first bad entry in column order.
+    Algorithm, dataset, metric and seed become int32 codes through
+    ``codes``, one :class:`_Codes` per field shared by every chunk of an
+    input. Beside them go float64 values (NaN for none), a has-value bool
+    array and int8 statuses.
     """
-    valid = _is_seed if field == "seed" else _is_label
-    try:
-        distinct = set(column)
-        ok = all(map(valid, distinct))
-    except TypeError:  # an unhashable entry, which is never valid
-        ok = False
-    if not ok:
-        bad = next(x for x in column if not valid(x))
-        if field == "seed":
-            raise ValidationError(f"bad seed {bad!r}: not an int")
-        raise ValidationError(
-            f"bad {field} label {bad!r}: not a non-empty str without surrounding whitespace"
-        )
-    labels = tuple(sorted(distinct))
-    index = {x: i for i, x in enumerate(labels)}
-    return labels, np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=len(column))
+    *keys, values, statuses = columns
+    return (
+        *(np.fromiter(map(c.__getitem__, key), np.int32, len(key)) for c, key in zip(codes, keys)),
+        np.array(values, dtype=float),  # None becomes NaN
+        np.array([value is not None for value in values], dtype=bool),
+        np.array(statuses, dtype=np.int8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +373,23 @@ def _codes(column: Sequence, field: str) -> tuple[tuple, np.ndarray]:
 
 CSV_COLUMNS = ("algorithm", "dataset", "metric", "seed", "value", "status")
 _FIELDS = frozenset(CSV_COLUMNS)  # the keys a JSON item may have
+
+# What ResultTable.from_columns requires of each entry of a column but the
+# status one, in column order, and the message naming the first that fails.
+_ENTRY_RULES = {
+    **{
+        field: (
+            _is_label,
+            f"bad {field} label {{!r}}: not a non-empty str without surrounding whitespace",
+        )
+        for field in CSV_COLUMNS[:3]
+    },
+    "seed": (lambda x: type(x) is int, "bad seed {!r}: not an int"),
+    "value": (
+        lambda x: x is None or isinstance(x, (float, np.floating)),
+        "bad value {!r}: not a float or None",
+    ),
+}
 
 
 def parse_registry(text: str) -> dict[str, MetricSpec]:
@@ -411,26 +445,35 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-def _lines(text: str) -> io.TextIOWrapper:
+# CSV text is split into lines one slice of about _CSV_CHUNK characters at
+# a time, so only one slice is copied at a time, and the row parser reads
+# _CSV_BATCH rows at a time, so only one batch is held as Python lists.
+_CSV_CHUNK = 250_000
+_CSV_BATCH = 10_000
+
+
+def _lines(text: str) -> Iterator[str]:
     """The lines of ``io.StringIO(text)``: split at ``"\\n"`` only, line ends kept.
 
-    They are decoded from one UTF-8 copy of the text, one byte per ASCII
-    character, where ``StringIO`` copies it at up to four bytes a
-    character. ``surrogatepass`` keeps lone surrogates as they are.
+    They are read from one slice of the text at a time. A slice runs to
+    just after the first ``"\\n"`` past :data:`_CSV_CHUNK` characters, or
+    to the end of the text, so no line is split.
     """
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n")
+    cuts = [0]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + _CSV_CHUNK) + 1 or len(text))
+    slices = (io.StringIO(text[start:cut]) for start, cut in zip(cuts, cuts[1:]))
+    return itertools.chain.from_iterable(slices)
 
 
-def _csv_rows(text: str) -> Iterable[list[str]]:
-    """Data rows of CSV text under the exact header.
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Data rows of CSV lines under the exact header.
 
     The header is row 1 and data rows count from 2; blank lines are
     skipped and not numbered. Text that ``csv.reader`` cannot split, such
     as a bare carriage return in an unquoted field, is an error of the row
     it is in.
     """
-    lines = _lines(text)
     reader = csv.reader(lines)
     rowno = 0  # the last row read
     try:
@@ -449,8 +492,24 @@ def _csv_rows(text: str) -> Iterable[list[str]]:
         # mode?": ingest is given text, so there is no file to reopen.
         message = str(exc).partition(" - do you need")[0]
         raise ValidationError(f"row {rowno + 1}: {message}") from None
-    finally:
-        lines.close()
+
+
+def _read_csv(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
+    """The codes and :func:`_chunk` arrays of CSV text; chunks the row parser read, of how many.
+
+    A chunk is a batch of :data:`_CSV_BATCH` rows, or fewer in the last
+    one, and the row parser reads every chunk, with rows numbered across
+    chunks; text without rows counts as one chunk. One ``csv.reader``
+    reads every slice of :func:`_lines`, so a quoted field may span a cut.
+    """
+    codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
+    rows = _csv_rows(_lines(text))
+    for first in rows:  # each batch's first row; the loop ends with the rows
+        start = 2 + sum(len(chunk[0]) for chunk in chunks)
+        batch = itertools.chain([first], itertools.islice(rows, _CSV_BATCH - 1))
+        chunks.append(_chunk(_parse_rows(batch, start), codes))
+    n_chunks = max(1, len(chunks))
+    return codes, chunks, n_chunks, n_chunks
 
 
 def _json_rows(items: list, start: int = 0) -> Iterable[list[str]]:
@@ -473,28 +532,31 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     ``int`` (not a ``bool``); value is a float, or None on a failed row.
     The row parser reads such items to these same columns, so it stays
     the one definer of row-level meaning and of every row error: any
-    other input goes to it instead.
+    other input goes to it instead. The statuses are checked first and
+    the labels last, so most items that are not canonical are told apart
+    before the label columns are built.
     """
     if set(map(type, items)) != {dict} or not _FIELDS.issuperset(
         itertools.chain.from_iterable(items)
     ):
         return None
-    algorithms, datasets, metrics, seeds, values, statuses = (
-        [item.get(key) for item in items] for key in CSV_COLUMNS
-    )
     try:
+        statuses = [_STATUS_TEXT_CODE[item.get("status")] for item in items]
+        seeds, values = ([item.get(key) for item in items] for key in ("seed", "value"))
+        if not (
+            set(map(type, seeds)) == {int}
+            and set(map(type, values)) <= {float, type(None)}
+            and not any(value is None and code == OK for value, code in zip(values, statuses))
+        ):
+            return None
+        algorithms, datasets, metrics = (
+            [item.get(key) for item in items] for key in CSV_COLUMNS[:3]
+        )
         labels = set(algorithms).union(datasets, metrics)
-        codes = [_STATUS_TEXT_CODE[status] for status in statuses]
-    except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable field
+    except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable status or label
         return None
-    if not (
-        all(map(_is_label, labels))
-        and set(map(type, seeds)) == {int}
-        and set(map(type, values)) <= {float, type(None)}
-        and not any(value is None and code == OK for value, code in zip(values, codes))
-    ):
-        return None
-    return algorithms, datasets, metrics, seeds, values, codes
+    columns = algorithms, datasets, metrics, seeds, values, statuses
+    return columns if all(map(_is_label, labels)) else None
 
 
 class _Labels(dict):
@@ -515,25 +577,24 @@ class _Labels(dict):
 _JSON_CHUNK = 250_000
 
 
-def _read_json(text: str) -> tuple[tuple[list, ...], int, int]:
-    """The six record columns of a JSON array; how many chunks the row parser read, of how many.
+def _read_json(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
+    """The codes and :func:`_chunk` arrays of JSON text; chunks the row parser read, of how many.
 
     The text is cut after the first ``},`` past every :data:`_JSON_CHUNK`
     characters, and each chunk is parsed as an array. A canonical chunk
     (see :func:`_json_columns`) gives its columns straight from its items;
     any other goes through the row parser, with items and rows numbered
-    across chunks. Labels map through one :class:`_Labels`. A fault in a
-    chunk (bad JSON, as after a cut inside a string; a row error; or an
-    empty chunk, as a trailing ``},]`` leaves) reads the text again as one
-    chunk, the whole text, so every outcome is that of reading it whole: a
-    syntax error anywhere wins over a row error in an earlier chunk.
+    across chunks. A fault in a chunk (bad JSON, as after a cut inside a
+    string; a row error; or an empty chunk, as a trailing ``},]`` leaves)
+    reads the text again as one chunk, the whole text, so every outcome is
+    that of reading it whole: a syntax error anywhere wins over a row error
+    in an earlier chunk.
     """
     for size in _JSON_CHUNK, len(text):
-        columns = [], [], [], [], [], []
-        label = _Labels()
+        codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
         start = by_rows = 0
         try:
-            for chunks in itertools.count(1):
+            for n_chunks in itertools.count(1):
                 cut = text.find("},", start + size) + 1  # the comma's index; 0 in the last chunk
                 whole = not (start or cut)
                 # The first chunk opens the array and the last one closes it.
@@ -543,17 +604,15 @@ def _read_json(text: str) -> tuple[tuple[list, ...], int, int]:
                 # An empty chunk of several is a fault too: a trailing "},]" leaves one.
                 if not isinstance(items, list) or not (items or whole):
                     raise ValidationError("JSON input must be an array of objects")
-                parts = _json_columns(items)
-                if parts is None:
+                columns = _json_columns(items)
+                if columns is None:
                     by_rows += 1
-                    parts = _parse_rows(_json_rows(items, len(columns[0])), len(columns[0]))
-                for column, part in zip(columns[:3], parts):
-                    column.extend(map(label.__getitem__, part))
-                for column, part in zip(columns[3:], parts[3:]):
-                    column.extend(part)
-                del items, parts  # before the next chunk is parsed
+                    n = sum(len(chunk[0]) for chunk in chunks)
+                    columns = _parse_rows(_json_rows(items, n), n)
+                chunks.append(_chunk(columns, codes))
+                del items, columns  # before the next chunk is parsed
                 if not cut:
-                    return columns, by_rows, chunks
+                    return codes, chunks, by_rows, n_chunks
                 start = cut + 1
         except json.JSONDecodeError as exc:
             if whole:
@@ -609,19 +668,22 @@ def ingest(
     an array of objects with the fields of :data:`CSV_COLUMNS`; any other
     text is CSV, which must begin with the exact header
     ``algorithm,dataset,metric,seed,value,status``, so the two never
-    overlap. JSON is read a chunk at a time by :func:`_read_json`, and
-    each chunk that is not canonical goes through the row parser; CSV goes
-    through it as one chunk. The row parser gives every row-level error
-    message, first error first. The log line says how many chunks it read,
-    so a run shows whether the slow parser ran.
+    overlap. Either is read a chunk at a time, CSV by :func:`_read_csv` in
+    batches of rows and JSON by :func:`_read_json` in pieces of about 250k
+    characters, and each chunk's records become arrays before the next
+    chunk is read. Every CSV chunk, and each JSON chunk that is not
+    canonical, goes through the
+    row parser, which gives every row-level error message, first error
+    first; :meth:`ResultTable._from_chunks` then checks the records once,
+    over the arrays. The log line says how many chunks the row parser
+    read, so a run shows whether the slow parser ran.
     """
     # A match, not text.lstrip(), so the text is not copied.
     json_text = re.match(r"\s*[\[{]", text)
-    columns, by_rows, chunks = (
-        _read_json(text) if json_text else (_parse_rows(_csv_rows(text), start=2), 1, 1)
-    )
-    log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, chunks, len(columns[0]))
-    return ResultTable.from_columns(*columns, registry, drop_incomplete)
+    codes, chunks, by_rows, n_chunks = (_read_json if json_text else _read_csv)(text)
+    rows = sum(len(chunk[0]) for chunk in chunks)
+    log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, n_chunks, rows)
+    return ResultTable._from_chunks(codes, chunks, registry, drop_incomplete)
 
 
 def csv_fields(labels: Iterable[str]) -> dict[str, str]:

@@ -412,11 +412,18 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
         ingest(MINIMAL_CSV, REGISTRY)
         monkeypatch.setattr(results, "_JSON_CHUNK", 0)
         ingest(seed_text, REGISTRY)
+        monkeypatch.setattr(results, "_CSV_BATCH", 3)
+        ingest(MINIMAL_CSV, REGISTRY)
+        monkeypatch.setattr(results, "_CSV_BATCH", 2)
+        ingest(MINIMAL_CSV, REGISTRY)
     assert caplog.messages == [
         "0 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 4 chunks by the row parser: parsed 4 rows",
+        # Batches of three rows and one, then two full ones and no empty one.
+        "2 of 2 chunks by the row parser: parsed 4 rows",
+        "2 of 2 chunks by the row parser: parsed 4 rows",
     ]
 
 
@@ -534,6 +541,16 @@ PLAIN_CHUNK_READS = {
 }
 
 
+def _chunk_records(codes, chunks) -> list[tuple]:
+    """Each record in ``chunks``: its labels through ``codes``, then its value, None for none."""
+    labels = [list(field) for field in codes]  # a field's labels in code order
+    return [
+        (*(field[code] for field, code in zip(labels, keys)), value if has_value else None)
+        for chunk in chunks
+        for *keys, value, has_value, _ in zip(*(array.tolist() for array in chunk))
+    ]
+
+
 @pytest.mark.parametrize("name", PLAIN_CHUNK_READS)
 def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
     read, json_columns = [], results._json_columns
@@ -550,9 +567,9 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
         with pytest.raises(ValidationError):
             results._read_json(JSON_CHUNK_BATTERY[name][0])
     else:
-        columns, *counts = results._read_json(JSON_CHUNK_BATTERY[name][0])
+        codes, chunks, *counts = results._read_json(JSON_CHUNK_BATTERY[name][0])
         assert counts == [by_rows, 12]
-        assert list(zip(*columns[:5])) == [
+        assert _chunk_records(codes, chunks) == [
             tuple(map(item.get, CSV_COLUMNS[:5])) for item in PLAIN_ITEMS
         ]
     assert read == reads
@@ -560,10 +577,10 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
 
 def test_a_cut_inside_a_label_rereads_the_whole_text(monkeypatch):
     monkeypatch.setattr(results, "_JSON_CHUNK", 0)
-    columns, *counts = results._read_json(json.dumps(HOSTILE_ITEMS))
-    assert (len(columns[0]), counts) == (len(HOSTILE_ITEMS), [0, 1])
-    columns, *counts = results._read_json(_PLAIN)
-    assert (len(columns[0]), counts) == (len(PLAIN_ITEMS), [0, len(PLAIN_ITEMS)])
+    codes, chunks, *counts = results._read_json(json.dumps(HOSTILE_ITEMS))
+    assert (len(_chunk_records(codes, chunks)), counts) == (len(HOSTILE_ITEMS), [0, 1])
+    codes, chunks, *counts = results._read_json(_PLAIN)
+    assert (len(_chunk_records(codes, chunks)), counts) == (len(PLAIN_ITEMS), [0, len(PLAIN_ITEMS)])
 
 
 def _csv_records(table) -> list[list[str]]:
@@ -716,6 +733,16 @@ def test_from_columns_rejects_seeds_ingest_never_gives(seed):
     with pytest.raises(ValidationError) as exc:
         ResultTable.from_columns(*_columns_with("seed", seed), REGISTRY)
     assert str(exc.value) == f"bad seed {seed!r}: not an int"
+
+
+def test_from_columns_rejects_a_seed_equal_to_an_earlier_int_seed():
+    # 0.0 and False equal the int seed 0 before them, and used to merge with it.
+    for seed in (0.0, False):
+        columns = _columns_with("seed", 0)
+        columns[3][2] = seed  # record 2 is (b, seed 0)
+        with pytest.raises(ValidationError) as exc:
+            ResultTable.from_columns(*columns, REGISTRY)
+        assert str(exc.value) == f"bad seed {seed!r}: not an int"
 
 
 # Values that ingest never gives. The str and bool used to read as 0.5 and
@@ -879,6 +906,50 @@ def test_ingest_error_messages_are_pinned(text, drop_incomplete, message):
     assert str(exc.value) == message
 
 
+def _hostile_csv() -> str:
+    """CSV of a grid whose labels hold commas, quotes, carriage returns and line breaks."""
+    items = _minimal_items((3, {"value": None, "status": "timeout"}))
+    for item in items:
+        item["algorithm"] = f'x"\r\n,{item["algorithm"]}\n\ny'
+        item["dataset"] = 'c,"o"\rra!'
+    return "".join(to_csv(ResultTable.from_columns(
+        *([item[key] for item in items] for key in CSV_COLUMNS[:5]),
+        [STATUSES.index(Status(item["status"])) for item in items],
+        REGISTRY,
+    )))
+
+
+_MINIMAL_ROWS = MINIMAL_CSV.splitlines(True)
+# CSV texts, each read in slices of a few characters and batches of a few
+# rows, and in one slice and one batch: the text and the drop_incomplete flag.
+CSV_CHUNK_BATTERY = {
+    **{name: (text, drop) for name, (text, drop, _) in INGEST_ERROR_CASES.items()
+       if not text.lstrip().startswith(("[", "{"))},
+    "minimal": (MINIMAL_CSV, False),
+    "bad status in the last row": (MINIMAL_CSV.replace("0.3,ok", "0.3,lost"), False),
+    "bad seed after blank lines": (MINIMAL_CSV.replace("b,cora,f1,1", "\n\nb,cora,f1,x"), False),
+    "CRLF line ends": (MINIMAL_CSV.replace("\n", "\r\n"), False),
+    "no final newline": (MINIMAL_CSV.rstrip("\n"), False),
+    "padded fields": ("".join(_MINIMAL_ROWS[:2]) + "".join(f" {row}" for row in _MINIMAL_ROWS[2:]),
+                      False),
+    "hostile labels": (_hostile_csv(), False),
+    "unclosed quote in the last row": (_hostile_csv() + '"a,cora', False),
+    "large grid": ("".join(to_csv(_BATTERY_TABLE)), False),
+}
+
+
+@pytest.mark.parametrize("chunk, batch", [(0, 1), (1, 2), (7, 3), (40, 5)])
+@pytest.mark.parametrize(
+    "text, drop_incomplete", CSV_CHUNK_BATTERY.values(), ids=CSV_CHUNK_BATTERY.keys()
+)
+def test_chunked_csv_ingest_matches_one_chunk(text, drop_incomplete, chunk, batch, monkeypatch):
+    registry = {**REGISTRY, **BATTERY_REGISTRY}
+    whole = _outcome(lambda: ingest(text, registry, drop_incomplete))
+    monkeypatch.setattr(results, "_CSV_CHUNK", chunk)
+    monkeypatch.setattr(results, "_CSV_BATCH", batch)
+    assert _outcome(lambda: ingest(text, registry, drop_incomplete)) == whole
+
+
 # Every line break str.splitlines knows, lone surrogates and non-ASCII:
 # only "\n" may end a line.
 LINE_PIECES = st.one_of(
@@ -892,17 +963,20 @@ LINE_PIECES = st.one_of(
 )
 
 
-@given(st.lists(LINE_PIECES).map("".join), st.sampled_from([0, 8189, 8190, 8191, 8192]))
+@given(st.lists(LINE_PIECES).map("".join), st.integers(0, 6))
 @settings(max_examples=300, deadline=None)
 @example("", 0)
 @example("a,b\nc", 0)
 @example("a\rb\r", 0)
-@example("\xe9\U0001f600\ud800\n", 8191)
-def test_lines_are_the_lines_of_stringio(text, filler):
-    # The filler puts a multi-byte character across the reader's
-    # 8192-byte chunk boundary.
-    text = "x" * filler + text
-    assert list(results._lines(text)) == list(io.StringIO(text))
+@example("a\r\nb\r\n", 1)
+@example("a long line\nb", 2)
+@example("\xe9\U0001f600\ud800\n\udfff", 1)
+def test_lines_are_the_lines_of_stringio(text, chunk):
+    # Slices of a few characters put lines longer than a slice, "\r\n", a
+    # bare "\r" and lone surrogates across the cuts.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(results, "_CSV_CHUNK", chunk)
+        assert list(results._lines(text)) == list(io.StringIO(text))
 
 
 def test_label_columns_hold_one_object_per_distinct_label():
@@ -912,7 +986,7 @@ def test_label_columns_hold_one_object_per_distinct_label():
     lines[1:] = [
         f" {line}" if i % 3 else line.replace(",", " ,", 3) for i, line in enumerate(lines[1:])
     ]
-    columns = results._parse_rows(results._csv_rows("".join(lines)), start=2)
+    columns = results._parse_rows(results._csv_rows(io.StringIO("".join(lines))), start=2)
     for column in columns[:3]:
         assert len({id(label) for label in column}) == len(set(column)) > 1
     assert set(columns[0]) == set(table.algorithms)
@@ -921,7 +995,9 @@ def test_label_columns_hold_one_object_per_distinct_label():
 def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     # 40k rows; peak over text length: 9.4x with a label string per row and
     # a StringIO copy of the text (4 bytes a character), 7.5x with the
-    # strings alone, 5.7x with the copy alone, 3.9x with neither.
+    # strings alone, 5.7x with the copy alone, 3.8x with a UTF-8 copy of the
+    # text and a Python list per column, 1.8x read one slice at a time into
+    # arrays.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
@@ -932,7 +1008,7 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * len(text)
+    assert peak < 2 * len(text)
 
 
 @pytest.mark.parametrize("ok_status", ["ok", "OK"])
@@ -940,7 +1016,8 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
     # The same 40k rows as JSON (4.8 MB, about 20 chunks), canonical or with
     # every ok status spelled "OK", which the row parser reads; peak over
     # text length: 5.5-6.1x with every item loaded as a dict at once,
-    # 1.4-1.6x with one chunk of items at a time.
+    # 1.4x with one chunk of items at a time into Python lists, 0.7x into
+    # arrays.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
@@ -956,10 +1033,14 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text)
-    # One label object per distinct label, across every chunk.
+    # One code per distinct label, shared by every chunk.
     assert len(text) > 10 * results._JSON_CHUNK
-    for column in results._read_json(text)[0][:3]:
-        assert len({id(label) for label in column}) == len(set(column)) > 1
+    codes, chunks, _, n_chunks = results._read_json(text)
+    assert len(chunks) == n_chunks > 10
+    labels = table.algorithms, *zip(*table.suite), table.seeds
+    assert [sorted(field) for field in codes] == [sorted(set(field)) for field in labels]
+    for chunk in chunks:
+        assert all(key.max() < len(field) for key, field in zip(chunk, codes))
 
 
 class TestResolveFailures:
