@@ -265,16 +265,14 @@ def cmd_fcr(args) -> int:
 def cmd_converge(args) -> int:
     registry = _load_registry(args.registry)
     table, digest = _load_table(args.input, registry, args.drop_incomplete)
-    if args.sizes and max(args.sizes) > len(table.suite):
-        args.parser.error(
-            f"--sizes {max(args.sizes)} exceeds the number of tests ({len(table.suite)})"
-        )
+    if args.sizes and (top := max(span[-1] for span in args.sizes)) > len(table.suite):
+        args.parser.error(f"--sizes {top} exceeds the number of tests ({len(table.suite)})")
     cube = _ranked(table, args)
     with _stage("convergence"):
         conv = subsample_convergence(
             cube,
             coefficients=args.coefficients,
-            sizes=args.sizes,
+            sizes=[k for span in args.sizes for k in span] if args.sizes else None,
             repeats=args.repeats,
             rng_seed=args.rng_seed,
         )
@@ -337,21 +335,25 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _parse_sizes(spec: str) -> list[int]:
-    """'1:3,8' -> [1, 2, 3, 8]; each size >= 1, each range nonempty."""
-    sizes = []
+def _parse_sizes(spec: str) -> list[range]:
+    """'1:3,8' -> [range(1, 4), range(8, 9)]; each size >= 1, each range nonempty.
+
+    The ranges stay unexpanded until :func:`cmd_converge` has checked them
+    against the suite, so a huge range costs nothing before its usage error.
+    """
+    spans = []
     for part in spec.split(","):
         lo, colon, hi = part.strip().partition(":")
         try:
-            span = range(int(lo), int(hi) + 1) if colon else [int(lo)]
+            span = range(int(lo), int(hi if colon else lo) + 1)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad size {part!r}") from None
         if not span:
             raise argparse.ArgumentTypeError(f"empty range {part!r}")
-        if min(span) < 1:
+        if span[0] < 1:
             raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {part!r}")
-        sizes.extend(span)
-    return sizes
+        spans.append(span)
+    return spans
 
 
 def _coefficient_names(spec: str) -> list[str]:

@@ -9,7 +9,7 @@ them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 
 Ingest reads text a chunk at a time: :func:`_read_csv` splits CSV into
-lines a slice of about 250k characters at a time and parses 10,000 rows
+lines a slice of about 250k characters at a time and parses 2,000 rows
 at a time, and :func:`_read_json` parses about 250k characters of JSON
 at a time. A chunk gives the six record columns, from the row parser
 :func:`_parse_rows`, which owns every row-level error message, or, for a
@@ -208,18 +208,22 @@ class ResultTable:
         ``value_column`` holds None where a failed run has no score, and
         ``status_column`` each record's index into :data:`STATUSES`.
         Every algorithm, dataset and metric label must be a non-empty
-        ``str`` without surrounding whitespace, every seed an ``int`` and
-        every value a ``float`` (numpy floats included) or None, as ingest
-        gives them; otherwise the ValidationError names the first bad entry,
-        column by column. The columns then go as one chunk to
+        ``str`` without surrounding whitespace, every seed an ``int``, every
+        value a ``float`` (numpy floats included) or None and every status
+        an ``int`` index into :data:`STATUSES`, as ingest gives them;
+        otherwise the ValidationError names the first bad entry, column by
+        column. The columns then go as one chunk to
         :meth:`_from_chunks`, the validating core that ingest uses too.
         """
-        columns = algorithm_column, dataset_column, metric_column, seed_column, value_column
+        columns = (
+            algorithm_column, dataset_column, metric_column, seed_column, value_column,
+            status_column,
+        )
         for (valid, message), column in zip(_ENTRY_RULES.values(), columns):
             for bad in itertools.filterfalse(valid, column):
                 raise ValidationError(message.format(bad))
         codes = _Codes(), _Codes(), _Codes(), _Codes()
-        chunks = [_chunk((*columns, status_column), codes)]
+        chunks = [_chunk(columns, codes)]
         return cls._from_chunks(codes, chunks, registry, drop_incomplete)
 
     @classmethod
@@ -374,8 +378,8 @@ def _chunk(columns: Sequence[list], codes: tuple[_Codes, ...]) -> tuple[np.ndarr
 CSV_COLUMNS = ("algorithm", "dataset", "metric", "seed", "value", "status")
 _FIELDS = frozenset(CSV_COLUMNS)  # the keys a JSON item may have
 
-# What ResultTable.from_columns requires of each entry of a column but the
-# status one, in column order, and the message naming the first that fails.
+# What ResultTable.from_columns requires of each entry of a column, in
+# column order, and the message naming the first that fails.
 _ENTRY_RULES = {
     **{
         field: (
@@ -388,6 +392,10 @@ _ENTRY_RULES = {
     "value": (
         lambda x: x is None or isinstance(x, (float, np.floating)),
         "bad value {!r}: not a float or None",
+    ),
+    "status": (
+        lambda x: type(x) is int and 0 <= x < len(STATUSES),
+        "bad status {!r}: not an index into STATUSES",
     ),
 }
 
@@ -445,23 +453,25 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-# CSV text is split into lines one slice of about _CSV_CHUNK characters at
-# a time, so only one slice is copied at a time, and the row parser reads
-# _CSV_BATCH rows at a time, so only one batch is held as Python lists.
-_CSV_CHUNK = 250_000
-_CSV_BATCH = 10_000
+# Text is read one slice of about _CHUNK characters at a time (CSV cut
+# just after a "\n", JSON after a "},"), so only one slice is copied or
+# held as JSON items at a time. The row parser reads _CSV_BATCH rows at a
+# time, and one batch's fields are the only label strings held beyond the
+# code dicts, so a small batch keeps CSV ingest's peak near the text's size.
+_CHUNK = 250_000
+_CSV_BATCH = 2_000
 
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of ``io.StringIO(text)``: split at ``"\\n"`` only, line ends kept.
 
     They are read from one slice of the text at a time. A slice runs to
-    just after the first ``"\\n"`` past :data:`_CSV_CHUNK` characters, or
+    just after the first ``"\\n"`` past :data:`_CHUNK` characters, or
     to the end of the text, so no line is split.
     """
     cuts = [0]
     while cuts[-1] < len(text):
-        cuts.append(text.find("\n", cuts[-1] + _CSV_CHUNK) + 1 or len(text))
+        cuts.append(text.find("\n", cuts[-1] + _CHUNK) + 1 or len(text))
     slices = (io.StringIO(text[start:cut]) for start, cut in zip(cuts, cuts[1:]))
     return itertools.chain.from_iterable(slices)
 
@@ -559,28 +569,10 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     return columns if all(map(_is_label, labels)) else None
 
 
-class _Labels(dict):
-    """Raw label field -> stripped label, one shared ``str`` per distinct label.
-
-    A field is stripped once, on first sight; a stripped label maps to
-    itself, so padded and unpadded fields of one label give one object.
-    """
-
-    def __missing__(self, field: str) -> str:
-        stripped = field.strip()
-        label = self[field] = self.setdefault(stripped, stripped)
-        return label
-
-
-# JSON text is read in chunks of about this many characters, so only one
-# chunk's items are held as dicts at a time.
-_JSON_CHUNK = 250_000
-
-
 def _read_json(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
     """The codes and :func:`_chunk` arrays of JSON text; chunks the row parser read, of how many.
 
-    The text is cut after the first ``},`` past every :data:`_JSON_CHUNK`
+    The text is cut after the first ``},`` past every :data:`_CHUNK`
     characters, and each chunk is parsed as an array. A canonical chunk
     (see :func:`_json_columns`) gives its columns straight from its items;
     any other goes through the row parser, with items and rows numbered
@@ -590,7 +582,7 @@ def _read_json(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
     that of reading it whole: a syntax error anywhere wins over a row error
     in an earlier chunk.
     """
-    for size in _JSON_CHUNK, len(text):
+    for size in _CHUNK, len(text):
         codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
         start = by_rows = 0
         try:
@@ -623,12 +615,8 @@ def _read_json(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
-    """Parse text rows into the six record columns; row numbers count from ``start``.
-
-    The label columns hold one object per distinct label, not one per row.
-    """
+    """Parse text rows into the six record columns; row numbers count from ``start``."""
     columns = algorithms, datasets, metrics, seeds, values, statuses = [], [], [], [], [], []
-    label = _Labels()
     for rowno, (algorithm, dataset, metric, seed, value, status) in enumerate(rows, start):
         code = _STATUS_TEXT_CODE.get(status.strip().lower())
         if code is None:
@@ -647,7 +635,7 @@ def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
             seeds.append(int(seed))
         except ValueError:
             raise ValidationError(f"row {rowno}: bad seed {seed!r}") from None
-        algorithm, dataset, metric = label[algorithm], label[dataset], label[metric]
+        algorithm, dataset, metric = algorithm.strip(), dataset.strip(), metric.strip()
         if not (algorithm and dataset and metric):
             raise ValidationError(f"row {rowno}: empty identifier")
         algorithms.append(algorithm)

@@ -476,6 +476,15 @@ def test_usage_error_exits_2_before_computation(
     _assert_usage_error(capsys.readouterr().err, argv[0])
 
 
+def test_a_huge_sizes_range_is_a_usage_error_right_after_ingest(registry, table, tmp_path):
+    # Expanded before the check, this range used to run for hours, so it
+    # runs in a fresh interpreter under a timeout.
+    argv = ["converge", "--registry", registry, "--output", "r.json", "--sizes", "1:1000000000000"]
+    proc = _run_cli([*argv, table], tmp_path, timeout=30)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "--sizes 1000000000000 exceeds the number of tests" in proc.stderr
+
+
 # Outputs that would share stdout and run together; --output omitted means
 # stdout. After them, outputs that would replace one another's file or a
 # file the command reads, each with its message.
@@ -1141,7 +1150,7 @@ def test_every_output_is_written_as_pieces(tmp_path, monkeypatch):
                        "converge.json", "plot.csv", "summary.csv", "chart.svg"]
 
 
-def _run_cli(argv, cwd, level=None):
+def _run_cli(argv, cwd, level=None, timeout=120):
     """Run the CLI in a fresh interpreter, so that logging is configured as in real use."""
     env = {k: v for k, v in os.environ.items() if k != "RANKBENCH_LOG"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
@@ -1149,7 +1158,7 @@ def _run_cli(argv, cwd, level=None):
         env["RANKBENCH_LOG"] = level
     return subprocess.run(
         [sys.executable, "-m", "rankbench.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
