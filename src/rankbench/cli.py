@@ -14,7 +14,12 @@ Every output has its own destination: at most one goes to stdout, and
 no output path names another output's file or a file the command reads
 (compared after ``os.path.realpath``), a usage error otherwise.
 
-Every input file, registry included, is read by :func:`_read`. Every
+Every input file, registry included, is read by :func:`_read`, a block
+at a time straight from disk into text pieces. Ingest parses a table's
+pieces as they come, so neither its bytes nor its whole text is held,
+and each byte is read once unless ingest meets a fault: the file is
+then read again whole, so errors and their order are those of reading
+it whole (a UTF-8 fault anywhere wins over any row error). Every
 report is written by :func:`_emit_report`, and its body (settings,
 results, warnings) is built here, by the ``cmd_*`` function of its
 command: the library's result types carry numbers only. Every output
@@ -30,6 +35,7 @@ by the one rule of :func:`results.csv_fields`.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import itertools
 import json
@@ -43,7 +49,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import __version__
+from . import __version__, results
 from .comparison import Granularity, fcr
 from .concordance import COEFFICIENTS, coefficients_for, randomness
 from .plotting import render_convergence_svg
@@ -71,23 +77,52 @@ EXIT_VALIDATION = 2
 _WRITE_BATCH = 256
 
 
-def _read(path: str) -> tuple[str, str]:
-    """The text of an input file and the sha256 of its bytes.
+class _TextFile:
+    """An input file's text, in pieces: each iteration reads the file again, a block at a time.
 
-    Text that is not UTF-8 is a validation error naming the file. The
-    bytes are dropped on return, before the text is parsed.
+    A block is :data:`results._CHUNK` bytes. Each one updates the sha256
+    and goes through one incremental ``utf-8-sig`` decoder (so that a
+    byte-order mark fails neither the exact CSV header check nor
+    ``json.loads``), and the text it completes is yielded, so neither the
+    bytes nor the whole text is ever held. An iteration that reaches the
+    end of the file sets :attr:`digest` to the sha256 of the bytes it
+    read. Text that is not UTF-8 is a validation error naming the file;
+    its message comes from decoding the whole file again, so it counts
+    the fault's byte position from the start of the file.
     """
-    data = Path(path).read_bytes()
-    try:
-        # utf-8-sig: a byte-order mark must fail neither the exact CSV header
-        # check nor json.loads.
-        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+    def __init__(self, path: str):
+        self.path, self.digest = path, None
+
+    def __iter__(self) -> Iterator[str]:
+        sha, decoder = hashlib.sha256(), codecs.getincrementaldecoder("utf-8-sig")()
+
+        def decode(block: bytes) -> str:
+            sha.update(block)
+            return decoder.decode(block)
+
+        try:
+            with open(self.path, "rb") as f:
+                # map holds neither a block nor its text while the text is parsed.
+                yield from map(decode, iter(lambda: f.read(results._CHUNK or 1), b""))
+            # The decoder holds back a file that is only the start of a
+            # byte-order mark; decoding what it holds raises, as decoding whole does.
+            yield decoder.decode(b"", final=True) + decoder.getstate()[0].decode()
+        except UnicodeDecodeError:
+            try:
+                Path(self.path).read_bytes().decode("utf-8-sig")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{self.path}: not UTF-8 text ({exc})") from None
+            raise
+        self.digest = sha.hexdigest()
+
+
+# The one file reader: every input file, registry included, is a _TextFile.
+_read = _TextFile
 
 
 def _load_registry(path: str) -> dict:
-    return parse_registry(_read(path)[0])
+    return parse_registry("".join(_read(path)))
 
 
 @contextmanager
@@ -104,8 +139,14 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
     Its text, not its name, says whether it is CSV or JSON (see :func:`ingest`).
     """
     with _stage(f"ingest {path}"):
-        text, digest = _read(path)
-        return ingest(text, registry, drop_incomplete), digest
+        text = _read(path)
+        try:
+            return ingest(text, registry, drop_incomplete), text.digest
+        except ValidationError:
+            # Ingest may stop at a row error before the file is decoded to its
+            # end; a UTF-8 fault anywhere in it is the error, as when read whole.
+            "".join(text)
+            raise
 
 
 def _ranked(table, args):

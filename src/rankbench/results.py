@@ -8,17 +8,19 @@ may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 
-Ingest reads text a chunk at a time: :func:`_read_csv` splits CSV into
-lines a slice of about 250k characters at a time and parses 2,000 rows
-at a time, and :func:`_read_json` parses about 250k characters of JSON
-at a time. A chunk gives the six record columns, from the row parser
-:func:`_parse_rows`, which owns every row-level error message, or, for a
-chunk of canonical JSON items, from :func:`_json_columns`.
-:func:`_chunk` turns them into arrays at once:
+Ingest reads text one piece at a time, from a ``str`` cut into slices
+or from pieces such as the CLI reads straight from a file, and both go
+one way: :func:`_read_csv` splits the pieces into lines and parses 2,000
+rows at a time, and :func:`_read_json` cuts them into chunks of about
+250k characters of JSON. A chunk gives the six record columns, from the
+row parser :func:`_parse_rows`, which owns every row-level error
+message, or, for a chunk of canonical JSON items, from
+:func:`_json_columns`. :func:`_chunk` turns them into arrays at once:
 int32 codes for the labels and seeds through one first-seen code dict per
 field, float64 values, has-value flags and int8 statuses. So only one
-chunk is ever held as Python objects. A fault in a JSON chunk reads the
-text again as one chunk, so errors are those of reading it whole.
+chunk is ever held as Python objects, and a file's text is never held
+whole. A fault in a JSON chunk reads the text again whole, a file from
+disk, as one chunk, so errors are those of reading it whole.
 :meth:`ResultTable._from_chunks` is the one validating core: it joins the
 chunks, sorts the labels once and checks every record over the arrays.
 :meth:`ResultTable.from_columns` type-checks plain columns and hands them
@@ -453,27 +455,52 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-# Text is read one slice of about _CHUNK characters at a time (CSV cut
-# just after a "\n", JSON after a "},"), so only one slice is copied or
-# held as JSON items at a time. The row parser reads _CSV_BATCH rows at a
-# time, and one batch's fields are the only label strings held beyond the
-# code dicts, so a small batch keeps CSV ingest's peak near the text's size.
+# Text is read one piece of about _CHUNK characters at a time (a str in
+# slices, a file in blocks of _CHUNK bytes), and CSV lines and JSON chunks
+# of about _CHUNK characters are cut from the pieces (CSV just after a
+# "\n", JSON after a "},"), so only one chunk is copied or held as JSON
+# items at a time. The row parser reads _CSV_BATCH rows at a time, and one
+# batch's fields are the only label strings held beyond the code dicts, so
+# a small batch keeps CSV ingest's peak near the text's size.
 _CHUNK = 250_000
 _CSV_BATCH = 2_000
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``io.StringIO(text)``: split at ``"\\n"`` only, line ends kept.
+def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
+    """Whether ``text`` is JSON, and its pieces: a ``str`` in slices of :data:`_CHUNK` characters.
 
-    They are read from one slice of the text at a time. A slice runs to
-    just after the first ``"\\n"`` past :data:`_CHUNK` characters, or
-    to the end of the text, so no line is split.
+    JSON's first non-whitespace character is ``[`` or ``{``, in whichever
+    piece it falls; only the pieces up to that one are read ahead.
     """
-    cuts = [0]
-    while cuts[-1] < len(text):
-        cuts.append(text.find("\n", cuts[-1] + _CHUNK) + 1 or len(text))
-    slices = (io.StringIO(text[start:cut]) for start, cut in zip(cuts, cuts[1:]))
-    return itertools.chain.from_iterable(slices)
+    step = _CHUNK or 1
+    # Empty pieces, as a decoder gives for part of a character, are dropped,
+    # so "" below means the pieces have run out.
+    pieces = filter(None, (
+        (text[start : start + step] for start in range(0, len(text), step))
+        if isinstance(text, str)
+        else text
+    ))
+    head = next(pieces, "")
+    while head.isspace() and (piece := next(pieces, "")):
+        head += piece
+    # A list iterator lets go of head once it is read; a list in the chain would not.
+    return re.match(r"\s*[\[{]", head) is not None, itertools.chain(iter([head]), pieces)
+
+
+def _lines(pieces: Iterable[str]) -> Iterator[str]:
+    """The lines of the text of ``pieces`` as ``io.StringIO`` gives them: split at ``"\\n"`` only.
+
+    Each piece is split up to its last ``"\\n"``, after the partial line
+    carried from the pieces before it; what follows is carried into the next.
+    """
+    rest = ""
+    for piece in pieces:
+        if cut := piece.rfind("\n") + 1:
+            yield from io.StringIO(rest + piece[:cut])
+            rest = piece[cut:]
+        else:
+            rest += piece
+    yield from io.StringIO(rest)
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -504,16 +531,16 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
         raise ValidationError(f"row {rowno + 1}: {message}") from None
 
 
-def _read_csv(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
+def _read_csv(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, int]:
     """The codes and :func:`_chunk` arrays of CSV text; chunks the row parser read, of how many.
 
     A chunk is a batch of :data:`_CSV_BATCH` rows, or fewer in the last
     one, and the row parser reads every chunk, with rows numbered across
     chunks; text without rows counts as one chunk. One ``csv.reader``
-    reads every slice of :func:`_lines`, so a quoted field may span a cut.
+    reads every line of :func:`_lines`, so a quoted field may span pieces.
     """
     codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
-    rows = _csv_rows(_lines(text))
+    rows = _csv_rows(_lines(pieces))
     for first in rows:  # each batch's first row; the loop ends with the rows
         start = 2 + sum(len(chunk[0]) for chunk in chunks)
         batch = itertools.chain([first], itertools.islice(rows, _CSV_BATCH - 1))
@@ -569,49 +596,64 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     return columns if all(map(_is_label, labels)) else None
 
 
-def _read_json(text: str) -> tuple[tuple[_Codes, ...], list, int, int]:
+def _json_chunks(pieces: Iterable[str]) -> Iterator[tuple[str, bool]]:
+    """JSON text cut into arrays of their own: each one's text, and whether it is the whole text.
+
+    A cut falls at the first ``},`` at least :data:`_CHUNK` characters past
+    the last cut: the ``}`` ends one chunk, the ``,`` is dropped, and the
+    text after it is carried into the next piece. The first chunk opens
+    the array and the last one closes it; the others gain a ``[`` or a ``]``.
+    """
+    rest, first = "", True
+    for piece in pieces:
+        start, seen = 0, len(rest) - 1  # a "}," may begin at the last character carried
+        rest += piece
+        del piece  # rest holds its text: one copy of it while chunks are parsed
+        while cut := rest.find("},", max(start + _CHUNK, seen)) + 1:  # the comma's index
+            yield ("" if first else "[") + rest[start:cut] + "]", False
+            first, start = False, cut + 1
+        rest = rest[start:]
+    yield ("" if first else "[") + rest, first
+
+
+def _read_json(
+    texts: Iterable[tuple[str, bool]], text: str | Iterable[str]
+) -> tuple[tuple[_Codes, ...], list, int, int]:
     """The codes and :func:`_chunk` arrays of JSON text; chunks the row parser read, of how many.
 
-    The text is cut after the first ``},`` past every :data:`_CHUNK`
-    characters, and each chunk is parsed as an array. A canonical chunk
-    (see :func:`_json_columns`) gives its columns straight from its items;
-    any other goes through the row parser, with items and rows numbered
-    across chunks. A fault in a chunk (bad JSON, as after a cut inside a
-    string; a row error; or an empty chunk, as a trailing ``},]`` leaves)
-    reads the text again as one chunk, the whole text, so every outcome is
-    that of reading it whole: a syntax error anywhere wins over a row error
-    in an earlier chunk.
+    ``texts`` are the chunks of ``text`` as :func:`_json_chunks` cuts them,
+    and each chunk is parsed as an array. A canonical chunk (see
+    :func:`_json_columns`) gives its columns straight from its items; any
+    other goes through the row parser, with items and rows numbered across
+    chunks. A fault in a chunk (bad JSON, as after a cut inside a string; a
+    row error; or an empty chunk, as a trailing ``},]`` leaves) reads
+    ``text`` again whole, as one chunk, so every outcome is that of reading
+    it whole: a syntax error anywhere wins over a row error in an earlier
+    chunk.
     """
-    for size in _CHUNK, len(text):
-        codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
-        start = by_rows = 0
-        try:
-            for n_chunks in itertools.count(1):
-                cut = text.find("},", start + size) + 1  # the comma's index; 0 in the last chunk
-                whole = not (start or cut)
-                # The first chunk opens the array and the last one closes it.
-                items = json.loads(
-                    ("[" if start else "") + (text[start:cut] + "]" if cut else text[start:])
-                )
-                # An empty chunk of several is a fault too: a trailing "},]" leaves one.
-                if not isinstance(items, list) or not (items or whole):
-                    raise ValidationError("JSON input must be an array of objects")
-                columns = _json_columns(items)
-                if columns is None:
-                    by_rows += 1
-                    n = sum(len(chunk[0]) for chunk in chunks)
-                    columns = _parse_rows(_json_rows(items, n), n)
-                chunks.append(_chunk(columns, codes))
-                del items, columns  # before the next chunk is parsed
-                if not cut:
-                    return codes, chunks, by_rows, n_chunks
-                start = cut + 1
-        except json.JSONDecodeError as exc:
-            if whole:
-                raise ValidationError(f"bad JSON: {exc}") from None
-        except ValidationError:
-            if whole:
-                raise
+    codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
+    by_rows, whole = 0, False
+    try:
+        for n_chunks, (chunk_text, whole) in enumerate(texts, 1):
+            items = json.loads(chunk_text)
+            # An empty chunk of several is a fault too: a trailing "},]" leaves one.
+            if not isinstance(items, list) or not (items or whole):
+                raise ValidationError("JSON input must be an array of objects")
+            columns = _json_columns(items)
+            if columns is None:
+                by_rows += 1
+                n = sum(len(chunk[0]) for chunk in chunks)
+                columns = _parse_rows(_json_rows(items, n), n)
+            chunks.append(_chunk(columns, codes))
+            del chunk_text, items, columns  # before the next chunk is cut and parsed
+        return codes, chunks, by_rows, n_chunks
+    except json.JSONDecodeError as exc:
+        if whole:
+            raise ValidationError(f"bad JSON: {exc}") from None
+    except ValidationError:
+        if whole:
+            raise
+    return _read_json([("".join(_pieces(text)[1]), True)], text)
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
@@ -646,29 +688,33 @@ def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
 
 
 def ingest(
-    text: str,
+    text: str | Iterable[str],
     registry: dict[str, MetricSpec],
     drop_incomplete: bool = False,
 ) -> ResultTable:
     """Read a result table from CSV or JSON text; the text says which.
 
-    Text whose first non-whitespace character is ``[`` or ``{`` is JSON,
-    an array of objects with the fields of :data:`CSV_COLUMNS`; any other
-    text is CSV, which must begin with the exact header
-    ``algorithm,dataset,metric,seed,value,status``, so the two never
-    overlap. Either is read a chunk at a time, CSV by :func:`_read_csv` in
-    batches of rows and JSON by :func:`_read_json` in pieces of about 250k
-    characters, and each chunk's records become arrays before the next
-    chunk is read. Every CSV chunk, and each JSON chunk that is not
-    canonical, goes through the
-    row parser, which gives every row-level error message, first error
-    first; :meth:`ResultTable._from_chunks` then checks the records once,
-    over the arrays. The log line says how many chunks the row parser
-    read, so a run shows whether the slow parser ran.
+    ``text`` is a ``str``, or its pieces: an iterable that gives the text
+    again, from its start, each time it is iterated, as the CLI's file
+    reader does. Both go one way: a ``str`` is cut into pieces of
+    :data:`_CHUNK` characters. Text whose first non-whitespace character
+    is ``[`` or ``{`` is JSON, an array of objects with the fields of
+    :data:`CSV_COLUMNS`; any other text is CSV, which must begin with the
+    exact header ``algorithm,dataset,metric,seed,value,status``, so the
+    two never overlap. Either is read a chunk at a time, CSV by
+    :func:`_read_csv` in batches of rows and JSON by :func:`_read_json` in
+    chunks of about 250k characters, and each chunk's records become
+    arrays before the next chunk is read. Every CSV chunk, and each JSON
+    chunk that is not canonical, goes through the row parser, which gives
+    every row-level error message, first error first;
+    :meth:`ResultTable._from_chunks` then checks the records once, over
+    the arrays. The log line says how many chunks the row parser read, so
+    a run shows whether the slow parser ran.
     """
-    # A match, not text.lstrip(), so the text is not copied.
-    json_text = re.match(r"\s*[\[{]", text)
-    codes, chunks, by_rows, n_chunks = (_read_json if json_text else _read_csv)(text)
+    is_json, pieces = _pieces(text)
+    codes, chunks, by_rows, n_chunks = (
+        _read_json(_json_chunks(pieces), text) if is_json else _read_csv(pieces)
+    )
     rows = sum(len(chunk[0]) for chunk in chunks)
     log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, n_chunks, rows)
     return ResultTable._from_chunks(codes, chunks, registry, drop_incomplete)

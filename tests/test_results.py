@@ -1,4 +1,6 @@
+import codecs
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import table_of
-from rankbench import results
+from rankbench import cli, results
 from rankbench.ranking import rank_table, ranks_to_csv
 from rankbench.results import (
     CSV_COLUMNS,
@@ -471,6 +473,17 @@ HOSTILE_ITEMS = [
     dict(item, algorithm=_HOSTILE[item["algorithm"]], dataset=_HOSTILE[item["dataset"]])
     for item in PLAIN_ITEMS
 ]
+# Labels with multi-byte characters, "}," and a newline, written as UTF-8
+# rather than as \u escapes.
+_NON_ASCII = dict(zip(_BATTERY_TABLE.algorithms, ["\xe9},", "\u20ac}, {", "\U0001f600\nd"]))
+_NON_ASCII.update(zip(sorted({t.dataset for t in _BATTERY_TABLE.suite}), ["x\xe9", "\u20ac}"]))
+NON_ASCII_JSON = json.dumps(
+    [
+        dict(item, algorithm=_NON_ASCII[item["algorithm"]], dataset=_NON_ASCII[item["dataset"]])
+        for item in PLAIN_ITEMS
+    ],
+    ensure_ascii=False,
+)
 _PLAIN = json.dumps(PLAIN_ITEMS)
 _LAST = PLAIN_ITEMS[-1]
 # JSON texts, each read in chunks and whole; True where the text is a canonical array.
@@ -482,6 +495,8 @@ JSON_CHUNK_BATTERY = {
     "indent=2": (json.dumps(PLAIN_ITEMS, indent=2), True),
     "compact": (json.dumps(PLAIN_ITEMS, separators=(",", ":")), True),
     "leading whitespace": (" \n\t\r" + _PLAIN, True),
+    "leading whitespace longer than a piece": (" " * 400 + "\n" + _PLAIN, True),
+    "non-ASCII labels": (NON_ASCII_JSON, True),
     "leading non-JSON whitespace": ("\u00a0" + _PLAIN, False),
     "trailing whitespace": (_PLAIN + " \n", True),
     "trailing text": (_PLAIN + " x", False),
@@ -551,6 +566,11 @@ def _chunk_records(codes, chunks) -> list[tuple]:
     ]
 
 
+def _read_json(text: str):
+    """``results._read_json`` of the pieces of ``text``, as ingest reads them."""
+    return results._read_json(results._json_chunks(results._pieces(text)[1]), text)
+
+
 @pytest.mark.parametrize("name", PLAIN_CHUNK_READS)
 def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
     read, json_columns = [], results._json_columns
@@ -565,9 +585,9 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
     reads, by_rows = PLAIN_CHUNK_READS[name]
     if by_rows is None:
         with pytest.raises(ValidationError):
-            results._read_json(JSON_CHUNK_BATTERY[name][0])
+            _read_json(JSON_CHUNK_BATTERY[name][0])
     else:
-        codes, chunks, *counts = results._read_json(JSON_CHUNK_BATTERY[name][0])
+        codes, chunks, *counts = _read_json(JSON_CHUNK_BATTERY[name][0])
         assert counts == [by_rows, 12]
         assert _chunk_records(codes, chunks) == [
             tuple(map(item.get, CSV_COLUMNS[:5])) for item in PLAIN_ITEMS
@@ -577,9 +597,9 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
 
 def test_a_cut_inside_a_label_rereads_the_whole_text(monkeypatch):
     monkeypatch.setattr(results, "_CHUNK", 0)
-    codes, chunks, *counts = results._read_json(json.dumps(HOSTILE_ITEMS))
+    codes, chunks, *counts = _read_json(json.dumps(HOSTILE_ITEMS))
     assert (len(_chunk_records(codes, chunks)), counts) == (len(HOSTILE_ITEMS), [0, 1])
-    codes, chunks, *counts = results._read_json(_PLAIN)
+    codes, chunks, *counts = _read_json(_PLAIN)
     assert (len(_chunk_records(codes, chunks)), counts) == (len(PLAIN_ITEMS), [0, len(PLAIN_ITEMS)])
 
 
@@ -952,6 +972,7 @@ CSV_CHUNK_BATTERY = {
     "hostile labels": (_hostile_csv(), False),
     "unclosed quote in the last row": (_hostile_csv() + '"a,cora', False),
     "large grid": ("".join(to_csv(_BATTERY_TABLE)), False),
+    "non-ASCII labels": ("".join(to_csv(ingest(NON_ASCII_JSON, BATTERY_REGISTRY))), False),
 }
 
 
@@ -965,6 +986,40 @@ def test_chunked_csv_ingest_matches_one_chunk(text, drop_incomplete, chunk, batc
     monkeypatch.setattr(results, "_CHUNK", chunk)
     monkeypatch.setattr(results, "_CSV_BATCH", batch)
     assert _outcome(lambda: ingest(text, registry, drop_incomplete)) == whole
+
+
+# Every battery text, with the registry and drop_incomplete flag it is read under.
+FILE_CASES = {
+    **{f"JSON {name}": (text, BATTERY_REGISTRY, False)
+       for name, (text, _) in JSON_CHUNK_BATTERY.items()},
+    **{f"CSV {name}": (text, {**REGISTRY, **BATTERY_REGISTRY}, drop)
+       for name, (text, drop) in CSV_CHUNK_BATTERY.items()},
+}
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize(
+    "text, registry, drop_incomplete", FILE_CASES.values(), ids=FILE_CASES.keys()
+)
+def test_a_file_loads_as_its_text_does(
+    text, registry, drop_incomplete, chunk, bom, tmp_path, monkeypatch
+):
+    # The CLI reads a file _CHUNK bytes at a time (a byte at a time at 0), so
+    # at chunks 0 and 1 every multi-byte character, every "}," and the BOM
+    # are split across blocks, and the leading whitespace spans pieces.
+    expected = _outcome(lambda: ingest(text, registry, drop_incomplete))
+    data = bom + text.encode()
+    path = tmp_path / "table"
+    path.write_bytes(data)
+    monkeypatch.setattr(results, "_CHUNK", chunk)
+
+    def load():
+        table, digest = cli._load_table(str(path), registry, drop_incomplete)
+        assert digest == hashlib.sha256(data).hexdigest()
+        return table
+
+    assert _outcome(load) == expected
 
 
 # Every line break str.splitlines knows, lone surrogates and non-ASCII:
@@ -993,7 +1048,7 @@ def test_lines_are_the_lines_of_stringio(text, chunk):
     # bare "\r" and lone surrogates across the cuts.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(results, "_CHUNK", chunk)
-        assert list(results._lines(text)) == list(io.StringIO(text))
+        assert list(results._lines(results._pieces(text)[1])) == list(io.StringIO(text))
 
 
 def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
@@ -1040,7 +1095,7 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
     assert peak < 2 * len(text)
     # One code per distinct label, shared by every chunk.
     assert len(text) > 10 * results._CHUNK
-    codes, chunks, _, n_chunks = results._read_json(text)
+    codes, chunks, _, n_chunks = _read_json(text)
     assert len(chunks) == n_chunks > 10
     labels = table.algorithms, *zip(*table.suite), table.seeds
     assert [sorted(field) for field in codes] == [sorted(set(field)) for field in labels]
