@@ -14,12 +14,13 @@ Every output has its own destination: at most one goes to stdout, and
 no output path names another output's file or a file the command reads
 (compared after ``os.path.realpath``), a usage error otherwise.
 
-Every input file, registry included, is read by :func:`_read`, a block
+Every input file, registry included, is read by :class:`_TextFile`, a block
 at a time straight from disk into text pieces. Ingest parses a table's
 pieces as they come, so neither its bytes nor its whole text is held,
-and each byte is read once unless ingest meets a fault: the file is
-then read again whole, so errors and their order are those of reading
-it whole (a UTF-8 fault anywhere wins over any row error). Every
+and each byte is read once unless ingest meets a fault in a JSON chunk
+or stops before the end of the file: the file is then read again whole,
+so errors and their order are those of reading it whole (a UTF-8 fault
+anywhere wins over any row error). Every
 report is written by :func:`_emit_report`, and its body (settings,
 results, warnings) is built here, by the ``cmd_*`` function of its
 command: the library's result types carry numbers only. Every output
@@ -117,12 +118,8 @@ class _TextFile:
         self.digest = sha.hexdigest()
 
 
-# The one file reader: every input file, registry included, is a _TextFile.
-_read = _TextFile
-
-
 def _load_registry(path: str) -> dict:
-    return parse_registry("".join(_read(path)))
+    return parse_registry("".join(_TextFile(path)))
 
 
 @contextmanager
@@ -139,13 +136,16 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
     Its text, not its name, says whether it is CSV or JSON (see :func:`ingest`).
     """
     with _stage(f"ingest {path}"):
-        text = _read(path)
+        text = _TextFile(path)
         try:
             return ingest(text, registry, drop_incomplete), text.digest
         except ValidationError:
             # Ingest may stop at a row error before the file is decoded to its
             # end; a UTF-8 fault anywhere in it is the error, as when read whole.
-            "".join(text)
+            # A file read to its end has its digest, and no such fault.
+            if text.digest is None:
+                for _ in text:  # one piece at a time: the text is not held
+                    pass
             raise
 
 

@@ -6,9 +6,9 @@ to the array of per-test terms plus a warning per flagged test, keyed by
 test index. Agreement 1 means seed choice never changes the ranking.
 
 - ``w``: Kendall's W, 12S / (n^2 (a^3 - a)).
-- ``w_tied``: W_t, W with the standard t^3 - t denominator correction.
-  The correction is exact only for mean-of-tied ranks, so this is the
-  one coefficient that needs that tie policy.
+- ``w_tied``: W_t = S / (n SS), W's S over the ranks' own spread SS.
+  SS carries Kendall's t^3 - t tie correction only for mean-of-tied
+  ranks, so this is the one coefficient that needs that tie policy.
 - ``w_wasserstein``: W_w, the normalised pairwise Wasserstein-1 distance
   between the algorithms' rank distributions (``wasserstein`` module).
 
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ranking import RankCube, TiePolicy, tie_groups
+from .ranking import RankCube, TiePolicy
 from .wasserstein import wasserstein_w
 
 
@@ -44,24 +44,23 @@ def kendall_w(cube: RankCube) -> tuple[np.ndarray, dict[int, str]]:
 
 
 def kendall_w_tied(cube: RankCube) -> tuple[np.ndarray, dict[int, str]]:
-    """Tie-corrected per-test W_t, for mean-of-tied ranks.
+    """Tie-corrected per-test W_t = S / (n SS), for mean-of-tied ranks.
 
-    W_t = (12 sum R_i^2 - 3 n^2 a (a+1)^2) / (n^2 a (a^2-1) - n * correction)
-    with correction = sum over seeds of sum over tied groups of t^3 - t.
-    A fully tied test (denominator zero) is perfect agreement, so
-    W_t = 1 with a warning.
+    S is W's sum of squared rank-sum deviations and SS the ranks' own
+    spread, the sum over seeds and algorithms of (r - (a+1)/2)^2. For
+    mean-of-tied ranks SS is n (a^3 - a) / 12 less (t^3 - t) / 12 per tie
+    group, the textbook correction, so no tie group is counted here. A
+    fully tied test (SS zero) is perfect agreement, so W_t = 1 with a
+    warning.
     """
-    tests, n, a = cube.ranks.shape
-    rank_sums = cube.ranks.sum(axis=1)
-    sum_r2 = (rank_sums * rank_sums).sum(axis=1)
-    rows, sizes = tie_groups(cube.ranks)
-    correction = np.bincount(rows // n, weights=sizes**3 - sizes, minlength=tests)
-    numerator = 12.0 * sum_r2 - 3.0 * n * n * a * (a + 1) ** 2
-    denominator = n * n * a * (a * a - 1) - n * correction
-    fully_tied = denominator == 0
-    w = np.where(fully_tied, 1.0, numerator / np.where(fully_tied, 1.0, denominator))
+    _, n, a = cube.ranks.shape
+    deviations = cube.ranks.sum(axis=1) - n * (a + 1) / 2
+    s = (deviations * deviations).sum(axis=1)
+    spread = cube.ranks - (a + 1) / 2
+    ss = (spread * spread).sum(axis=(1, 2))
+    w = np.divide(s, n * ss, out=np.ones_like(s), where=ss != 0)
     return w, dict.fromkeys(
-        np.flatnonzero(fully_tied).tolist(),
+        np.flatnonzero(ss == 0).tolist(),
         "every seed fully tied; W_t defined as 1 by convention",
     )
 

@@ -20,7 +20,8 @@ int32 codes for the labels and seeds through one first-seen code dict per
 field, float64 values, has-value flags and int8 statuses. So only one
 chunk is ever held as Python objects, and a file's text is never held
 whole. A fault in a JSON chunk reads the text again whole, a file from
-disk, as one chunk, so errors are those of reading it whole.
+disk, as one chunk, so errors are those of reading it whole; JSON given
+as a one-shot iterable, which cannot be read again, is joined whole first.
 :meth:`ResultTable._from_chunks` is the one validating core: it joins the
 chunks, sorts the labels once and checks every record over the arrays.
 :meth:`ResultTable.from_columns` type-checks plain columns and hands them
@@ -697,7 +698,10 @@ def ingest(
     ``text`` is a ``str``, or its pieces: an iterable that gives the text
     again, from its start, each time it is iterated, as the CLI's file
     reader does. Both go one way: a ``str`` is cut into pieces of
-    :data:`_CHUNK` characters. Text whose first non-whitespace character
+    :data:`_CHUNK` characters. A one-shot iterable (an iterator, such as
+    an open file, a ``StringIO`` or a generator) is streamed as CSV, but
+    as JSON it is read whole into a ``str`` first, since a fault in a JSON
+    chunk reads the text again. Text whose first non-whitespace character
     is ``[`` or ``{`` is JSON, an array of objects with the fields of
     :data:`CSV_COLUMNS`; any other text is CSV, which must begin with the
     exact header ``algorithm,dataset,metric,seed,value,status``, so the
@@ -712,6 +716,10 @@ def ingest(
     a run shows whether the slow parser ran.
     """
     is_json, pieces = _pieces(text)
+    if is_json and isinstance(text, Iterator):
+        # A fault reads JSON again whole, which a one-shot iterable cannot give.
+        text = "".join(pieces)
+        pieces = _pieces(text)[1]
     codes, chunks, by_rows, n_chunks = (
         _read_json(_json_chunks(pieces), text) if is_json else _read_csv(pieces)
     )

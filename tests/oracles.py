@@ -7,6 +7,7 @@ library table from plain rows.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -41,6 +42,24 @@ def brute_force_w(rows):
     mean = Fraction(n * (a + 1), 2)
     s = sum((r - mean) ** 2 for r in rank_sums)
     return 12 * s / (n * n * (a**3 - a))
+
+
+def brute_force_w_tied(rows):
+    """Tie-corrected concordance from the textbook formula, for mean-of-tied ranks.
+
+    rows: list of per-seed rank lists. W_t = 12S / (n^2 (a^3 - a) - n C),
+    with C the sum of t^3 - t over every run of t equal ranks in every
+    row; a fully tied test (zero denominator) is 1 by convention. Exact
+    rational arithmetic.
+    """
+    n = len(rows)
+    a = len(rows[0])
+    rank_sums = [sum(Fraction(row[i]) for row in rows) for i in range(a)]
+    mean = Fraction(n * (a + 1), 2)
+    s = sum((r - mean) ** 2 for r in rank_sums)
+    runs = [len(list(run)) for row in rows for _, run in groupby(sorted(row))]
+    denominator = n * n * (a**3 - a) - n * sum(t**3 - t for t in runs)
+    return Fraction(1) if denominator == 0 else 12 * s / denominator
 
 
 def brute_force_w1(samples1, samples2):

@@ -20,7 +20,8 @@ from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rankbench.concordance import COEFFICIENTS, randomness
 from rankbench.ranking import count_ties, rank_table
 from rankbench.results import (
-    STATUSES, ResultTable, Status, ingest, parse_registry, registry_to_text, to_csv,
+    STATUSES, ResultTable, Status, ValidationError, ingest, parse_registry, registry_to_text,
+    to_csv,
 )
 from rankbench.synthgen import SynthConfig, generate
 
@@ -894,12 +895,24 @@ def _record_reads(monkeypatch) -> list[str]:
     """Patch the CLI's one file reader to record, in order, each path it reads."""
     reads = []
 
-    def read(path, read=cli._read):
+    def read(path, read=cli._TextFile):
         reads.append(path)
         return read(path)
 
-    monkeypatch.setattr(cli, "_read", read)
+    monkeypatch.setattr(cli, "_TextFile", read)
     return reads
+
+
+def _record_passes(monkeypatch) -> list[str]:
+    """Patch the CLI's file reader to record, in order, the path of each pass over a file."""
+    passes, iterate = [], cli._TextFile.__iter__
+
+    def counted(self):
+        passes.append(self.path)
+        return iterate(self)
+
+    monkeypatch.setattr(cli._TextFile, "__iter__", counted)
+    return passes
 
 
 @pytest.mark.parametrize(
@@ -1017,6 +1030,57 @@ def test_load_table_peak_memory_is_a_small_multiple_of_the_file(fmt, bound, tmp_
     finally:
         tracemalloc.stop()
     assert peak < bound * path.stat().st_size
+
+
+_GOOD_ITEMS = [
+    dict(zip(["algorithm", "dataset", "metric", "seed", "value", "status"], row))
+    for row in csv.reader(GOOD_CSV.splitlines()[1:])
+]
+
+
+@pytest.mark.parametrize(
+    "text, passes",
+    [
+        (GOOD_CSV + "a,cora,f1,0,0.5,ok\n", 1),
+        (GOOD_CSV.rsplit("b,", 1)[0], 1),
+        (GOOD_CSV.replace("b,cora,f1,0", "b,cora,f1,x"), 2),
+        # A row error in the first of several JSON chunks rereads the text whole.
+        (json.dumps([dict(_GOOD_ITEMS[0], seed="x"), *_GOOD_ITEMS[1:]]), 2),
+    ],
+    ids=["duplicate record", "incomplete grid", "CSV row error", "JSON row error"],
+)
+def test_a_file_is_read_again_only_if_ingest_stopped_before_its_end(
+    text, passes, registry, tmp_path, monkeypatch
+):
+    # A file read to its end has its digest and no UTF-8 fault left to find.
+    monkeypatch.setattr(results, "_CHUNK", 50)
+    path = tmp_path / "grid"
+    path.write_text(text)
+    recorded = _record_passes(monkeypatch)
+    assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
+    assert recorded == [registry] + [str(path)] * passes
+
+
+def test_a_row_error_reads_the_rest_of_the_file_without_holding_it(tmp_path):
+    # The 40k-row grid of the memory tests as CSV (1.8 MB), with a bad seed
+    # in row 2. Joining the text to look for a later UTF-8 fault peaked at
+    # 2.73x the file.
+    table = generate(
+        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
+    )
+    header, row, rest = "".join(to_csv(table)).split("\n", 2)
+    fields = row.split(",")
+    fields[3] = "x"
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join([header, ",".join(fields), rest]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="row 2: bad seed 'x'"):
+            cli._load_table(str(path), table.registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_synth_flags_set_every_config_field():

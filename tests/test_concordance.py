@@ -7,7 +7,7 @@ from rankbench.concordance import COEFFICIENTS, kendall_w, kendall_w_tied, rando
 from rankbench.results import TestId
 from rankbench.wasserstein import wasserstein_w
 
-from oracles import brute_force_w
+from oracles import brute_force_w, brute_force_w_tied
 from test_ranking import score_cubes
 
 
@@ -88,6 +88,24 @@ class TestKendallWTied:
             n = int(rng.integers(1, 5))
             rows = [list(rng.permutation(a) + 1) for _ in range(n)]
             assert abs(term(kendall_w_tied, rows)[0] - term(kendall_w, rows)[0]) < 1e-12
+
+    def test_ties_match_the_exact_textbook_formula(self):
+        # Coarse integer scores tie often, -inf and +inf tie among themselves,
+        # and eps > 0 chains neighbours into wider groups; every term must be
+        # the correctly rounded exact value.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            tests, n, a = (int(x) for x in rng.integers([1, 1, 2], [5, 8, 12]))
+            values = rng.integers(0, rng.integers(1, 6), (tests, n, a)).astype(float)
+            values[rng.random(values.shape) < 0.15] = -np.inf
+            values[rng.random(values.shape) < 0.1] = np.inf
+            eps = float(rng.choice([0.0, 0.0, 1.0, 2.5]))
+            higher = rng.random(tests) < 0.5
+            cube = ranked(values, higher, TiePolicy.MEAN_OF_TIED, eps)
+            terms, warnings = kendall_w_tied(cube)
+            for t, rows in enumerate(cube.ranks.tolist()):
+                assert terms[t] == float(brute_force_w_tied(rows))
+                assert (t in warnings) == all(len(set(row)) == 1 for row in rows)
 
     def test_fully_tied_convention(self):
         result = randomness(cube_of([[2, 2, 2]] * 2), "w_tied")

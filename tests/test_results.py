@@ -1022,6 +1022,23 @@ def test_a_file_loads_as_its_text_does(
     assert _outcome(load) == expected
 
 
+@pytest.mark.parametrize(
+    "one_shot", [io.StringIO, lambda text: iter([text])], ids=["StringIO", "iter"]
+)
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize(
+    "text, registry, drop_incomplete", FILE_CASES.values(), ids=FILE_CASES.keys()
+)
+def test_a_one_shot_iterable_reads_as_its_text_does(
+    text, registry, drop_incomplete, chunk, one_shot, monkeypatch
+):
+    # A fault in a JSON chunk reads the text again, which a one-shot iterable
+    # (an open file, a generator) cannot give: ingest reads its JSON whole.
+    expected = _outcome(lambda: ingest(text, registry, drop_incomplete))
+    monkeypatch.setattr(results, "_CHUNK", chunk)
+    assert _outcome(lambda: ingest(one_shot(text), registry, drop_incomplete)) == expected
+
+
 # Every line break str.splitlines knows, lone surrogates and non-ASCII:
 # only "\n" may end a line.
 LINE_PIECES = st.one_of(
