@@ -20,15 +20,17 @@ pieces as they come, so neither its bytes nor its whole text is held,
 and each byte is read once unless ingest meets a fault in a JSON chunk
 or stops before the end of the file: the file is then read again whole,
 so errors and their order are those of reading it whole (a UTF-8 fault
-anywhere wins over any row error). Every
-report is written by :func:`_emit_report`, and its body (settings,
-results, warnings) is built here, by the ``cmd_*`` function of its
-command: the library's result types carry numbers only. Every output
-goes through :func:`_write_output` as a sequence of small text pieces;
-an output path of ``-`` is stdout. No output is built whole: the JSON
-reports come from ``json.JSONEncoder.iterencode``, converge's plot and
-summary CSVs one piece per size, its SVG one piece per element, and
-every other CSV (synth's table and registry, rank's export, the
+anywhere wins over any row error). A UTF-8 fault reads the file whole
+once more to word its error, and no pass follows. Every report is
+written by :func:`_emit_report`, and its body (settings, results,
+warnings) is built here, by the ``cmd_*`` function of its command: the
+library's result types carry numbers only. Every output goes through
+:func:`_write_output` as a sequence of small text pieces; an output path
+of ``-`` is stdout. No output is built whole: the JSON reports come from
+``json.JSONEncoder.iterencode``, and converge's cells, not built as one
+body, from the same encoder a block of sizes at a time; converge's plot
+and summary CSVs come one piece per size, its SVG one piece per element,
+and every other CSV (synth's table and registry, rank's export, the
 ``--format csv`` reports) one line per piece. CSV output quotes labels
 by the one rule of :func:`results.csv_fields`.
 """
@@ -55,7 +57,7 @@ from .comparison import Granularity, fcr
 from .concordance import COEFFICIENTS, coefficients_for, randomness
 from .plotting import render_convergence_svg
 from .ranking import TiePolicy, count_ties, rank_table, ranks_to_csv
-from .resampling import plot_data_csv, subsample_convergence, summary_csv
+from .resampling import ConvergenceReport, plot_data_csv, subsample_convergence, summary_csv
 from .results import (
     ValidationError,
     csv_fields,
@@ -89,7 +91,8 @@ class _TextFile:
     end of the file sets :attr:`digest` to the sha256 of the bytes it
     read. Text that is not UTF-8 is a validation error naming the file;
     its message comes from decoding the whole file again, so it counts
-    the fault's byte position from the start of the file.
+    the fault's byte position from the start of the file, and that read
+    sets :attr:`digest` too.
     """
 
     def __init__(self, path: str):
@@ -110,8 +113,11 @@ class _TextFile:
             # byte-order mark; decoding what it holds raises, as decoding whole does.
             yield decoder.decode(b"", final=True) + decoder.getstate()[0].decode()
         except UnicodeDecodeError:
+            # That read reaches the end of the file, so it sets the digest too:
+            # no later pass looks for a fault that it would have found.
+            self.digest = hashlib.sha256(data := Path(self.path).read_bytes()).hexdigest()
             try:
-                Path(self.path).read_bytes().decode("utf-8-sig")
+                data.decode("utf-8-sig")
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{self.path}: not UTF-8 text ({exc})") from None
             raise
@@ -171,8 +177,8 @@ def _write_output(pieces: Iterable[str], output: str | None) -> None:
     Pieces are joined :data:`_WRITE_BATCH` at a time, one ``write`` per
     batch: no output is held whole as one string, and an unbuffered
     stdout (``PYTHONUNBUFFERED``) still sees few writes. Every caller
-    passes small pieces: a JSON token, one size's CSV lines, one SVG
-    element or one CSV line.
+    passes small pieces: a JSON token or line, one size's CSV lines, one
+    SVG element or one CSV line.
     """
     to_stdout = output is None or output == "-"
     with nullcontext(sys.stdout) if to_stdout else open(output, "w", encoding="utf-8") as out:
@@ -181,12 +187,16 @@ def _write_output(pieces: Iterable[str], output: str | None) -> None:
             out.write("".join(batch))
 
 
-def _emit_report(args, registry: dict, inputs: dict[str, str], **body) -> None:
+def _emit_report(
+    args, registry: dict, inputs: dict[str, str], study: ConvergenceReport | None = None, **body
+) -> None:
     """Write the report of one command as JSON, or as CSV under ``--format csv``.
 
     Every report names the tool and its version, the registry and the
     sha256 of each input file; ``body``, built by the command, adds its
-    settings, warnings and results.
+    settings, warnings and results. converge passes its ``study`` and a
+    null in place of its cells, which :func:`_cells_json` then encodes
+    from the study's arrays as the report is written.
     """
     report = {
         "tool": "rankbench",
@@ -206,7 +216,40 @@ def _emit_report(args, registry: dict, inputs: dict[str, str], **body) -> None:
             _write_output(_report_csv(report), args.output)
         else:
             encoder = json.JSONEncoder(indent=2, sort_keys=True)
-            _write_output(itertools.chain(encoder.iterencode(report), ["\n"]), args.output)
+            pieces = encoder.iterencode(report)
+            if study is not None:
+                # The cells' null is the report's first value ("convergence" and
+                # "cells" sort first): the pieces before it, the cells, the rest.
+                pieces = itertools.chain(
+                    itertools.takewhile("null".__ne__, pieces),
+                    _cells_json(study, encoder),
+                    pieces,
+                )
+            _write_output(itertools.chain(pieces, ["\n"]), args.output)
+
+
+def _cells_json(study: ConvergenceReport, encoder: json.JSONEncoder) -> Iterator[str]:
+    """converge's ``cells`` array as the JSON lines of its place in the report.
+
+    The cells of a block of whole sizes, with about :data:`_WRITE_BATCH`
+    values (a line each) among them, are built as dicts from the study's
+    arrays and encoded in one call, then indented two levels deeper; the
+    blocks are joined at their brackets, and each line is a piece.
+    """
+    step = max(1, _WRITE_BATCH // study.values[0].size)  # sizes per block
+    by_size = zip(study.sizes, study.values, study.mean, study.std)
+    for start in range(0, len(study.sizes), step):
+        # The block's own "[" gives way to "," after the first block, and its
+        # "\n]" to the closing bracket; a study has at least one size.
+        text = ("," if start else "[") + encoder.encode(
+            [
+                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
+                for k, vs, ms, sds in itertools.islice(by_size, step)
+                for c, v, m, sd in zip(study.coefficients, vs.tolist(), ms.tolist(), sds.tolist())
+            ]
+        )[1:-2]
+        yield from text.replace("\n", "\n    ").splitlines(keepends=True)
+    yield "\n    ]"
 
 
 def _report_csv(report: dict) -> Iterator[str]:
@@ -334,15 +377,10 @@ def cmd_converge(args) -> int:
             "rng_algorithm": conv.rng_algorithm,
             "provenance": conv.provenance,
             "full_suite_value": conv.full_suite_value,
-            "cells": [
-                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
-                for k, vs, ms, sds in zip(
-                    conv.sizes, conv.values.tolist(), conv.mean.tolist(), conv.std.tolist()
-                )
-                for c, v, m, sd in zip(conv.coefficients, vs, ms, sds)
-            ],
+            "cells": None,  # written from conv by _emit_report
         },
         warnings=conv.warnings,
+        study=conv,
     )
     with _stage("write plot files"):
         for path, write in [

@@ -5,6 +5,11 @@ positions (fractional ranking, "1 2.5 2.5 4") or the lowest shared
 position (competition ranking, "1 2 2 4"). Tie groups are equivalence
 classes under the transitive closure of |v_i - v_j| <= epsilon.
 
+Ranking works one block of whole rows, about :data:`_BLOCK` cells, at a
+time: :func:`rank_cube` ranks a block into one array of ranks and
+:func:`tie_groups` sorts a block to find its groups, so neither holds
+more than one block's temporaries, whatever the size of the cube.
+
 :func:`rank_table` ranks failed cells at their metric's worst bound, or
 at -inf/+inf on an unbounded metric, where they form one tie group below
 every OK run at any finite epsilon.
@@ -23,6 +28,9 @@ import numpy as np
 from .results import ResultTable, TestId, csv_fields, resolve_failures
 
 log = logging.getLogger(__name__)
+
+# Cells ranked, or sorted for tie groups, at once: whole rows, at least one.
+_BLOCK = 4096
 
 
 class TiePolicy(Enum):
@@ -52,17 +60,23 @@ def rank_cube(
     higher_better: np.ndarray | bool,
     policy: TiePolicy = TiePolicy.MEAN_OF_TIED,
     tie_epsilon: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rank every row along the last axis at once; the best value gets rank 1.
+    """Rank every row along the last axis; the best value gets rank 1.
 
-    ``higher_better`` broadcasts against ``values.shape[:-1]``. Each row
-    is put in best-first order by one stable argsort, so exact ties keep
-    input order; a new tie group starts wherever neighbours in that order
-    differ by more than ``tie_epsilon``, which chains eps-close values
-    (transitive closure). Values may be -inf or +inf: the gap to an
-    infinite neighbour exceeds every finite ``tie_epsilon``, and equal
-    infinities tie (inf - inf is NaN, which is not > eps). Returns the
-    ranks, in the shape of ``values``. Raises ValueError on NaN.
+    ``higher_better`` broadcasts against ``values.shape[:-1]``. Rows are
+    ranked a block of about :data:`_BLOCK` cells at a time into one
+    array, so only one block's temporaries are held: a new one, or
+    ``out``, a C-contiguous float array of the values' shape, which may
+    be the values themselves (a block is read before its ranks are
+    written). Each row is put in best-first order by one stable argsort,
+    so exact ties keep input order; a new tie group starts wherever
+    neighbours in that order differ by more than ``tie_epsilon``, which
+    chains eps-close values (transitive closure). Values may be -inf or
+    +inf: the gap to an infinite neighbour exceeds every finite
+    ``tie_epsilon``, and equal infinities tie (inf - inf is NaN, which is
+    not > eps). Returns the ranks, in the shape of ``values``. Raises
+    ValueError on NaN.
     """
     values = np.asarray(values, dtype=float)
     a = values.shape[-1] if values.ndim else 0
@@ -73,25 +87,30 @@ def rank_cube(
     if np.isnan(values).any():
         raise ValueError("non-finite value nan")
 
-    keys = np.where(np.asarray(higher_better)[..., None], -values, values).reshape(-1, a)
-    order = np.argsort(keys, axis=1, kind="stable")
-    ordered = np.take_along_axis(keys, order, axis=1)
-    starts = np.ones(keys.shape, dtype=bool)
-    # A gap too wide for a float is still a boundary; inf - inf is not.
-    with np.errstate(over="ignore", invalid="ignore"):
-        starts[:, 1:] = np.diff(ordered, axis=1) > tie_epsilon
-    # Tie groups are the runs between starts; no run crosses a row, since
-    # every row begins with a start.
-    group_starts = np.flatnonzero(starts)
-    group = np.cumsum(starts.ravel()) - 1
-    first = (group_starts % a)[group]  # 0-based position where each cell's group begins
-    if policy is TiePolicy.LOWEST_SHARED_RANK:
-        ordered_ranks = first + 1.0
-    else:
-        sizes = np.diff(group_starts, append=starts.size)
-        ordered_ranks = first + (sizes[group] + 1) / 2
-    ranks = np.empty(keys.shape)
-    np.put_along_axis(ranks, order, ordered_ranks.reshape(keys.shape), axis=1)
+    rows = values.reshape(-1, a)
+    flip = np.broadcast_to(np.asarray(higher_better), values.shape[:-1]).reshape(-1, 1)
+    ranks = (np.empty(values.shape) if out is None else out).reshape(-1, a)
+    step = max(1, _BLOCK // a)
+    for block in (slice(start, start + step) for start in range(0, len(rows), step)):
+        keys = np.where(flip[block], -rows[block], rows[block])
+        order = np.argsort(keys, axis=1, kind="stable")
+        ordered = np.take_along_axis(keys, order, axis=1)
+        starts = np.ones(keys.shape, dtype=bool)
+        # A gap too wide for a float is still a boundary; inf - inf is not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            starts[:, 1:] = np.diff(ordered, axis=1) > tie_epsilon
+        # Tie groups are the runs between starts; no run crosses a row, since
+        # every row begins with a start.
+        group_starts = np.flatnonzero(starts)
+        group = np.cumsum(starts.ravel()) - 1
+        first = (group_starts % a)[group]  # 0-based position where each cell's group begins
+        # The mean of a group's positions is its first plus (size + 1) / 2.
+        ordered_ranks = first + (
+            1.0
+            if policy is TiePolicy.LOWEST_SHARED_RANK
+            else (np.diff(group_starts, append=starts.size)[group] + 1) / 2
+        )
+        np.put_along_axis(ranks[block], order, ordered_ranks.reshape(keys.shape), axis=1)
     return ranks.reshape(values.shape)
 
 
@@ -100,17 +119,22 @@ def tie_groups(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Under both policies a tie group shares one rank and different groups
     get different ranks, so the groups are the runs of equal values in
-    each sorted row. Returns, in row-major then best-first order, each
-    group's row (flat index over the leading axes) and its size.
+    each sorted row. Rows are sorted a block of about :data:`_BLOCK`
+    cells at a time, so only one block is held sorted. Returns, in
+    row-major then best-first order, each group's row (flat index over
+    the leading axes) and its size.
     """
-    a = ranks.shape[-1]
-    ordered = np.sort(ranks.reshape(-1, a), axis=1)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    group_starts = np.flatnonzero(starts)
-    sizes = np.diff(group_starts, append=starts.size)
-    tied = sizes >= 2
-    return group_starts[tied] // a, sizes[tied]
+    rows = ranks.reshape(-1, ranks.shape[-1])
+    step = max(1, _BLOCK // rows.shape[1])
+    found = [(np.empty(0, dtype=np.intp),) * 2]  # (rows, sizes) of each block
+    for start in range(0, len(rows), step):
+        ordered = np.sort(rows[start : start + step], axis=1)
+        # A NaN before each row makes its first rank a start.
+        group_starts = np.flatnonzero(np.diff(ordered, axis=1, prepend=np.nan) != 0)
+        sizes = np.diff(group_starts, append=ordered.size)
+        tied = sizes >= 2
+        found.append((group_starts[tied] // rows.shape[1] + start, sizes[tied]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def rank_table(
@@ -120,14 +144,19 @@ def rank_table(
 ) -> RankCube:
     """Rank every (test, seed) row of a table into one cube, failures last.
 
-    Failed cells are ranked by :func:`resolve_failures`. The cube's axes
-    and labels are the table's: tests, seeds, algorithms.
+    Failed cells are ranked by :func:`resolve_failures`, whose resolved
+    values the ranks overwrite. The cube's axes and labels are the
+    table's: tests, seeds, algorithms.
     """
+    # resolve_failures gives a new cube, so the ranks can take its place.
     values = resolve_failures(table).values
-    ranks = rank_cube(values, table.higher_better[:, None], policy, tie_epsilon)
+    ranks = rank_cube(values, table.higher_better[:, None], policy, tie_epsilon, out=values)
     if log.isEnabledFor(logging.INFO):
-        n_rows = ranks.shape[0] * ranks.shape[1]
-        log.info("ranked %d rows: %d tie groups", n_rows, len(tie_groups(ranks)[1]))
+        log.info(
+            "ranked %d rows: %d tie groups",
+            ranks.shape[0] * ranks.shape[1],
+            len(tie_groups(ranks)[1]),
+        )
     return RankCube(table.suite, table.seeds, table.algorithms, policy, ranks)
 
 

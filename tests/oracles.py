@@ -99,9 +99,11 @@ def loop_rank_row(values, higher_better, lowest_shared, tie_epsilon):
     pos = 0
     while pos < len(order):
         end = pos + 1
-        while end < len(order) and abs(
-            sign * values[order[end]] - sign * values[order[end - 1]]
-        ) <= tie_epsilon:
+        # Equal infinities tie too, though their difference is NaN.
+        while end < len(order) and (
+            values[order[end]] == values[order[end - 1]]
+            or abs(sign * values[order[end]] - sign * values[order[end - 1]]) <= tie_epsilon
+        ):
             end += 1
         size = end - pos
         rank = pos + 1 if lowest_shared else (2 * (pos + 1) + size - 1) / 2

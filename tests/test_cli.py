@@ -969,6 +969,26 @@ def test_non_utf8_input_exits_2_naming_the_file(bad, registry, table, monkeypatc
     assert reads == ([registry] if bad == "registry" else [registry, table])
 
 
+def test_a_table_that_is_not_utf8_is_read_once(registry, tmp_path, monkeypatch, capsys):
+    # The pass that meets the fault reads the file whole to word the error,
+    # and no second pass looks for the fault again.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xff" + GOOD_CSV.encode())
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_bytes().decode("utf-8-sig")
+    passes, whole_reads, read_bytes = _record_passes(monkeypatch), [], Path.read_bytes
+
+    def counted(self):
+        whole_reads.append(str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {path}: not UTF-8 text ({exc.value})\n"
+    assert passes == [registry, str(path)]
+    assert whole_reads == [str(path)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_utf8_fault_past_the_first_block_beats_an_earlier_row_error(fmt, tmp_path, capsys):
     # Ingest reads the file a block at a time and stops at the bad row 2 (item
@@ -1187,32 +1207,42 @@ def test_coeff_and_fcr_reports_are_pinned(tmp_path, monkeypatch):
             assert hashlib.sha256(written).hexdigest() == digest, (command, *flags, fmt)
 
 
-def test_emit_report_holds_no_whole_copy_of_the_report(tmp_path, monkeypatch):
-    # 1,000 tests give 1,000 sizes. Built whole, with its chunk list, the
-    # text peaks near 7x the bytes written; in pieces, one batch is held.
-    emit, bodies, peaks = cli._emit_report, [], []
+def test_converge_writes_its_report_without_holding_its_cells(tmp_path, monkeypatch):
+    # 1,000 tests give 1,000 sizes. Memory is counted from the end of the
+    # study, so the table, the cube and the study's arrays are left out. With
+    # every cell built as a dict before the report was written, the writing
+    # peaked at 2.4-2.6x the bytes written; a block of sizes at a time, 0.6x.
+    subsample, studies, held = cli.subsample_convergence, [], []
 
-    def traced(args, registry, inputs, **body):
-        tracemalloc.start()
-        try:
-            emit(args, registry, inputs, **body)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        bodies.append(body)
+    def traced(*args, **kwargs):
+        studies.append(subsample(*args, **kwargs))
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return studies[-1]
 
-    monkeypatch.setattr(cli, "_emit_report", traced)
+    monkeypatch.setattr(cli, "subsample_convergence", traced)
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--algorithms", "3", "--datasets", "250", "--metrics", "4",
                  "--seeds", "3", "--noise-scale", "0.5",
                  "--output", "grid.csv", "--registry-out", "reg.txt"]) == EXIT_OK
     argv = ["converge", "--registry", "reg.txt", "--repeats", "2", "--output", "report.json"]
-    assert main([*argv, "grid.csv"]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main([*argv, "grid.csv"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out = tmp_path / "report.json"
-    [body], [peak] = bodies, peaks
-    assert len(body["convergence"]["sizes"]) == 1000
-    assert json.loads(out.read_text())["convergence"] == body["convergence"]
-    assert peak < 2 * out.stat().st_size
+    [study], [before] = studies, held
+    assert len(study.sizes) == 1000
+    assert json.loads(out.read_text())["convergence"]["cells"] == [
+        {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
+        for k, vs, ms, sds in zip(
+            study.sizes, study.values.tolist(), study.mean.tolist(), study.std.tolist()
+        )
+        for c, v, m, sd in zip(study.coefficients, vs, ms, sds)
+    ]
+    assert peak - before < 1.0 * out.stat().st_size
 
 
 @pytest.mark.parametrize("writer, bound", [("ranks_to_csv", 1.5), ("to_csv", 0.3)])

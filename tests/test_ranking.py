@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import loop_rank_row, table_of
+from rankbench import ranking
 from rankbench.ranking import (
+    RankCube,
     TiePolicy,
     count_ties,
     rank_cube,
@@ -18,6 +23,7 @@ from rankbench.results import (
     ingest,
     resolve_failures,
 )
+from rankbench.synthgen import SynthConfig, generate
 
 HIGHER, LOWER = True, False
 
@@ -253,10 +259,10 @@ tied_scores = st.integers(-4, 4).map(lambda k: k * 0.25)
 
 
 @st.composite
-def score_cubes(draw):
+def score_cubes(draw, scores=tied_scores):
     tests, seeds, algorithms = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
     size = tests * seeds * algorithms
-    values = draw(st.lists(tied_scores, min_size=size, max_size=size))
+    values = draw(st.lists(scores, min_size=size, max_size=size))
     higher = draw(st.lists(st.booleans(), min_size=tests, max_size=tests))
     return np.array(values).reshape(tests, seeds, algorithms), np.array(higher)
 
@@ -281,6 +287,68 @@ def test_cube_ranking_matches_row_by_row(cube, policy, eps):
             assert (row_ranks.tolist(), group_sizes(row_ranks)) == loop_rank_row(
                 row, higher[t], lowest, eps
             )
+
+
+# Block sizes in cells, as a function of the row length a: one row, two
+# rows, three rows with a cell to spare (a short last block for most
+# cubes), and less than one row, which still ranks a whole row at a time.
+BLOCKS = {
+    "1 row": lambda a: a,
+    "2 rows": lambda a: 2 * a,
+    "3 rows": lambda a: 3 * a + 1,
+    "1 cell": lambda a: 1,
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
+@given(
+    score_cubes(st.one_of(tied_scores, st.sampled_from([-np.inf, np.inf]))),
+    st.sampled_from(list(TiePolicy)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@example(  # 5 rows: blocks of 2, 2 and 1 at "2 rows"
+    (np.array([[[np.inf, 0.0, np.inf]], [[-np.inf] * 3], [[0.0, 0.25, 0.5]],
+               [[1.0, -np.inf, 1.0]], [[np.inf, -np.inf, 0.0]]]),
+     np.array([True, False, True, False, True])),
+    TiePolicy.MEAN_OF_TIED,
+    0.25,
+)
+def test_cube_ranking_matches_row_by_row_at_every_block_size(block, cube, policy, eps):
+    values, higher = cube
+    whole = rank_cube(values, higher[:, None], policy, eps)
+    groups = tie_groups(whole)
+    with mock.patch.object(ranking, "_BLOCK", block(values.shape[-1])):
+        test_cube_ranking_matches_row_by_row.hypothesis.inner_test(cube, policy, eps)
+        ranks = rank_cube(values, higher[:, None], policy, eps)
+        assert ranks.tobytes() == whole.tobytes()
+        in_place = values.copy()  # each block is read before its ranks are written
+        rank_cube(in_place, higher[:, None], policy, eps, out=in_place)
+        assert in_place.tobytes() == whole.tobytes()
+        for got, want in zip(tie_groups(ranks), groups):
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        assert count_ties(RankCube((), (), (), policy, ranks)) == len(groups[1])
+
+
+def test_ranking_peaks_at_a_small_multiple_of_the_cube():
+    # The CI step's 400k-cell grid: 400 tests x 50 seeds x 20 algorithms, a
+    # 3.2 MB rank cube. Ranked whole, rank_table held about ten cube-sized
+    # temporaries (10.1x the cube) and count_ties sorted a copy of it (4.0x);
+    # a block at a time they peak at 1.15x (the resolved values, which the
+    # ranks overwrite, and one block) and 0.13x.
+    table = generate(SynthConfig(n_algorithms=20, n_datasets=100, n_metrics=4, n_seeds=50,
+                                 noise_scale=0.5, tie_prob=0.1, fail_prob=0.05))
+    tracemalloc.start()
+    try:
+        cube = rank_table(table)
+        ranking_peak, held = tracemalloc.get_traced_memory()[::-1]
+        tracemalloc.reset_peak()
+        count_ties(cube)
+        counting_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(table.suite) == 400
+    assert ranking_peak < 3 * cube.ranks.nbytes
+    assert counting_peak < 0.5 * cube.ranks.nbytes
 
 
 def _rows(values, failed):
