@@ -14,17 +14,15 @@ Every output has its own destination: at most one goes to stdout, and
 no output path names another output's file or a file the command reads
 (compared after ``os.path.realpath``), a usage error otherwise.
 
-Every input file, registry included, is read by :class:`_TextFile`, a block
-at a time straight from disk into text pieces. Ingest parses a table's
-pieces as they come, so neither its bytes nor its whole text is held,
-and each byte is read once unless ingest meets a fault in a JSON chunk
-or stops before the end of the file: the file is then read again whole,
-so errors and their order are those of reading it whole (a UTF-8 fault
-anywhere wins over any row error). A UTF-8 fault reads the file whole
-once more to word its error, and no pass follows. Every report is
-written by :func:`_emit_report`, and its body (settings, results,
-warnings) is built here, by the ``cmd_*`` function of its command: the
-library's result types carry numbers only. Every output goes through
+Every input file, registry included, is read once, by :class:`_TextFile`,
+a block at a time straight from disk into text pieces. Ingest parses a
+table's pieces as they come, so neither its bytes nor its whole text is
+held, and the error is the first fault the pass meets, a byte that is
+not UTF-8 or a fault in the text: nothing past the block, or the JSON
+chunk, that holds it is read. Every report is written by
+:func:`_emit_report`, and its body (settings, results, warnings) is
+built here, by the ``cmd_*`` function of its command: the library's
+result types carry numbers only. Every output goes through
 :func:`_write_output` as a sequence of small text pieces; an output path
 of ``-`` is stdout. No output is built whole: the JSON reports come from
 ``json.JSONEncoder.iterencode``, and converge's cells, not built as one
@@ -49,7 +47,6 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__, results
@@ -81,7 +78,7 @@ _WRITE_BATCH = 256
 
 
 class _TextFile:
-    """An input file's text, in pieces: each iteration reads the file again, a block at a time.
+    """An input file's text, in pieces, read a block at a time straight from disk.
 
     A block is :data:`results._CHUNK` bytes. Each one updates the sha256
     and goes through one incremental ``utf-8-sig`` decoder (so that a
@@ -89,10 +86,10 @@ class _TextFile:
     ``json.loads``), and the text it completes is yielded, so neither the
     bytes nor the whole text is ever held. An iteration that reaches the
     end of the file sets :attr:`digest` to the sha256 of the bytes it
-    read. Text that is not UTF-8 is a validation error naming the file;
-    its message comes from decoding the whole file again, so it counts
-    the fault's byte position from the start of the file, and that read
-    sets :attr:`digest` too.
+    read. Text that is not UTF-8 is a validation error naming the file,
+    worded from the block that holds the fault: its byte position counts
+    from the start of the file, after any byte-order mark, as decoding the
+    whole file with ``utf-8-sig`` reports it.
     """
 
     def __init__(self, path: str):
@@ -105,22 +102,28 @@ class _TextFile:
             sha.update(block)
             return decoder.decode(block)
 
-        try:
-            with open(self.path, "rb") as f:
+        with open(self.path, "rb") as f:
+            bom = len(codecs.BOM_UTF8) if f.peek(3).startswith(codecs.BOM_UTF8) else 0
+            try:
                 # map holds neither a block nor its text while the text is parsed.
                 yield from map(decode, iter(lambda: f.read(results._CHUNK or 1), b""))
-            # The decoder holds back a file that is only the start of a
-            # byte-order mark; decoding what it holds raises, as decoding whole does.
-            yield decoder.decode(b"", final=True) + decoder.getstate()[0].decode()
-        except UnicodeDecodeError:
-            # That read reaches the end of the file, so it sets the digest too:
-            # no later pass looks for a fault that it would have found.
-            self.digest = hashlib.sha256(data := Path(self.path).read_bytes()).hexdigest()
-            try:
-                data.decode("utf-8-sig")
+                # The decoder holds back a file that is only the start of a
+                # byte-order mark; decoding what it holds raises, as decoding whole does.
+                yield decoder.decode(b"", final=True) + decoder.getstate()[0].decode()
             except UnicodeDecodeError as exc:
-                raise ValidationError(f"{self.path}: not UTF-8 text ({exc})") from None
-            raise
+                # exc.object is the end of the bytes read so far: what the decoder
+                # held back and the block, less a byte-order mark the call dropped.
+                # Its __str__ reads the byte at exc.start, so the message is worded here.
+                at = f.tell() - len(exc.object) + exc.start - bom
+                raise ValidationError(
+                    f"{self.path}: not UTF-8 text ('{exc.encoding}' codec can't decode "
+                    + (
+                        f"byte 0x{exc.object[exc.start]:02x} in position {at}"
+                        if exc.end - exc.start == 1
+                        else f"bytes in position {at}-{at + exc.end - exc.start - 1}"
+                    )
+                    + f": {exc.reason})"
+                ) from None
         self.digest = sha.hexdigest()
 
 
@@ -143,16 +146,7 @@ def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
     """
     with _stage(f"ingest {path}"):
         text = _TextFile(path)
-        try:
-            return ingest(text, registry, drop_incomplete), text.digest
-        except ValidationError:
-            # Ingest may stop at a row error before the file is decoded to its
-            # end; a UTF-8 fault anywhere in it is the error, as when read whole.
-            # A file read to its end has its digest, and no such fault.
-            if text.digest is None:
-                for _ in text:  # one piece at a time: the text is not held
-                    pass
-            raise
+        return ingest(text, registry, drop_incomplete), text.digest
 
 
 def _ranked(table, args):

@@ -8,20 +8,21 @@ may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 
-Ingest reads text one piece at a time, from a ``str`` cut into slices
-or from pieces such as the CLI reads straight from a file, and both go
-one way: :func:`_read_csv` splits the pieces into lines and parses 2,000
-rows at a time, and :func:`_read_json` cuts them into chunks of about
-250k characters of JSON. A chunk gives the six record columns, from the
-row parser :func:`_parse_rows`, which owns every row-level error
-message, or, for a chunk of canonical JSON items, from
+Ingest reads text once, one piece at a time, from a ``str`` cut into
+slices or from any iterable of pieces, such as the CLI reads straight
+from a file, and both go one way: :func:`_read_csv` splits the pieces
+into lines and parses 2,000 rows at a time, and :func:`_read_json` cuts
+them into chunks of about 250k characters of JSON. A chunk gives the six
+record columns, from the row parser :func:`_parse_rows`, which owns every
+row-level error message, or, for a chunk of canonical JSON items, from
 :func:`_json_columns`. :func:`_chunk` turns them into arrays at once:
 int32 codes for the labels and seeds through one first-seen code dict per
 field, float64 values, has-value flags and int8 statuses. So only one
-chunk is ever held as Python objects, and a file's text is never held
-whole. A fault in a JSON chunk reads the text again whole, a file from
-disk, as one chunk, so errors are those of reading it whole; JSON given
-as a one-shot iterable, which cannot be read again, is joined whole first.
+chunk is ever held as Python objects, and a text is never held whole.
+The error is the first fault the pass meets, and no piece past the chunk
+that holds it is read; a JSON syntax error is worded with its line,
+column and character in the whole text, as ``json.loads`` of the whole
+text words it.
 :meth:`ResultTable._from_chunks` is the one validating core: it joins the
 chunks, sorts the labels once and checks every record over the arrays.
 :meth:`ResultTable.from_columns` type-checks plain columns and hands them
@@ -459,10 +460,11 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
 # Text is read one piece of about _CHUNK characters at a time (a str in
 # slices, a file in blocks of _CHUNK bytes), and CSV lines and JSON chunks
 # of about _CHUNK characters are cut from the pieces (CSV just after a
-# "\n", JSON after a "},"), so only one chunk is copied or held as JSON
-# items at a time. The row parser reads _CSV_BATCH rows at a time, and one
-# batch's fields are the only label strings held beyond the code dicts, so
-# a small batch keeps CSV ingest's peak near the text's size.
+# "\n", JSON between the "}" and "," of a "},"), so only one chunk is
+# copied or held as JSON items at a time. The row parser reads _CSV_BATCH
+# rows at a time, and one batch's fields are the only label strings held
+# beyond the code dicts, so a small batch keeps CSV ingest's peak near the
+# text's size.
 _CHUNK = 250_000
 _CSV_BATCH = 2_000
 
@@ -598,63 +600,80 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
 
 
 def _json_chunks(pieces: Iterable[str]) -> Iterator[tuple[str, bool]]:
-    """JSON text cut into arrays of their own: each one's text, and whether it is the whole text.
+    """JSON text in parts: each one's text, and whether it is the last.
 
-    A cut falls at the first ``},`` at least :data:`_CHUNK` characters past
-    the last cut: the ``}`` ends one chunk, the ``,`` is dropped, and the
-    text after it is carried into the next piece. The first chunk opens
-    the array and the last one closes it; the others gain a ``[`` or a ``]``.
+    A cut falls between the ``}`` and the ``,`` of the first ``},`` at
+    least :data:`_CHUNK` characters past the last cut, and the text after
+    it is carried into the next piece.
     """
-    rest, first = "", True
+    rest = ""
     for piece in pieces:
         start, seen = 0, len(rest) - 1  # a "}," may begin at the last character carried
         rest += piece
         del piece  # rest holds its text: one copy of it while chunks are parsed
         while cut := rest.find("},", max(start + _CHUNK, seen)) + 1:  # the comma's index
-            yield ("" if first else "[") + rest[start:cut] + "]", False
-            first, start = False, cut + 1
+            yield rest[start:cut], False
+            start = cut
         rest = rest[start:]
-    yield ("" if first else "[") + rest, first
+    yield rest, True
 
 
-def _read_json(
-    texts: Iterable[tuple[str, bool]], text: str | Iterable[str]
-) -> tuple[tuple[_Codes, ...], list, int, int]:
+def _read_json(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, int]:
     """The codes and :func:`_chunk` arrays of JSON text; chunks the row parser read, of how many.
 
-    ``texts`` are the chunks of ``text`` as :func:`_json_chunks` cuts them,
-    and each chunk is parsed as an array. A canonical chunk (see
+    Each part that :func:`_json_chunks` cuts is parsed as an array of its
+    own: a ``]`` closes every part but the last, and ``[0`` opens every
+    part but the first, which begins at its comma, so ``json.loads`` words
+    a fault such as a trailing ``},]`` itself. A canonical chunk (see
     :func:`_json_columns`) gives its columns straight from its items; any
     other goes through the row parser, with items and rows numbered across
-    chunks. A fault in a chunk (bad JSON, as after a cut inside a string; a
-    row error; or an empty chunk, as a trailing ``},]`` leaves) reads
-    ``text`` again whole, as one chunk, so every outcome is that of reading
-    it whole: a syntax error anywhere wins over a row error in an earlier
-    chunk.
+    chunks. A chunk that fails only where it was cut (a string left
+    unterminated, or a fault at the ``]`` the cut added) is joined with the
+    parts that follow until its text is twice as long, and parsed again, so
+    a text that is not an array of flat objects is still parsed a bounded
+    number of times. Any other fault, or any in the last part, is the
+    error: in one chunk a syntax error comes before a row error, and a bad
+    JSON message counts its line, column and character from the start of
+    the text, as reading it whole does.
     """
     codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
-    by_rows, whole = 0, False
-    try:
-        for n_chunks, (chunk_text, whole) in enumerate(texts, 1):
-            items = json.loads(chunk_text)
-            # An empty chunk of several is a fault too: a trailing "},]" leaves one.
-            if not isinstance(items, list) or not (items or whole):
-                raise ValidationError("JSON input must be an array of objects")
-            columns = _json_columns(items)
-            if columns is None:
-                by_rows += 1
-                n = sum(len(chunk[0]) for chunk in chunks)
-                columns = _parse_rows(_json_rows(items, n), n)
-            chunks.append(_chunk(columns, codes))
-            del chunk_text, items, columns  # before the next chunk is cut and parsed
-        return codes, chunks, by_rows, n_chunks
-    except json.JSONDecodeError as exc:
-        if whole:
-            raise ValidationError(f"bad JSON: {exc}") from None
-    except ValidationError:
-        if whole:
-            raise
-    return _read_json([("".join(_pieces(text)[1]), True)], text)
+    by_rows, head, text, least = 0, "", "", 0
+    # The characters and newlines of the text before the chunk, and the index
+    # of the last of those newlines.
+    start, lines, newline = 0, 0, -1
+    for part, last in _json_chunks(pieces):
+        text += part  # in place: a join costs the parts' length, not the text's
+        del part  # text holds it
+        if len(text) < least and not last:
+            continue
+        # One join: "+" would hold a third copy of the chunk for a moment.
+        doc, text = "".join([head, text, "" if last else "]"]), ""
+        try:
+            items = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            if not last and (exc.pos >= len(doc) - 1 or exc.msg.startswith("Unterminated string")):
+                text, least = doc[len(head) : -1], 2 * len(doc)
+                continue
+            # exc counts lines and columns in doc, whose head holds no newline.
+            at = start + exc.pos - len(head)
+            raise ValidationError(
+                f"bad JSON: {exc.msg}: line {lines + exc.lineno} column "
+                f"{exc.colno if exc.lineno > 1 else at - newline} (char {at})"
+            ) from None
+        if not isinstance(items, list):
+            raise ValidationError("JSON input must be an array of objects")
+        del items[: bool(head)]  # the 0 that "[0" opens
+        columns = _json_columns(items)
+        if columns is None:
+            by_rows += 1
+            n = sum(len(chunk[0]) for chunk in chunks)
+            columns = _parse_rows(_json_rows(items, n), n)
+        chunks.append(_chunk(columns, codes))
+        lines += doc.count("\n")
+        newline = start + nl - len(head) if (nl := doc.rfind("\n")) >= 0 else newline
+        start, head, least = start + len(doc) - len(head) - 1, "[0", 0
+        del doc, items, columns  # before the next chunk is cut and parsed
+    return codes, chunks, by_rows, len(chunks)
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
@@ -695,34 +714,25 @@ def ingest(
 ) -> ResultTable:
     """Read a result table from CSV or JSON text; the text says which.
 
-    ``text`` is a ``str``, or its pieces: an iterable that gives the text
-    again, from its start, each time it is iterated, as the CLI's file
-    reader does. Both go one way: a ``str`` is cut into pieces of
-    :data:`_CHUNK` characters. A one-shot iterable (an iterator, such as
-    an open file, a ``StringIO`` or a generator) is streamed as CSV, but
-    as JSON it is read whole into a ``str`` first, since a fault in a JSON
-    chunk reads the text again. Text whose first non-whitespace character
-    is ``[`` or ``{`` is JSON, an array of objects with the fields of
-    :data:`CSV_COLUMNS`; any other text is CSV, which must begin with the
-    exact header ``algorithm,dataset,metric,seed,value,status``, so the
-    two never overlap. Either is read a chunk at a time, CSV by
+    ``text`` is a ``str``, cut into pieces of :data:`_CHUNK` characters,
+    or any iterable of its pieces (a file reader, a ``StringIO``, a
+    generator), and either is read once. Text whose first non-whitespace
+    character is ``[`` or ``{`` is JSON, an array of objects with the
+    fields of :data:`CSV_COLUMNS`; any other text is CSV, which must begin
+    with the exact header ``algorithm,dataset,metric,seed,value,status``,
+    so the two never overlap. Either is read a chunk at a time, CSV by
     :func:`_read_csv` in batches of rows and JSON by :func:`_read_json` in
     chunks of about 250k characters, and each chunk's records become
-    arrays before the next chunk is read. Every CSV chunk, and each JSON
-    chunk that is not canonical, goes through the row parser, which gives
-    every row-level error message, first error first;
-    :meth:`ResultTable._from_chunks` then checks the records once, over
-    the arrays. The log line says how many chunks the row parser read, so
-    a run shows whether the slow parser ran.
+    arrays before the next chunk is read. The error is the first fault
+    the pass meets: in a JSON chunk a syntax error comes before a row
+    error. Every CSV chunk, and each JSON chunk that is not canonical,
+    goes through the row parser, which gives every row-level error
+    message, first error first; :meth:`ResultTable._from_chunks` then
+    checks the records once, over the arrays. The log line says how many
+    chunks the row parser read, so a run shows whether the slow parser ran.
     """
     is_json, pieces = _pieces(text)
-    if is_json and isinstance(text, Iterator):
-        # A fault reads JSON again whole, which a one-shot iterable cannot give.
-        text = "".join(pieces)
-        pieces = _pieces(text)[1]
-    codes, chunks, by_rows, n_chunks = (
-        _read_json(_json_chunks(pieces), text) if is_json else _read_csv(pieces)
-    )
+    codes, chunks, by_rows, n_chunks = (_read_json if is_json else _read_csv)(pieces)
     rows = sum(len(chunk[0]) for chunk in chunks)
     log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, n_chunks, rows)
     return ResultTable._from_chunks(codes, chunks, registry, drop_incomplete)

@@ -969,52 +969,69 @@ def test_non_utf8_input_exits_2_naming_the_file(bad, registry, table, monkeypatc
     assert reads == ([registry] if bad == "registry" else [registry, table])
 
 
-def test_a_table_that_is_not_utf8_is_read_once(registry, tmp_path, monkeypatch, capsys):
-    # The pass that meets the fault reads the file whole to word the error,
-    # and no second pass looks for the fault again.
-    path = tmp_path / "t.csv"
-    path.write_bytes(b"\xff" + GOOD_CSV.encode())
-    with pytest.raises(UnicodeDecodeError) as exc:
-        path.read_bytes().decode("utf-8-sig")
-    passes, whole_reads, read_bytes = _record_passes(monkeypatch), [], Path.read_bytes
-
-    def counted(self):
-        whole_reads.append(str(self))
-        return read_bytes(self)
-
-    monkeypatch.setattr(Path, "read_bytes", counted)
-    assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == f"validation error: {path}: not UTF-8 text ({exc.value})\n"
-    assert passes == [registry, str(path)]
-    assert whole_reads == [str(path)]
+def _grid_with_bad_row_2(fmt: str):
+    """The 40k-row grid of the memory tests: the table, its CSV or JSON, and that with a bad row 2."""
+    table = generate(
+        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
+    )
+    if fmt == "csv":
+        text = "".join(to_csv(table))
+        header, row, rest = text.split("\n", 2)
+        fields = row.split(",")
+        fields[3] = "x"
+        return table, text, "\n".join([header, ",".join(fields), rest])
+    text = _json_grid(table)
+    return table, text, text.replace('"seed": 0', '"seed": "x"', 1)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_utf8_fault_past_the_first_block_beats_an_earlier_row_error(fmt, tmp_path, capsys):
+def test_a_row_error_beats_a_utf8_fault_in_a_later_block(fmt, tmp_path, capsys):
     # Ingest reads the file a block at a time and stops at the bad row 2 (item
-    # 0) long before the byte that is not UTF-8, as when it is read whole.
-    table = generate(
-        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=40, noise_scale=0.3)
-    )
+    # 0), two blocks before the one that holds the byte that is not UTF-8;
+    # that byte alone is the error, worded as decoding the whole file words it.
+    table, text, bad_row = _grid_with_bad_row_2(fmt)
     registry = tmp_path / "reg.txt"
     registry.write_text("".join(registry_to_text(table.registry)))
-    if fmt == "csv":
-        header, row, rest = "".join(to_csv(table)).split("\n", 2)
-        fields = row.split(",")
-        fields[3] = "x"
-        text = "\n".join([header, ",".join(fields), rest])
-    else:
-        text = _json_grid(table).replace('"seed": 0', '"seed": "x"', 1)
     path = tmp_path / f"grid.{fmt}"
-    path.write_text(text)
-    assert main(["validate", "--registry", str(registry), str(path)]) == EXIT_VALIDATION
-    assert "bad seed 'x'" in capsys.readouterr().err
-    data = text.encode()
-    assert len(data) > 2 * results._CHUNK
-    path.write_bytes(data[: results._CHUNK + 1000] + b"\xff" + data[results._CHUNK + 1000 :])
+    argv = ["validate", "--registry", str(registry), str(path)]
+    for text, message in ((bad_row, "bad seed 'x'"), (text, None)):
+        data = text.encode()
+        assert len(data) > 4 * results._CHUNK
+        data = data[: 3 * results._CHUNK] + b"\xff" + data[3 * results._CHUNK :]
+        path.write_bytes(data)
+        if message is None:
+            with pytest.raises(UnicodeDecodeError) as exc:
+                data.decode("utf-8-sig")
+            message = f"validation error: {path}: not UTF-8 text ({exc.value})\n"
+        assert main(argv) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+
+# File offsets at the start of the file and around the first two block
+# boundaries at _CHUNK 50; at 0 and 1 every byte is a block of its own.
+_FAULT_OFFSETS = [*range(5), *range(47, 54), *range(98, 103)]
+
+
+@pytest.mark.parametrize(
+    "fault", [b"\xff", "\u20ac".encode()[:2]], ids=["bad byte", "cut character"]
+)
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("chunk", [0, 1, 50])
+@pytest.mark.parametrize("offset", _FAULT_OFFSETS)
+def test_a_utf8_fault_is_worded_as_decoding_the_whole_file(
+    offset, chunk, bom, fault, registry, tmp_path, monkeypatch, capsys
+):
+    # The message comes from the block that holds the fault, its position
+    # counted from the start of the file after the byte-order mark.
+    body = GOOD_CSV.encode()
+    at = max(0, offset - len(bom))
+    data = bom + body[:at] + fault + body[at:]
     with pytest.raises(UnicodeDecodeError) as exc:
-        path.read_bytes().decode("utf-8-sig")
-    assert main(["validate", "--registry", str(registry), str(path)]) == EXIT_VALIDATION
+        data.decode("utf-8-sig")
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(results, "_CHUNK", chunk)
+    assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"validation error: {path}: not UTF-8 text ({exc.value})\n"
 
 
@@ -1058,49 +1075,62 @@ _GOOD_ITEMS = [
 ]
 
 
+_UNCLOSED_JSON = json.dumps(_GOOD_ITEMS)[:-1]
+# A byte that is not UTF-8 in the third block.
+_NOT_UTF8 = GOOD_CSV.encode()[:110] + b"\xff" + GOOD_CSV.encode()[110:]
+
+
 @pytest.mark.parametrize(
-    "text, passes",
+    "data, message",
     [
-        (GOOD_CSV + "a,cora,f1,0,0.5,ok\n", 1),
-        (GOOD_CSV.rsplit("b,", 1)[0], 1),
-        (GOOD_CSV.replace("b,cora,f1,0", "b,cora,f1,x"), 2),
-        # A row error in the first of several JSON chunks rereads the text whole.
-        (json.dumps([dict(_GOOD_ITEMS[0], seed="x"), *_GOOD_ITEMS[1:]]), 2),
+        (GOOD_CSV.replace("b,cora,f1,0", "b,cora,f1,x").encode(), "row 4: bad seed 'x'"),
+        (json.dumps([dict(_GOOD_ITEMS[0], seed="x"), *_GOOD_ITEMS[1:]]).encode(),
+         "row 0: bad seed 'x'"),
+        (_UNCLOSED_JSON.encode(), f"bad JSON: Expecting ',' delimiter: line 1 column "
+         f"{len(_UNCLOSED_JSON) + 1} (char {len(_UNCLOSED_JSON)})"),
+        (_NOT_UTF8, "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 110"),
+        ((GOOD_CSV + "a,cora,f1,0,0.5,ok\n").encode(), "duplicate record"),
+        (GOOD_CSV.rsplit("b,", 1)[0].encode(), "incomplete grid"),
     ],
-    ids=["duplicate record", "incomplete grid", "CSV row error", "JSON row error"],
+    ids=["CSV row error", "JSON row error", "JSON syntax error in a later chunk",
+         "not UTF-8 in a later block", "duplicate record", "incomplete grid"],
 )
-def test_a_file_is_read_again_only_if_ingest_stopped_before_its_end(
-    text, passes, registry, tmp_path, monkeypatch
+def test_a_file_is_read_once_whatever_the_fault(
+    data, message, registry, tmp_path, monkeypatch, capsys
 ):
-    # A file read to its end has its digest and no UTF-8 fault left to find.
+    # The pass that meets the fault words the error; no pass reads the file again.
     monkeypatch.setattr(results, "_CHUNK", 50)
     path = tmp_path / "grid"
-    path.write_text(text)
-    recorded = _record_passes(monkeypatch)
+    path.write_bytes(data)
+    assert len(data) > results._CHUNK  # more than one block
+    passes, whole_reads = _record_passes(monkeypatch), []
+    monkeypatch.setattr(Path, "read_bytes", lambda self: whole_reads.append(self))
     assert main(["validate", "--registry", registry, str(path)]) == EXIT_VALIDATION
-    assert recorded == [registry] + [str(path)] * passes
+    assert message in capsys.readouterr().err
+    assert passes == [registry, str(path)]
+    assert whole_reads == []
 
 
-def test_a_row_error_reads_the_rest_of_the_file_without_holding_it(tmp_path):
-    # The 40k-row grid of the memory tests as CSV (1.8 MB), with a bad seed
-    # in row 2. Joining the text to look for a later UTF-8 fault peaked at
-    # 2.73x the file.
-    table = generate(
-        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
-    )
-    header, row, rest = "".join(to_csv(table)).split("\n", 2)
-    fields = row.split(",")
-    fields[3] = "x"
-    path = tmp_path / "grid.csv"
-    path.write_text("\n".join([header, ",".join(fields), rest]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="row 2: bad seed 'x'"):
-            cli._load_table(str(path), table.registry)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * path.stat().st_size
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_row_error_stops_the_pass_within_a_block_of_its_row(fmt, tmp_path, monkeypatch):
+    # Row 2 (item 0) is in the first block. A CSV row is parsed as soon as
+    # its line is read; a JSON chunk ends at the first "}," past _CHUNK
+    # characters, so it takes one more block.
+    table, _, text = _grid_with_bad_row_2(fmt)
+    path = tmp_path / f"grid.{fmt}"
+    path.write_text(text)
+    pieces, iterate = [], cli._TextFile.__iter__
+
+    def counted(self):
+        for piece in iterate(self):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(cli._TextFile, "__iter__", counted)
+    with pytest.raises(ValidationError, match="row [02]: bad seed 'x'"):
+        cli._load_table(str(path), table.registry)
+    assert len(pieces) == (1 if fmt == "csv" else 2)
+    assert path.stat().st_size > 7 * results._CHUNK
 
 
 def test_synth_flags_set_every_config_field():
