@@ -26,7 +26,8 @@ result types carry numbers only. Every output goes through
 :func:`_write_output` as a sequence of small text pieces; an output path
 of ``-`` is stdout. No output is built whole: the JSON reports come from
 ``json.JSONEncoder.iterencode``, and converge's cells, not built as one
-body, from the same encoder a block of sizes at a time; converge's plot
+body, are written straight from the study's arrays in that encoder's
+layout, one piece per cell; converge's plot
 and summary CSVs come one piece per size, its SVG one piece per element,
 and every other CSV (synth's table and registry, rank's export, the
 ``--format csv`` reports) one line per piece. CSV output quotes labels
@@ -171,8 +172,8 @@ def _write_output(pieces: Iterable[str], output: str | None) -> None:
     Pieces are joined :data:`_WRITE_BATCH` at a time, one ``write`` per
     batch: no output is held whole as one string, and an unbuffered
     stdout (``PYTHONUNBUFFERED``) still sees few writes. Every caller
-    passes small pieces: a JSON token or line, one size's CSV lines, one
-    SVG element or one CSV line.
+    passes small pieces: a JSON token, one converge cell's JSON text, one
+    size's CSV lines, one SVG element or one CSV line.
     """
     to_stdout = output is None or output == "-"
     with nullcontext(sys.stdout) if to_stdout else open(output, "w", encoding="utf-8") as out:
@@ -189,7 +190,7 @@ def _emit_report(
     Every report names the tool and its version, the registry and the
     sha256 of each input file; ``body``, built by the command, adds its
     settings, warnings and results. converge passes its ``study`` and a
-    null in place of its cells, which :func:`_cells_json` then encodes
+    null in place of its cells, which :func:`_cells_json` then writes
     from the study's arrays as the report is written.
     """
     report = {
@@ -223,26 +224,26 @@ def _emit_report(
 
 
 def _cells_json(study: ConvergenceReport, encoder: json.JSONEncoder) -> Iterator[str]:
-    """converge's ``cells`` array as the JSON lines of its place in the report.
+    """converge's ``cells`` array as the JSON text of its place in the report, a piece per cell.
 
-    The cells of a block of whole sizes, with about :data:`_WRITE_BATCH`
-    values (a line each) among them, are built as dicts from the study's
-    arrays and encoded in one call, then indented two levels deeper; the
-    blocks are joined at their brackets, and each line is a piece.
+    Each cell's text is written straight from the study's arrays, a size's
+    rows at a time, in the layout of ``encoder`` (``indent=2``,
+    ``sort_keys=True``) three levels deep: the coefficient names are
+    encoded once by ``encoder``, and every number with its ``repr``, which
+    is what json writes for an int and for a finite float. Every value of
+    a study is finite: one minus the mean of finite per-test terms.
     """
-    step = max(1, _WRITE_BATCH // study.values[0].size)  # sizes per block
-    by_size = zip(study.sizes, study.values, study.mean, study.std)
-    for start in range(0, len(study.sizes), step):
-        # The block's own "[" gives way to "," after the first block, and its
-        # "\n]" to the closing bracket; a study has at least one size.
-        text = ("," if start else "[") + encoder.encode(
-            [
-                {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
-                for k, vs, ms, sds in itertools.islice(by_size, step)
-                for c, v, m, sd in zip(study.coefficients, vs.tolist(), ms.tolist(), sds.tolist())
-            ]
-        )[1:-2]
-        yield from text.replace("\n", "\n    ").splitlines(keepends=True)
+    names = [encoder.encode(c) for c in study.coefficients]
+    sep = "["  # a study has at least one size and one coefficient
+    for k, by_coefficient, means, stds in zip(study.sizes, study.values, study.mean, study.std):
+        for name, values, m, sd in zip(names, by_coefficient.tolist(), means.tolist(), stds.tolist()):
+            yield (
+                f'{sep}\n      {{\n        "coefficient": {name},\n        "mean": {m!r},\n'
+                f'        "size": {k},\n        "std": {sd!r},\n        "values": [\n          '
+                + ",\n          ".join(map(repr, values))
+                + "\n        ]\n      }"
+            )
+            sep = ","
     yield "\n    ]"
 
 

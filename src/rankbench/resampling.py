@@ -20,6 +20,15 @@ is set on one reused generator. The draw itself is numpy's own
 ``Generator.choice``, which carries no such guarantee: a numpy release
 that changes it changes the draws, and the pinned converge outputs in
 the tests fail.
+
+Each draw is sorted, so only its set matters, and up to 10,000 tests it
+is ``choice(n_tests, k, replace=False, shuffle=False)``. There numpy
+always takes Floyd's algorithm, which picks the set from the stream
+first and only then shuffles it with further draws, so skipping the
+shuffle leaves the set as it was. Above 10,000 tests numpy's cutoff
+between a tail shuffle and Floyd's algorithm depends on ``shuffle``
+(``n // 50`` or ``n // 20``), so the sets would differ for sizes
+between the two, and the shuffle stays.
 """
 
 from __future__ import annotations
@@ -145,9 +154,11 @@ def subsample_convergence(
 
     Deterministic for a given rng_seed: each (size, repeat) pair gets
     its own RNG stream derived from the seed, so the draws do not depend
-    on evaluation order. The streams are seeded in one pass and replay
-    numpy's ``SeedSequence(rng_seed, spawn_key=(k, rep))`` generators
-    draw for draw. At k = number of tests every repeat reproduces the
+    on evaluation order. The streams are seeded in one pass, and each
+    draws the set of tests that ``choice`` of numpy's
+    ``SeedSequence(rng_seed, spawn_key=(k, rep))`` generator draws, with
+    no shuffle after it up to 10,000 tests (see the module docstring).
+    At k = number of tests every repeat reproduces the
     full-suite value exactly. By default every coefficient defined for
     the cube's tie policy is studied.
     """
@@ -179,7 +190,8 @@ def subsample_convergence(
         draws = np.empty((repeats, k), dtype=np.intp)  # repeats x k test indexes
         for draw, state in zip(draws, itertools.islice(states, repeats)):
             bit_generator.state = state
-            draw[:] = rng.choice(n_tests, size=k, replace=False)
+            # The shuffled choice's set: only numpy's cutoff above 10,000 tests differs.
+            draw[:] = rng.choice(n_tests, size=k, replace=False, shuffle=n_tests > 10_000)
         draws.sort(axis=1)
         # take() is C-contiguous, so each mean sums its k terms in the order
         # a one-coefficient gather does; terms[:, draws] is not, and changes

@@ -473,7 +473,8 @@ def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
     """Whether ``text`` is JSON, and its pieces: a ``str`` in slices of :data:`_CHUNK` characters.
 
     JSON's first non-whitespace character is ``[`` or ``{``, in whichever
-    piece it falls; only the pieces up to that one are read ahead.
+    piece it falls; only the pieces up to that one are read ahead. A ``{``
+    opens an object, never an array of objects, so it is the error at once.
     """
     step = _CHUNK or 1
     # Empty pieces, as a decoder gives for part of a character, are dropped,
@@ -486,8 +487,11 @@ def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
     head = next(pieces, "")
     while head.isspace() and (piece := next(pieces, "")):
         head += piece
+    opener = re.match(r"\s*([\[{]?)", head)[1]
+    if opener == "{":
+        raise ValidationError("JSON input must be an array of objects")
     # A list iterator lets go of head once it is read; a list in the chain would not.
-    return re.match(r"\s*[\[{]", head) is not None, itertools.chain(iter([head]), pieces)
+    return opener == "[", itertools.chain(iter([head]), pieces)
 
 
 def _lines(pieces: Iterable[str]) -> Iterator[str]:
@@ -660,8 +664,6 @@ def _read_json(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, in
                 f"bad JSON: {exc.msg}: line {lines + exc.lineno} column "
                 f"{exc.colno if exc.lineno > 1 else at - newline} (char {at})"
             ) from None
-        if not isinstance(items, list):
-            raise ValidationError("JSON input must be an array of objects")
         del items[: bool(head)]  # the 0 that "[0" opens
         columns = _json_columns(items)
         if columns is None:
@@ -718,7 +720,8 @@ def ingest(
     or any iterable of its pieces (a file reader, a ``StringIO``, a
     generator), and either is read once. Text whose first non-whitespace
     character is ``[`` or ``{`` is JSON, an array of objects with the
-    fields of :data:`CSV_COLUMNS`; any other text is CSV, which must begin
+    fields of :data:`CSV_COLUMNS`, so a ``{`` there is the error before
+    the pieces after it are read; any other text is CSV, which must begin
     with the exact header ``algorithm,dataset,metric,seed,value,status``,
     so the two never overlap. Either is read a chunk at a time, CSV by
     :func:`_read_csv` in batches of rows and JSON by :func:`_read_json` in

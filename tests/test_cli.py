@@ -14,16 +14,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankbench import cli, comparison, ranking, results
 from rankbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from rankbench.concordance import COEFFICIENTS, randomness
-from rankbench.ranking import count_ties, rank_table
+from rankbench.concordance import COEFFICIENTS, coefficients_for, randomness
+from rankbench.ranking import TiePolicy, count_ties, rank_table
+from rankbench.resampling import subsample_convergence
 from rankbench.results import (
     STATUSES, ResultTable, Status, ValidationError, ingest, parse_registry, registry_to_text,
     to_csv,
 )
 from rankbench.synthgen import SynthConfig, generate
+
+from test_concordance import ranked
+from test_ranking import score_cubes
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -1241,7 +1246,8 @@ def test_converge_writes_its_report_without_holding_its_cells(tmp_path, monkeypa
     # 1,000 tests give 1,000 sizes. Memory is counted from the end of the
     # study, so the table, the cube and the study's arrays are left out. With
     # every cell built as a dict before the report was written, the writing
-    # peaked at 2.4-2.6x the bytes written; a block of sizes at a time, 0.6x.
+    # peaked at 2.4-2.6x the bytes written; a block of sizes at a time, 0.6x;
+    # a cell's text at a time, 0.3x.
     subsample, studies, held = cli.subsample_convergence, [], []
 
     def traced(*args, **kwargs):
@@ -1275,6 +1281,47 @@ def test_converge_writes_its_report_without_holding_its_cells(tmp_path, monkeypa
     assert peak - before < 1.0 * out.stat().st_size
 
 
+@st.composite
+def convergence_studies(draw):
+    """A study of a small ranked cube: any tie policy and epsilon, any subset of its
+    coefficients in any order, sizes unsorted and repeated, 1, 2 or 10 repeats."""
+    values, higher = draw(score_cubes())
+    policy = draw(st.sampled_from(list(TiePolicy)))
+    cube = ranked(values, higher, policy, draw(st.sampled_from([0.0, 0.25, 0.6])))
+    names = coefficients_for(policy)
+    n_tests = len(cube.suite)
+    return subsample_convergence(
+        cube,
+        coefficients=draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+        sizes=draw(st.lists(st.integers(1, n_tests), min_size=1, max_size=12)),
+        repeats=draw(st.sampled_from([1, 2, 10])),
+        rng_seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@given(convergence_studies())
+@settings(max_examples=150, deadline=None)
+def test_cells_json_is_the_encoders_text_a_piece_per_cell(study):
+    # _cells_json writes each number with its repr, which is json's text for
+    # a finite float: every value of a study is one minus a mean of finite terms.
+    assert np.isfinite(study.values).all()
+    cells = [
+        {"size": k, "coefficient": c, "values": v, "mean": m, "std": sd}
+        for k, vs, ms, sds in zip(
+            study.sizes, study.values.tolist(), study.mean.tolist(), study.std.tolist()
+        )
+        for c, v, m, sd in zip(study.coefficients, vs, ms, sds)
+    ]
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    # The cells sit at the depth of the report's convergence.cells.
+    head, tail = '{\n  "convergence": {\n    "cells": ', "\n  }\n}"
+    text = encoder.encode({"convergence": {"cells": cells}})
+    assert text.startswith(head) and text.endswith(tail)
+    pieces = list(cli._cells_json(study, encoder))
+    assert "".join(pieces) == text[len(head) : -len(tail)]
+    assert len(pieces) == len(cells) + 1
+
+
 @pytest.mark.parametrize("writer, bound", [("ranks_to_csv", 1.5), ("to_csv", 0.3)])
 def test_csv_writers_stream_one_batch_at_a_time(writer, bound, tmp_path):
     # 20,000 cells: each output spans about 80 write batches. Built whole as one
@@ -1299,7 +1346,8 @@ def test_csv_writers_stream_one_batch_at_a_time(writer, bound, tmp_path):
 @pytest.mark.parametrize("command", ["converge", "coeff"])
 def test_stdout_output_is_the_bytes_written_to_a_file(command, tmp_path):
     # An unbuffered stdout takes one write per batch of pieces, and the report
-    # spans several batches: no piece of the indented JSON holds two newlines.
+    # spans several batches: a JSON line a piece, or in converge's 600 cells a
+    # cell a piece.
     grid, reg, out = tmp_path / "grid.csv", tmp_path / "reg.txt", tmp_path / "report.json"
     assert main(["synth", "--datasets", "100", "--noise-scale", "0.5", "--tie-prob", "0.2",
                  "--output", str(grid), "--registry-out", str(reg)]) == EXIT_OK

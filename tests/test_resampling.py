@@ -9,7 +9,7 @@ from rankbench.resampling import (
     subsample_convergence,
     summary_csv,
 )
-from rankbench.results import resolve_failures
+from rankbench.results import TestId, resolve_failures
 from rankbench.synthgen import SynthConfig, generate
 
 from oracles import loop_subsample_convergence
@@ -62,6 +62,28 @@ def test_convergence_replays_one_generator_per_stream(policy, sizes, repeats, rn
     expected = loop_subsample_convergence(
         cube, coefficients, sizes or range(1, 31), repeats, rng_seed
     )
+    for got, want in zip((report.values, report.mean, report.std), expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_tests", [10_000, 10_001])
+def test_unshuffled_draws_keep_the_sets_at_numpys_cutoffs(n_tests):
+    # Up to 10,000 tests the draw skips choice's shuffle. Above, numpy's cutoff
+    # between a tail shuffle and Floyd's algorithm is n // 50 with the shuffle
+    # and n // 20 without, so the sets would differ from n // 50 + 1 to n // 20.
+    # A numpy release that moves either cutoff fails here.
+    rng = np.random.default_rng(3)
+    ranks = rng.permuted(np.tile(np.arange(1.0, 6.0), (n_tests, 3, 1)), axis=2)
+    cube = RankCube(
+        suite=tuple(TestId(f"d{t:05d}", "m") for t in range(n_tests)),
+        seeds=(0, 1, 2),
+        algorithms=("a", "b", "c", "d", "e"),
+        policy=TiePolicy.MEAN_OF_TIED,
+        ranks=ranks,
+    )
+    sizes = [n_tests // 50, n_tests // 50 + 1, n_tests // 20, n_tests // 20 + 1, n_tests]
+    report = subsample_convergence(cube, sizes=sizes, repeats=2, rng_seed=11)
+    expected = loop_subsample_convergence(cube, report.coefficients, sizes, 2, 11)
     for got, want in zip((report.values, report.mean, report.std), expected):
         assert np.array_equal(got, want)
 

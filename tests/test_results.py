@@ -448,6 +448,8 @@ def _grid_items(table) -> list[dict]:
 def _whole_text_outcome(text: str, registry) -> str:
     """The outcome of JSON ``text`` read whole: the reference for the chunked reader."""
     def read():
+        if text.lstrip().startswith("{"):  # an object, whatever follows
+            raise ValidationError("JSON input must be an array of objects")
         try:
             items = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -639,18 +641,48 @@ def test_a_cut_inside_a_label_is_joined_with_the_parts_that_follow(monkeypatch):
 
 
 def test_a_text_that_is_not_an_array_of_flat_objects_is_parsed_in_linear_time(monkeypatch):
-    # Every cut of an array wrapped in an object leaves the object open at
-    # the "]" it added. Joined one part at a time, the text was parsed once
-    # per part: 70 s against 1.9 s for the CI step's 43 MB grid so wrapped.
-    text = json.dumps({"results": PLAIN_ITEMS})
+    # Every cut of an array wrapped in an object in an array leaves the object
+    # open at the "]" it added. Joined one part at a time, the text was parsed
+    # once per part: 70 s against 1.9 s for the CI step's 43 MB grid wrapped
+    # as {"results": ...}, a text that now fails at its "{".
+    text = json.dumps([{"results": PLAIN_ITEMS}])
     parsed, loads = [], json.loads
     monkeypatch.setattr(results, "_CHUNK", 50)
     monkeypatch.setattr(json, "loads", lambda doc: parsed.append(len(doc)) or loads(doc))
-    assert _outcome(lambda: ingest(text, BATTERY_REGISTRY)) == (
-        "JSON input must be an array of objects"
-    )
+    assert _outcome(lambda: ingest(text, BATTERY_REGISTRY)) == "JSON item 0: unexpected shape"
     assert len(text) > 50 * 50
     assert sum(parsed) < 3 * len(text)
+
+
+@pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, results._CHUNK])
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"results": PLAIN_ITEMS}),
+        json.dumps({"results": PLAIN_ITEMS})[:-1],
+        " \n\t{x",
+        "{",
+        json.dumps(PLAIN_ITEMS[0]),
+    ],
+    ids=["wrapped", "wrapped, unclosed", "syntax error", "bare brace", "one item"],
+)
+def test_a_text_that_opens_an_object_fails_at_its_brace(text, chunk, monkeypatch):
+    # A "{" first is never an array of objects, whatever follows it: the
+    # pieces after the one that holds it are not read.
+    monkeypatch.setattr(results, "_CHUNK", chunk)
+    brace = text.index("{") + 1
+    read = []
+
+    def pieces():
+        for piece in (text[:brace], text[brace:]):
+            read.append(piece)
+            yield piece
+
+    for source in (text, pieces()):
+        assert _outcome(lambda: ingest(source, BATTERY_REGISTRY)) == (
+            "JSON input must be an array of objects"
+        )
+    assert read == [text[:brace]]
 
 
 # A row error in item 0 and a syntax error at the end of the text.
