@@ -160,7 +160,9 @@ def subsample_convergence(
     no shuffle after it up to 10,000 tests (see the module docstring).
     At k = number of tests every repeat reproduces the
     full-suite value exactly. By default every coefficient defined for
-    the cube's tie policy is studied.
+    the cube's tie policy is studied. A size that is not an integer or
+    not in 1 to the number of tests, no sizes and a repeated coefficient
+    are each a ValueError, as they are usage errors of ``converge``.
     """
     n_tests = len(cube.suite)
     if not n_tests:
@@ -169,11 +171,18 @@ def subsample_convergence(
         coefficients = coefficients_for(cube.policy)
     if not coefficients:
         raise ValueError("empty coefficient set")
+    if len(set(coefficients)) < len(coefficients):
+        raise ValueError(f"repeated coefficient in {list(coefficients)}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if sizes is None:
         sizes = range(1, n_tests + 1)
-    sizes = [int(k) for k in sizes]
+    try:
+        sizes = list(map(operator.index, sizes))
+    except TypeError:
+        raise ValueError(f"subsample sizes must be integers, got {list(sizes)}") from None
+    if not sizes:
+        raise ValueError("empty size set")
     for k in sizes:
         if not 1 <= k <= n_tests:
             raise ValueError(f"subsample size {k} out of range [1, {n_tests}]")

@@ -10,25 +10,27 @@ so that failures rank below every OK run and tie with each other.
 
 Ingest reads text once, one piece at a time, from a ``str`` cut into
 slices or from any iterable of pieces, such as the CLI reads straight
-from a file, and both go one way: :func:`_read_csv` splits the pieces
-into lines and parses 2,000 rows at a time, and :func:`_read_json` cuts
-them into chunks of about 250k characters of JSON. A chunk gives the six
-record columns, from the row parser :func:`_parse_rows`, which owns every
-row-level error message, or, for a chunk of canonical JSON items, from
-:func:`_json_columns`. :func:`_chunk` turns them into arrays at once:
-int32 codes for the labels and seeds through one first-seen code dict per
-field, float64 values, has-value flags and int8 statuses. So only one
-chunk is ever held as Python objects, and a text is never held whole.
-The error is the first fault the pass meets, and no piece past the chunk
-that holds it is read; a JSON syntax error is worded with its line,
-column and character in the whole text, as ``json.loads`` of the whole
-text words it.
-:meth:`ResultTable._from_chunks` is the one validating core: it joins the
-chunks, sorts the labels once and checks every record over the arrays.
-:meth:`ResultTable.from_columns` type-checks plain columns and hands them
-to it as one chunk. ``synthgen.generate`` builds its table from cubes it
-fills directly, valid by construction, and :func:`resolve_failures`
-copies a table with new values. Per-cell :class:`ResultRecord` objects
+from a file, and both go one way. Two generators read them:
+:func:`_read_csv` splits the pieces into lines and parses 2,000 rows at
+a time, and :func:`_read_json` cuts them into chunks of about 250k
+characters of JSON. Each yields a chunk's six record columns, from the
+row parser :func:`_parse_rows`, which owns every row-level error message,
+or, for a chunk of canonical JSON items, from :func:`_json_columns`, and
+whether the row parser made them. :meth:`ResultTable._from_chunks` is the
+one validating core, and it owns the chunks from there: it turns each
+into arrays before the next is read (int32 codes for the labels and
+seeds through one first-seen code dict per field, float64 values,
+has-value flags and int8 statuses), counts them for its one log line,
+joins them, sorts the labels once and checks every record over the
+arrays. So only one chunk is ever held as Python objects, and a text is
+never held whole. The error is the first fault the pass meets, and no
+piece past the chunk that holds it is read; a JSON syntax error is worded
+with its line, column and character in the whole text, as ``json.loads``
+of the whole text words it. :meth:`ResultTable.from_columns` type-checks
+plain columns and hands them to the core as one chunk.
+``synthgen.generate`` builds its table from cubes it fills directly,
+valid by construction, and :func:`resolve_failures` copies a table with
+new values. Per-cell :class:`ResultRecord` objects
 exist only in :attr:`ResultTable.records`, which the pipeline never reads.
 
 Text crosses this module's boundary one way each: :func:`ingest` tells
@@ -216,8 +218,9 @@ class ResultTable:
         value a ``float`` (numpy floats included) or None and every status
         an ``int`` index into :data:`STATUSES`, as ingest gives them;
         otherwise the ValidationError names the first bad entry, column by
-        column. The columns then go as one chunk to
-        :meth:`_from_chunks`, the validating core that ingest uses too.
+        column. The columns then go as one chunk, not made by the row
+        parser, to :meth:`_from_chunks`, the validating core that ingest
+        uses too, so the same INFO line is logged: ``0 of 1 chunks``.
         """
         columns = (
             algorithm_column, dataset_column, metric_column, seed_column, value_column,
@@ -226,32 +229,48 @@ class ResultTable:
         for (valid, message), column in zip(_ENTRY_RULES.values(), columns):
             for bad in itertools.filterfalse(valid, column):
                 raise ValidationError(message.format(bad))
-        codes = _Codes(), _Codes(), _Codes(), _Codes()
-        chunks = [_chunk(columns, codes)]
-        return cls._from_chunks(codes, chunks, registry, drop_incomplete)
+        return cls._from_chunks([(columns, False)], registry, drop_incomplete)
 
     @classmethod
     def _from_chunks(
         cls,
-        codes: tuple[_Codes, ...],
-        chunks: list[tuple[np.ndarray, ...]],
+        chunks: Iterable[tuple[Sequence[list], bool]],
         registry: dict[str, MetricSpec],
         drop_incomplete: bool,
     ) -> "ResultTable":
-        """Validate records, read as :func:`_chunk` arrays, into a complete grid: the one core.
+        """Validate records, read a chunk at a time, into a complete grid: the one core.
 
-        The chunks are joined, and dropped from ``chunks``. Record-level
-        errors name the first offending record in input order, with the
-        same check order as a record-by-record scan: status ok without a
-        value, unknown metric, value outside bounds, non-finite ok value,
-        duplicate key. With ``drop_incomplete`` every test with any missing
-        cell is dropped (never imputed); otherwise an incomplete grid is an
-        error listing every missing cell.
+        Each chunk is six record columns, as :meth:`from_columns` takes
+        them, and whether the row parser made them; there is at least one.
+        Each becomes arrays before the next is read: int32 codes for the
+        labels and seeds through one first-seen :class:`_Codes` per field,
+        float64 values (NaN for none), has-value flags and int8 statuses.
+        The log line says how many chunks the row parser made, of how many.
+        Record-level errors name the first offending record in input order,
+        with the same check order as a record-by-record scan: status ok
+        without a value, unknown metric, value outside bounds, non-finite
+        ok value, duplicate key. With ``drop_incomplete`` every test with
+        any missing cell is dropped (never imputed); otherwise an
+        incomplete grid is an error listing every missing cell.
         """
-        if not sum(len(chunk[0]) for chunk in chunks):
+        codes, arrays, by_rows = (_Codes(), _Codes(), _Codes(), _Codes()), [], 0
+        for (*keys, values, statuses), parsed in chunks:
+            arrays.append((
+                *(np.fromiter(map(c.__getitem__, key), np.int32, len(key))
+                  for c, key in zip(codes, keys)),
+                np.array(values, dtype=float),  # None becomes NaN
+                np.array([value is not None for value in values], dtype=bool),
+                np.array(statuses, dtype=np.int8),
+            ))
+            by_rows += parsed
+            del keys, values, statuses  # before the next chunk is read
+        alg, dataset, metric, seed, values, has_value, status = map(np.concatenate, zip(*arrays))
+        log.info(
+            "%d of %d chunks by the row parser: parsed %d rows", by_rows, len(arrays), len(alg)
+        )
+        del arrays
+        if not len(alg):
             raise ValidationError("no records")
-        alg, dataset, metric, seed, values, has_value, status = map(np.concatenate, zip(*chunks))
-        chunks.clear()
         algorithms, datasets, metrics, seeds = labels = [tuple(sorted(field)) for field in codes]
         # Codes count in first-seen order; renumber each field's in label order, in place.
         for field, field_labels, column in zip(codes, labels, (alg, dataset, metric, seed)):
@@ -356,23 +375,6 @@ class _Codes(dict):
     def __missing__(self, label) -> int:
         code = self[label] = len(self)
         return code
-
-
-def _chunk(columns: Sequence[list], codes: tuple[_Codes, ...]) -> tuple[np.ndarray, ...]:
-    """One chunk of records as arrays, from the six columns :meth:`ResultTable.from_columns` takes.
-
-    Algorithm, dataset, metric and seed become int32 codes through
-    ``codes``, one :class:`_Codes` per field shared by every chunk of an
-    input. Beside them go float64 values (NaN for none), a has-value bool
-    array and int8 statuses.
-    """
-    *keys, values, statuses = columns
-    return (
-        *(np.fromiter(map(c.__getitem__, key), np.int32, len(key)) for c, key in zip(codes, keys)),
-        np.array(values, dtype=float),  # None becomes NaN
-        np.array([value is not None for value in values], dtype=bool),
-        np.array(statuses, dtype=np.int8),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +540,25 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
         raise ValidationError(f"row {rowno + 1}: {message}") from None
 
 
-def _read_csv(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, int]:
-    """The codes and :func:`_chunk` arrays of CSV text; chunks the row parser read, of how many.
+def _read_csv(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
+    """The record columns of CSV text, a batch of rows at a time, each made by the row parser.
 
-    A chunk is a batch of :data:`_CSV_BATCH` rows, or fewer in the last
-    one, and the row parser reads every chunk, with rows numbered across
-    chunks; text without rows counts as one chunk. One ``csv.reader``
-    reads every line of :func:`_lines`, so a quoted field may span pieces.
+    A batch is :data:`_CSV_BATCH` rows, or fewer in the last one, with rows
+    numbered across batches; text without rows is one empty batch. One
+    ``csv.reader`` reads every line of :func:`_lines`, so a quoted field
+    may span pieces.
     """
-    codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
     rows = _csv_rows(_lines(pieces))
+    start = 2  # the number of the batch's first row
     for first in rows:  # each batch's first row; the loop ends with the rows
-        start = 2 + sum(len(chunk[0]) for chunk in chunks)
-        batch = itertools.chain([first], itertools.islice(rows, _CSV_BATCH - 1))
-        chunks.append(_chunk(_parse_rows(batch, start), codes))
-    n_chunks = max(1, len(chunks))
-    return codes, chunks, n_chunks, n_chunks
+        columns = _parse_rows(
+            itertools.chain([first], itertools.islice(rows, _CSV_BATCH - 1)), start
+        )
+        start += len(columns[0])
+        yield columns, True
+        del columns  # before the next batch is parsed
+    if start == 2:
+        yield _parse_rows((), start), True
 
 
 def _json_rows(items: list, start: int = 0) -> Iterable[list[str]]:
@@ -622,8 +627,8 @@ def _json_chunks(pieces: Iterable[str]) -> Iterator[tuple[str, bool]]:
     yield rest, True
 
 
-def _read_json(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, int]:
-    """The codes and :func:`_chunk` arrays of JSON text; chunks the row parser read, of how many.
+def _read_json(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
+    """The record columns of JSON text, a chunk at a time, and whether the row parser made them.
 
     Each part that :func:`_json_chunks` cuts is parsed as an array of its
     own: a ``]`` closes every part but the last, and ``[0`` opens every
@@ -640,8 +645,7 @@ def _read_json(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, in
     JSON message counts its line, column and character from the start of
     the text, as reading it whole does.
     """
-    codes, chunks = (_Codes(), _Codes(), _Codes(), _Codes()), []
-    by_rows, head, text, least = 0, "", "", 0
+    head, text, least, item = "", "", 0, 0  # item: the number of the chunk's first item
     # The characters and newlines of the text before the chunk, and the index
     # of the last of those newlines.
     start, lines, newline = 0, 0, -1
@@ -666,16 +670,12 @@ def _read_json(pieces: Iterable[str]) -> tuple[tuple[_Codes, ...], list, int, in
             ) from None
         del items[: bool(head)]  # the 0 that "[0" opens
         columns = _json_columns(items)
-        if columns is None:
-            by_rows += 1
-            n = sum(len(chunk[0]) for chunk in chunks)
-            columns = _parse_rows(_json_rows(items, n), n)
-        chunks.append(_chunk(columns, codes))
+        yield columns or _parse_rows(_json_rows(items, item), item), columns is None
+        item += len(items)
         lines += doc.count("\n")
         newline = start + nl - len(head) if (nl := doc.rfind("\n")) >= 0 else newline
         start, head, least = start + len(doc) - len(head) - 1, "[0", 0
         del doc, items, columns  # before the next chunk is cut and parsed
-    return codes, chunks, by_rows, len(chunks)
 
 
 def _parse_rows(rows: Iterable[list[str]], start: int) -> tuple[list, ...]:
@@ -723,22 +723,22 @@ def ingest(
     fields of :data:`CSV_COLUMNS`, so a ``{`` there is the error before
     the pieces after it are read; any other text is CSV, which must begin
     with the exact header ``algorithm,dataset,metric,seed,value,status``,
-    so the two never overlap. Either is read a chunk at a time, CSV by
-    :func:`_read_csv` in batches of rows and JSON by :func:`_read_json` in
-    chunks of about 250k characters, and each chunk's records become
-    arrays before the next chunk is read. The error is the first fault
-    the pass meets: in a JSON chunk a syntax error comes before a row
-    error. Every CSV chunk, and each JSON chunk that is not canonical,
-    goes through the row parser, which gives every row-level error
-    message, first error first; :meth:`ResultTable._from_chunks` then
-    checks the records once, over the arrays. The log line says how many
-    chunks the row parser read, so a run shows whether the slow parser ran.
+    so the two never overlap. The reader for the format,
+    :func:`_read_csv` in batches of rows or :func:`_read_json` in chunks of
+    about 250k characters, is a generator of record columns handed to
+    :meth:`ResultTable._from_chunks`, which turns each chunk into arrays
+    before the next chunk is read. The error is the first fault the pass
+    meets: in a JSON chunk a syntax error comes before a row error. Every
+    CSV chunk, and each JSON chunk that is not canonical, goes through the
+    row parser, which gives every row-level error message, first error
+    first; the core then checks the records once, over the arrays. Its log
+    line says how many chunks the row parser read, so a run shows whether
+    the slow parser ran.
     """
     is_json, pieces = _pieces(text)
-    codes, chunks, by_rows, n_chunks = (_read_json if is_json else _read_csv)(pieces)
-    rows = sum(len(chunk[0]) for chunk in chunks)
-    log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, n_chunks, rows)
-    return ResultTable._from_chunks(codes, chunks, registry, drop_incomplete)
+    return ResultTable._from_chunks(
+        (_read_json if is_json else _read_csv)(pieces), registry, drop_incomplete
+    )
 
 
 def csv_fields(labels: Iterable[str]) -> dict[str, str]:

@@ -161,10 +161,28 @@ def test_errors():
         subsample_convergence(cube, coefficients=["spearman"])
     with pytest.raises(ValueError, match=r"^repeats must be >= 1$"):
         subsample_convergence(cube, repeats=0)
+    # Usage errors of converge, checked for a library call too: not a
+    # size-1 draw, a study with no sizes to plot, or duplicate rows under
+    # one full-suite key.
+    with pytest.raises(ValueError, match=r"^subsample sizes must be integers, got \[2, 1\.5\]$"):
+        subsample_convergence(cube, sizes=[2, 1.5])
+    for sizes in ([], np.array([], dtype=int)):
+        with pytest.raises(ValueError, match=r"^empty size set$"):
+            subsample_convergence(cube, sizes=sizes)
+    with pytest.raises(ValueError, match=r"^repeated coefficient in \['w', 'w'\]$"):
+        subsample_convergence(cube, coefficients=["w", "w"])
     with pytest.raises(ValueError, match="empty suite"):
         subsample_convergence(
             RankCube((), (0,), ("a", "b"), TiePolicy.MEAN_OF_TIED, np.empty((0, 1, 2)))
         )
+
+
+def test_integer_sizes_of_any_integral_type_are_read_as_ints():
+    cube = noisy_suite()
+    study = subsample_convergence(cube, sizes=np.array([3, 1]), repeats=2)
+    assert study.sizes == (3, 1) and all(type(k) is int for k in study.sizes)
+    listed = subsample_convergence(cube, sizes=[3, 1], repeats=2)
+    assert study.values.tobytes() == listed.values.tobytes()
 
 
 def test_csv_outputs():

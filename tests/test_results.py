@@ -409,6 +409,10 @@ def test_only_non_canonical_json_reaches_row_parser(name, chunk, monkeypatch):
 def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
     seed_text = json.dumps(_minimal_items((0, {"seed": "0"})))
     with caplog.at_level(logging.INFO, logger="rankbench.results"):
+        # A text without rows is one chunk, read by the row parser.
+        for empty in (MINIMAL_CSV.splitlines(keepends=True)[0], "[]"):
+            with pytest.raises(ValidationError, match="^no records$"):
+                ingest(empty, REGISTRY)
         ingest(json.dumps(_minimal_items()), REGISTRY)
         ingest(seed_text, REGISTRY)
         ingest(MINIMAL_CSV, REGISTRY)
@@ -419,6 +423,8 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
         monkeypatch.setattr(results, "_CSV_BATCH", 2)
         ingest(MINIMAL_CSV, REGISTRY)
     assert caplog.messages == [
+        "1 of 1 chunks by the row parser: parsed 0 rows",
+        "1 of 1 chunks by the row parser: parsed 0 rows",
         "0 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 1 chunks by the row parser: parsed 4 rows",
@@ -587,19 +593,19 @@ PLAIN_CHUNK_READS = {
 }
 
 
-def _chunk_records(codes, chunks) -> list[tuple]:
-    """Each record in ``chunks``: its labels through ``codes``, then its value, None for none."""
-    labels = [list(field) for field in codes]  # a field's labels in code order
-    return [
-        (*(field[code] for field, code in zip(labels, keys)), value if has_value else None)
-        for chunk in chunks
-        for *keys, value, has_value, _ in zip(*(array.tolist() for array in chunk))
-    ]
+def _chunk_records(chunks) -> list[tuple]:
+    """Each record in column ``chunks``: its labels, seed and value, None for none."""
+    return [record[:5] for columns, _ in chunks for record in zip(*columns)]
 
 
-def _read_json(text: str):
-    """``results._read_json`` of the pieces of ``text``, as ingest reads them."""
-    return results._read_json(results._pieces(text)[1])
+def _read_json(text: str) -> list[tuple[tuple[list, ...], bool]]:
+    """The column chunks ``results._read_json`` yields for ``text``'s pieces, as ingest reads them."""
+    return list(results._read_json(results._pieces(text)[1]))
+
+
+def _chunk_counts(chunks) -> list[int]:
+    """How many of ``chunks`` the row parser made, and how many there are."""
+    return [sum(by_rows for _, by_rows in chunks), len(chunks)]
 
 
 @pytest.mark.parametrize("name", PLAIN_CHUNK_READS)
@@ -618,9 +624,9 @@ def test_json_chunks_are_read_until_the_first_fault(name, monkeypatch):
         with pytest.raises(ValidationError):
             _read_json(JSON_CHUNK_BATTERY[name][0])
     else:
-        codes, chunks, *counts = _read_json(JSON_CHUNK_BATTERY[name][0])
-        assert counts == [by_rows, 12]
-        assert _chunk_records(codes, chunks) == [
+        chunks = _read_json(JSON_CHUNK_BATTERY[name][0])
+        assert _chunk_counts(chunks) == [by_rows, 12]
+        assert _chunk_records(chunks) == [
             tuple(map(item.get, CSV_COLUMNS[:5])) for item in PLAIN_ITEMS
         ]
     assert read == reads
@@ -632,12 +638,10 @@ def test_a_cut_inside_a_label_is_joined_with_the_parts_that_follow(monkeypatch):
     # until it parses, here at the item's end, so each item is one chunk, as
     # with plain labels.
     monkeypatch.setattr(results, "_CHUNK", 0)
-    codes, chunks, *counts = _read_json(json.dumps(HOSTILE_ITEMS))
-    assert (len(_chunk_records(codes, chunks)), counts) == (
-        len(HOSTILE_ITEMS), [0, len(HOSTILE_ITEMS)]
-    )
-    codes, chunks, *counts = _read_json(_PLAIN)
-    assert (len(_chunk_records(codes, chunks)), counts) == (len(PLAIN_ITEMS), [0, len(PLAIN_ITEMS)])
+    for text, items in ((json.dumps(HOSTILE_ITEMS), HOSTILE_ITEMS), (_PLAIN, PLAIN_ITEMS)):
+        chunks = _read_json(text)
+        assert _chunk_counts(chunks) == [0, len(items)]
+        assert _chunk_records(chunks) == [tuple(map(item.get, CSV_COLUMNS[:5])) for item in items]
 
 
 def test_a_text_that_is_not_an_array_of_flat_objects_is_parsed_in_linear_time(monkeypatch):
@@ -1210,14 +1214,15 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text)
-    # One code per distinct label, shared by every chunk.
+    # Over 10 chunks, whose labels together are the table's.
     assert len(text) > 10 * results._CHUNK
-    codes, chunks, _, n_chunks = _read_json(text)
-    assert len(chunks) == n_chunks > 10
+    chunks = _read_json(text)
+    assert _chunk_counts(chunks) == [0 if ok_status == "ok" else len(chunks), len(chunks)]
+    assert len(chunks) > 10
     labels = table.algorithms, *zip(*table.suite), table.seeds
-    assert [sorted(field) for field in codes] == [sorted(set(field)) for field in labels]
-    for chunk in chunks:
-        assert all(key.max() < len(field) for key, field in zip(chunk, codes))
+    assert [set().union(*(columns[i] for columns, _ in chunks)) for i in range(4)] == [
+        set(field) for field in labels
+    ]
 
 
 class TestResolveFailures:
