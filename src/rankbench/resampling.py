@@ -161,18 +161,28 @@ def subsample_convergence(
     At k = number of tests every repeat reproduces the
     full-suite value exactly. By default every coefficient defined for
     the cube's tie policy is studied. A size that is not an integer or
-    not in 1 to the number of tests, no sizes and a repeated coefficient
-    are each a ValueError, as they are usage errors of ``converge``.
+    not in 1 to the number of tests, no sizes, a repeated coefficient, a
+    bare ``str`` of coefficients and a ``repeats`` that is not an integer
+    (a ``bool`` included) are each a ValueError, as they are usage errors
+    of ``converge``.
     """
     n_tests = len(cube.suite)
     if not n_tests:
         raise ValueError("empty suite")
     if coefficients is None:
         coefficients = coefficients_for(cube.policy)
+    if isinstance(coefficients, str):
+        raise ValueError(f"coefficients must be a sequence of names, got {coefficients!r}")
     if not coefficients:
         raise ValueError("empty coefficient set")
     if len(set(coefficients)) < len(coefficients):
         raise ValueError(f"repeated coefficient in {list(coefficients)}")
+    try:
+        if isinstance(repeats, bool):
+            raise TypeError
+        repeats = operator.index(repeats)
+    except TypeError:
+        raise ValueError(f"repeats must be an integer, got {repeats!r}") from None
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if sizes is None:

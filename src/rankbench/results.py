@@ -11,12 +11,16 @@ so that failures rank below every OK run and tie with each other.
 Ingest reads text once, one piece at a time, from a ``str`` cut into
 slices or from any iterable of pieces, such as the CLI reads straight
 from a file, and both go one way. Two generators read them:
-:func:`_read_csv` splits the pieces into lines and parses 2,000 rows at
-a time, and :func:`_read_json` cuts them into chunks of about 250k
-characters of JSON. Each yields a chunk's six record columns, from the
-row parser :func:`_parse_rows`, which owns every row-level error message,
-or, for a chunk of canonical JSON items, from :func:`_json_columns`, and
-whether the row parser made them. :meth:`ResultTable._from_chunks` is the
+:func:`_read_csv` cuts the pieces into blocks of whole lines of about
+50k characters, and :func:`_read_json` into chunks of about 250k
+characters of JSON. Each yields a chunk's six record columns, from
+:func:`_csv_columns` for a block of canonical CSV lines, which C-level
+string operations split into columns, or from :func:`_json_columns` for
+a chunk of canonical JSON items, and otherwise from the row parser
+:func:`_parse_rows`, which owns every row-level error message, and
+whether the row parser made them. CSV goes to ``csv.reader`` and the row
+parser, 2,000 rows at a time, from its first block that is not canonical
+on. :meth:`ResultTable._from_chunks` is the
 one validating core, and it owns the chunks from there: it turns each
 into arrays before the next is read (int32 codes for the labels and
 seeds through one first-seen code dict per field, float64 values,
@@ -34,9 +38,9 @@ new values. Per-cell :class:`ResultRecord` objects
 exist only in :attr:`ResultTable.records`, which the pipeline never reads.
 
 Text crosses this module's boundary one way each: :func:`ingest` tells
-CSV from JSON by the text's first non-whitespace character; CSV is read by
-``csv.reader``, and text it cannot split is an error of the row it is
-in; every CSV writer of the package, :func:`to_csv` included, quotes
+CSV from JSON by the text's first non-whitespace character; CSV reads as
+``csv.reader`` reads it, and text it cannot split is an error of the row
+it is in; every CSV writer of the package, :func:`to_csv` included, quotes
 labels by :func:`csv_fields` and yields its lines itself, one piece each.
 """
 
@@ -48,6 +52,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -460,15 +465,20 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
 
 
 # Text is read one piece of about _CHUNK characters at a time (a str in
-# slices, a file in blocks of _CHUNK bytes), and CSV lines and JSON chunks
-# of about _CHUNK characters are cut from the pieces (CSV just after a
-# "\n", JSON between the "}" and "," of a "},"), so only one chunk is
-# copied or held as JSON items at a time. The row parser reads _CSV_BATCH
-# rows at a time, and one batch's fields are the only label strings held
-# beyond the code dicts, so a small batch keeps CSV ingest's peak near the
-# text's size.
+# slices, a file in blocks of _CHUNK bytes). CSV is cut from the pieces into
+# blocks of whole lines of about _CSV_BLOCK characters, and JSON into chunks
+# of about _CHUNK characters (between the "}" and "," of a "},"), so only
+# one block or chunk is split or held as JSON items at a time. A canonical
+# CSV block is read as columns at once; from the first block that is not,
+# the row parser reads _CSV_BATCH rows at a time. A block's or a batch's
+# fields are the only label strings held beyond the code dicts, so small
+# blocks and batches keep CSV ingest's peak near the text's size.
 _CHUNK = 250_000
+_CSV_BLOCK = 50_000
 _CSV_BATCH = 2_000
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+# The bytes that _csv_columns deletes from a block's UTF-8 to see its shape.
+_NOT_CSV_SHAPE = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
@@ -496,40 +506,47 @@ def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
     return opener == "[", itertools.chain(iter([head]), pieces)
 
 
-def _lines(pieces: Iterable[str]) -> Iterator[str]:
-    """The lines of the text of ``pieces`` as ``io.StringIO`` gives them: split at ``"\\n"`` only.
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` in blocks of whole lines, each cut just after a ``"\\n"``.
 
-    Each piece is split up to its last ``"\\n"``, after the partial line
-    carried from the pieces before it; what follows is carried into the next.
+    A block ends at the last ``"\\n"`` within its first :data:`_CSV_BLOCK`
+    characters, or at its first ``"\\n"`` if its first line is longer; what
+    follows the text's last ``"\\n"``, if anything, is the last block. So
+    the lines of the blocks are the lines ``io.StringIO`` gives of the text.
     """
     rest = ""
     for piece in pieces:
-        if cut := piece.rfind("\n") + 1:
-            yield from io.StringIO(rest + piece[:cut])
-            rest = piece[cut:]
-        else:
-            rest += piece
-    yield from io.StringIO(rest)
+        start, seen = 0, len(rest)  # rest holds no "\n" past start + _CSV_BLOCK
+        rest += piece
+        del piece  # rest holds its text, so the next += extends it in place
+        while len(rest) - start > _CSV_BLOCK and (
+            cut := rest.rfind("\n", start, start + _CSV_BLOCK) + 1
+            or rest.find("\n", max(start + _CSV_BLOCK, seen)) + 1
+        ):
+            yield rest[start:cut]
+            start = cut
+        rest = rest[start:]
+    if rest:
+        yield rest
 
 
-def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Data rows of CSV lines under the exact header.
+def _csv_rows(lines: Iterable[str], start: int = 2) -> Iterator[list[str]]:
+    """Data rows of CSV lines under the exact header, numbered from ``start``.
 
-    The header is row 1 and data rows count from 2; blank lines are
-    skipped and not numbered. Text that ``csv.reader`` cannot split, such
-    as a bare carriage return in an unquoted field, is an error of the row
-    it is in.
+    The header is row 1; blank lines are skipped and not numbered. Text
+    that ``csv.reader`` cannot split, such as a bare carriage return in an
+    unquoted field, is an error of the row it is in.
     """
     reader = csv.reader(lines)
     rowno = 0  # the last row read
     try:
         header = next(reader, None)
-        rowno = 1
+        rowno = start - 1
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValidationError(
                 f"CSV header must be exactly {','.join(CSV_COLUMNS)}, got {header}"
             )
-        for rowno, row in enumerate(filter(None, reader), start=2):
+        for rowno, row in enumerate(filter(None, reader), start):
             if len(row) != len(CSV_COLUMNS):
                 raise ValidationError(f"row {rowno}: wrong number of fields")
             yield row
@@ -540,16 +557,72 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
         raise ValidationError(f"row {rowno + 1}: {message}") from None
 
 
-def _read_csv(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
-    """The record columns of CSV text, a batch of rows at a time, each made by the row parser.
+def _csv_columns(block: str) -> tuple[list, ...] | None:
+    """The six record columns of a block of canonical CSV lines, or None if any line is not.
 
-    A batch is :data:`_CSV_BATCH` rows, or fewer in the last one, with rows
-    numbered across batches; text without rows is one empty batch. One
-    ``csv.reader`` reads every line of :func:`_lines`, so a quoted field
-    may span pieces.
+    Canonical: no longer than ``csv.field_size_limit()``; no ``"``,
+    carriage return, NUL or blank line; five commas on every line; every
+    label a non-empty ``str`` without surrounding whitespace; status
+    exactly one of the :data:`STATUSES` texts; a seed that ``int`` reads;
+    a value that ``float`` reads, or none on a failed row. ``csv.reader``
+    and the row parser read such lines to these same columns without an
+    error, so the row parser stays the one definer of row-level meaning
+    and of every row error: any other block goes to it.
     """
-    rows = _csv_rows(_lines(pieces))
-    start = 2  # the number of the batch's first row
+    if len(block) > csv.field_size_limit():  # csv.reader may find a field too large
+        return None
+    # Each line's commas and "\n", and every '"', carriage return and NUL.
+    shape = block.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SHAPE)
+    ends_line = block.endswith("\n")
+    if shape != b",,,,,\n" * block.count("\n") + b",,,,," * (not ends_line):
+        return None
+    fields = block.replace("\n", ",").split(",")
+    if ends_line:
+        fields.pop()  # after the block's final "\n"
+    algorithms, datasets, metrics, seeds, values, statuses = (fields[i::6] for i in range(6))
+    del fields
+    try:
+        statuses = list(map(_STATUS_TEXT_CODE.__getitem__, statuses))
+        seeds = list(map(int, seeds))
+        if OK in itertools.compress(statuses, map(operator.not_, values)):
+            return None  # an ok row without a value
+        values = [float(value) if value else None for value in values]
+    except (KeyError, ValueError):
+        return None
+    if not all(map(_is_label, set(algorithms).union(datasets, metrics))):
+        return None
+    return algorithms, datasets, metrics, seeds, values, statuses
+
+
+def _read_csv(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
+    """The record columns of CSV text, a chunk at a time, and whether the row parser made them.
+
+    Under the exact header line, the text is cut by :func:`_blocks`, and
+    each canonical block (see :func:`_csv_columns`) is a chunk of its own.
+    The first block that is not canonical, or the whole text if its first
+    line is not the exact header, and every block after it go to one
+    ``csv.reader`` and the row parser, :data:`_CSV_BATCH` rows a chunk, so
+    a quoted field may span blocks. Rows are numbered across chunks; text
+    without rows is one empty chunk of the row parser.
+    """
+    blocks = _blocks(pieces)
+    head = next(blocks, "")
+    start = 2  # the number of the next chunk's first row
+    if head.startswith(_CSV_HEADER):
+        # A list iterator lets go of the first block once it is read.
+        blocks, head = itertools.chain(iter([head[len(_CSV_HEADER):]]), blocks), _CSV_HEADER
+        for block in filter(None, blocks):
+            if (columns := _csv_columns(block)) is None:
+                blocks = itertools.chain(iter([block]), blocks)
+                break
+            start += len(columns[0])
+            yield columns, False
+            del columns  # before the next block is read
+    # The row parser reads the header again, then rows numbered from start.
+    rows = _csv_rows(
+        itertools.chain.from_iterable(map(io.StringIO, itertools.chain(iter([head]), blocks))),
+        start,
+    )
     for first in rows:  # each batch's first row; the loop ends with the rows
         columns = _parse_rows(
             itertools.chain([first], itertools.islice(rows, _CSV_BATCH - 1)), start
@@ -724,16 +797,17 @@ def ingest(
     the pieces after it are read; any other text is CSV, which must begin
     with the exact header ``algorithm,dataset,metric,seed,value,status``,
     so the two never overlap. The reader for the format,
-    :func:`_read_csv` in batches of rows or :func:`_read_json` in chunks of
-    about 250k characters, is a generator of record columns handed to
-    :meth:`ResultTable._from_chunks`, which turns each chunk into arrays
-    before the next chunk is read. The error is the first fault the pass
-    meets: in a JSON chunk a syntax error comes before a row error. Every
-    CSV chunk, and each JSON chunk that is not canonical, goes through the
-    row parser, which gives every row-level error message, first error
-    first; the core then checks the records once, over the arrays. Its log
-    line says how many chunks the row parser read, so a run shows whether
-    the slow parser ran.
+    :func:`_read_csv` in blocks of whole lines or :func:`_read_json` in
+    chunks of about 250k characters, is a generator of record columns
+    handed to :meth:`ResultTable._from_chunks`, which turns each chunk into
+    arrays before the next chunk is read. The error is the first fault the
+    pass meets: in a JSON chunk a syntax error comes before a row error.
+    Canonical CSV blocks and JSON chunks are read as columns; CSV from its
+    first block that is not canonical on, and each JSON chunk that is not
+    canonical, goes through the row parser, which gives every row-level
+    error message, first error first; the core then checks the records
+    once, over the arrays. Its log line says how many chunks the row
+    parser read, so a run shows whether the slow parser ran.
     """
     is_json, pieces = _pieces(text)
     return ResultTable._from_chunks(

@@ -1452,7 +1452,7 @@ def test_info_log_lines_match_the_table(tmp_path, caplog):
     failed = ", ".join(f"{status.value}={n}" for status, n in counts.items())
     rows = len(table.suite) * table.n_seeds
     for line in (
-        f"1 of 1 chunks by the row parser: parsed {table.values.size} rows",
+        f"0 of 1 chunks by the row parser: parsed {table.values.size} rows",
         f"resolved {table.status.size - n_ok} failed cells: {failed}",
         f"ranked {rows} rows: {n_ties} tie groups",
     ):

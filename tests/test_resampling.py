@@ -171,6 +171,16 @@ def test_errors():
             subsample_convergence(cube, sizes=sizes)
     with pytest.raises(ValueError, match=r"^repeated coefficient in \['w', 'w'\]$"):
         subsample_convergence(cube, coefficients=["w", "w"])
+    # Not read as numpy's TypeError from np.empty, nor as 1 from True.
+    for repeats in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match=rf"^repeats must be an integer, got {repeats!r}$"):
+            subsample_convergence(cube, repeats=repeats)
+    # Not read letter by letter: "w" is not ("w",).
+    for name in ("w_tied", "w", ""):
+        with pytest.raises(
+            ValueError, match=rf"^coefficients must be a sequence of names, got {name!r}$"
+        ):
+            subsample_convergence(cube, coefficients=name)
     with pytest.raises(ValueError, match="empty suite"):
         subsample_convergence(
             RankCube((), (0,), ("a", "b"), TiePolicy.MEAN_OF_TIED, np.empty((0, 1, 2)))
@@ -183,6 +193,7 @@ def test_integer_sizes_of_any_integral_type_are_read_as_ints():
     assert study.sizes == (3, 1) and all(type(k) is int for k in study.sizes)
     listed = subsample_convergence(cube, sizes=[3, 1], repeats=2)
     assert study.values.tobytes() == listed.values.tobytes()
+    assert type(subsample_convergence(cube, sizes=[1], repeats=np.int64(2)).repeats) is int
 
 
 def test_csv_outputs():

@@ -2,6 +2,7 @@ import codecs
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -408,6 +409,7 @@ def test_only_non_canonical_json_reaches_row_parser(name, chunk, monkeypatch):
 
 def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
     seed_text = json.dumps(_minimal_items((0, {"seed": "0"})))
+    crlf_text = MINIMAL_CSV.replace("\n", "\r\n")
     with caplog.at_level(logging.INFO, logger="rankbench.results"):
         # A text without rows is one chunk, read by the row parser.
         for empty in (MINIMAL_CSV.splitlines(keepends=True)[0], "[]"):
@@ -418,18 +420,25 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
         ingest(MINIMAL_CSV, REGISTRY)
         monkeypatch.setattr(results, "_CHUNK", 0)
         ingest(seed_text, REGISTRY)
+        monkeypatch.setattr(results, "_CSV_BLOCK", 0)
+        ingest(MINIMAL_CSV, REGISTRY)
+        ingest(MINIMAL_CSV.replace("b,cora,f1,1", '"b",cora,f1,1'), REGISTRY)
         monkeypatch.setattr(results, "_CSV_BATCH", 3)
-        ingest(MINIMAL_CSV, REGISTRY)
+        ingest(crlf_text, REGISTRY)
         monkeypatch.setattr(results, "_CSV_BATCH", 2)
-        ingest(MINIMAL_CSV, REGISTRY)
+        ingest(crlf_text, REGISTRY)
     assert caplog.messages == [
         "1 of 1 chunks by the row parser: parsed 0 rows",
         "1 of 1 chunks by the row parser: parsed 0 rows",
         "0 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 1 chunks by the row parser: parsed 4 rows",
-        "1 of 1 chunks by the row parser: parsed 4 rows",
+        "0 of 1 chunks by the row parser: parsed 4 rows",
         "1 of 4 chunks by the row parser: parsed 4 rows",
-        # Batches of three rows and one, then two full ones and no empty one.
+        # A block a line: four canonical blocks, then three and the quoted last row.
+        "0 of 4 chunks by the row parser: parsed 4 rows",
+        "1 of 4 chunks by the row parser: parsed 4 rows",
+        # The header ends in "\r\n", so the row parser reads every row: in
+        # batches of three rows and one, then two full ones and no empty one.
         "2 of 2 chunks by the row parser: parsed 4 rows",
         "2 of 2 chunks by the row parser: parsed 4 rows",
     ]
@@ -1089,8 +1098,151 @@ def test_chunked_csv_ingest_matches_one_chunk(text, drop_incomplete, chunk, batc
     registry = {**REGISTRY, **BATTERY_REGISTRY}
     whole = _outcome(lambda: ingest(text, registry, drop_incomplete))
     monkeypatch.setattr(results, "_CHUNK", chunk)
+    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)  # a line a block at 0 and 1
     monkeypatch.setattr(results, "_CSV_BATCH", batch)
     assert _outcome(lambda: ingest(text, registry, drop_incomplete)) == whole
+
+
+def _row_parser_outcome(text: str, registry=REGISTRY) -> str:
+    """What ``csv.reader`` and the row parser alone make of CSV text: a table or an error."""
+    return _outcome(lambda: ResultTable.from_columns(
+        *results._parse_rows(results._csv_rows(io.StringIO(text)), 2), registry
+    ))
+
+
+def _minimal_csv(row: int, line: str) -> str:
+    """MINIMAL_CSV with data row ``row`` (2 to 5) replaced by ``line``, which holds its ending."""
+    return "".join(_MINIMAL_ROWS[:row - 1]) + line + "".join(_MINIMAL_ROWS[row:])
+
+
+# CSV texts, and the first row of each row parser call when the text is one
+# block and when every line is a block of its own; None marks the texts that
+# are read as columns alone. A row that csv.reader reads with the wrong
+# number of fields, or cannot split, is an error before the row parser is
+# called on it, and the header before any row is read.
+CSV_PATH_CASES = {
+    "minimal": (MINIMAL_CSV, None),
+    "no final newline": (MINIMAL_CSV.rstrip("\n"), None),
+    "failed row without value": (_minimal_csv(5, "b,cora,f1,1,,oom\n"), None),
+    "nan on a failed row": (_minimal_csv(5, "b,cora,f1,1,nan,error\n"), None),
+    "inf on an ok row": (_minimal_csv(5, "b,cora,f1,1,inf,ok\n"), None),
+    "padded seed and value": (_minimal_csv(5, "b,cora,f1, 1, 0.3 ,ok\n"), None),
+    "underscored seed": (_minimal_csv(5, "b,cora,f1,1_0,0.3,ok\n"), None),
+    "duplicate": (_minimal_csv(5, "b,cora,f1,0,0.3,ok\n"), None),
+    "non-ASCII labels": (MINIMAL_CSV.replace("cora", "c\xf3ra\u20ac"), None),
+    "quoted label in the last row": (_minimal_csv(5, '"b",cora,f1,1,0.3,ok\n'), ([2], [5])),
+    "quoted label without final newline": (_minimal_csv(5, '"b",cora,f1,1,0.3,ok'), ([2], [5])),
+    "CRLF line ends": (MINIMAL_CSV.replace("\n", "\r\n"), ([2], [2])),
+    "CRLF in row 3": (_minimal_csv(3, "a,cora,f1,1,0.6,ok\r\n"), ([2], [3])),
+    "blank line before row 4": (_minimal_csv(4, "\nb,cora,f1,0,0.4,ok\n"), ([2], [4])),
+    "padded label": (_minimal_csv(3, "a,cora ,f1,1,0.6,ok\n"), ([2], [3])),
+    "upper-case status": (_minimal_csv(2, "a,cora,f1,0,0.5,OK\n"), ([2], [2])),
+    "padded status": (_minimal_csv(4, "b,cora,f1,0,0.4, ok \n"), ([2], [4])),
+    "ok row without value": (_minimal_csv(5, "b,cora,f1,1,,ok\n"), ([2], [5])),
+    "blank value on a failed row": (_minimal_csv(4, "b,cora,f1,0,  ,oom\n"), ([2], [4])),
+    "bad seed": (_minimal_csv(3, "a,cora,f1,x,0.6,ok\n"), ([2], [3])),
+    "short row": (_minimal_csv(4, "b,cora,f1,0,0.4\n"), ([2], [])),
+    "long row": (_minimal_csv(2, "a,cora,f1,0,0.5,ok,x\n"), ([], [])),
+    "quote inside a label": (_minimal_csv(3, 'a"x,cora,f1,1,0.6,ok\n'), ([2], [3])),
+    "bare carriage return": (_minimal_csv(5, "b\rx,cora,f1,1,0.3,ok\n"), ([2], [])),
+    "NUL in a label": (_minimal_csv(5, "b\0,cora,f1,1,0.3,ok\n"), ([2], [5])),
+    "bad header": (MINIMAL_CSV.replace("status", "state", 1), ([], [])),
+    "no rows": (_MINIMAL_ROWS[0], ([2], [2])),
+    "header without newline": (_MINIMAL_ROWS[0].rstrip("\n"), ([2], [2])),
+}
+
+
+@pytest.mark.parametrize("block", [results._CSV_BLOCK, 0])
+@pytest.mark.parametrize("name", CSV_PATH_CASES)
+def test_only_non_canonical_csv_reaches_row_parser(name, block, monkeypatch):
+    text, starts = CSV_PATH_CASES[name]
+    expected = _row_parser_outcome(text)
+    calls = []
+    parse_rows = results._parse_rows
+
+    def row_parser(rows, start):
+        calls.append(start)
+        if starts is None:
+            raise AssertionError("canonical CSV reached the row parser")
+        return parse_rows(rows, start)
+
+    monkeypatch.setattr(results, "_CSV_BLOCK", block)
+    monkeypatch.setattr(results, "_parse_rows", row_parser)
+    assert _outcome(lambda: ingest(text, REGISTRY)) == expected
+    assert calls == ([] if starts is None else starts[block == 0])
+
+
+def test_a_field_over_the_csv_field_limit_is_the_row_parser_error():
+    text = _minimal_csv(4, "b,cora-citeseer,f1,0,0.4,ok\n")  # a canonical line
+    limit = csv.field_size_limit(len("algorithm"))
+    try:
+        assert _outcome(lambda: ingest(text, REGISTRY)) == _row_parser_outcome(text) == (
+            "row 4: field larger than field limit (9)"
+        )
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _csv_line(draw, fields: list[str]) -> str:
+    """The CSV line of ``fields``, as written or with one field or the line changed."""
+    label = lambda x: [f'"{x}"', f'"{x},z"', f" {x}", f"{x}\t", f'{x}"q', f"{x}\0", ""]
+    variants = {
+        0: label, 1: label, 2: label,
+        3: lambda x: [f" {x}", f"{x}_0", f"0{x}", "\u0663", "x", ""],
+        4: lambda x: ["", " ", f" {x} ", "nan", "-inf", "1e400", "1_0.5", f'"{x}"', "x"],
+        5: lambda x: ["OK", " ok ", "Ok", "oom", "error", "lost", ""],
+    }
+    ending = "\n"
+    kind = draw(st.sampled_from(["as written"] * 4 + ["field", "line"]))
+    if kind == "field":
+        i = draw(st.integers(0, 5))
+        fields = [*fields[:i], draw(st.sampled_from(variants[i](fields[i]))), *fields[i + 1:]]
+    elif kind == "line":
+        change = draw(st.sampled_from(["short", "long", "CRLF", "blank line", "CRLF line"]))
+        if change == "short":
+            fields = fields[:-1]
+        elif change == "long":
+            fields = [*fields, "x"]
+        elif change == "CRLF":
+            ending = "\r\n"
+        else:  # an empty line before this one
+            return ("\n" if change == "blank line" else "\r\n") + ",".join(fields) + ending
+    return ",".join(fields) + ending
+
+
+@st.composite
+def _mixed_csv_texts(draw) -> str:
+    """Texts of a small grid whose lines are canonical or changed one way each."""
+    metric = draw(st.sampled_from(["f1", "loss"]))
+    lines = []
+    for dataset, a, seed in itertools.product(
+        ["cora", "citeseer"][: draw(st.integers(1, 2))], "ab", "01"
+    ):
+        status = draw(st.sampled_from(["ok", "ok", "ok", "oom", "timeout", "error"]))
+        value = draw(st.floats(0, 1)) if status == "ok" or draw(st.booleans()) else None
+        fields = [a, dataset, metric, seed, "" if value is None else repr(value), status]
+        lines.append(_csv_line(draw, fields))
+    lines = draw(st.permutations(lines))
+    header = draw(st.sampled_from([_MINIMAL_ROWS[0]] * 5 + [_MINIMAL_ROWS[0][:-1] + "\r\n"]))
+    text = header + "".join(lines)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+@given(_mixed_csv_texts(), st.sampled_from([0, 7, results._CHUNK]))
+@settings(max_examples=300, deadline=None)
+@example(_minimal_csv(5, '"b",cora,f1,1,0.3,ok'), 0)
+@example(_minimal_csv(3, "a,cora,f1,1,0.6,ok\r\n"), 7)
+@example(_minimal_csv(5, "b,cora,f1,1,,oom\n\n"), results._CHUNK)
+def test_csv_ingest_matches_row_parser_on_mixed_lines(text, chunk):
+    # Any CSV text gives the table or the error that csv.reader and the row
+    # parser alone give, whether its blocks are read as columns or not, at
+    # block sizes down to one line a block.
+    expected = _row_parser_outcome(text)
+    for block in (0, 1, 40, results._CSV_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(results, "_CHUNK", chunk)
+            patch.setattr(results, "_CSV_BLOCK", block)
+            assert _outcome(lambda: ingest(text, REGISTRY)) == expected, block
 
 
 # Every battery text, with the registry and drop_incomplete flag it is read under.
@@ -1118,6 +1270,7 @@ def test_a_file_loads_as_its_text_does(
     path = tmp_path / "table"
     path.write_bytes(data)
     monkeypatch.setattr(results, "_CHUNK", chunk)
+    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)
 
     def load():
         table, digest = cli._load_table(str(path), registry, drop_incomplete)
@@ -1140,6 +1293,7 @@ def test_a_one_shot_iterable_reads_as_its_text_does(
     # A one-shot iterable (an open file, a generator) is read once, as a str is.
     expected = _outcome(lambda: ingest(text, registry, drop_incomplete))
     monkeypatch.setattr(results, "_CHUNK", chunk)
+    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)
     assert _outcome(lambda: ingest(one_shot(text), registry, drop_incomplete)) == expected
 
 
@@ -1156,20 +1310,30 @@ LINE_PIECES = st.one_of(
 )
 
 
-@given(st.lists(LINE_PIECES).map("".join), st.integers(0, 6))
+@given(st.lists(LINE_PIECES).map("".join), st.integers(0, 6), st.integers(0, 8))
 @settings(max_examples=300, deadline=None)
-@example("", 0)
-@example("a,b\nc", 0)
-@example("a\rb\r", 0)
-@example("a\r\nb\r\n", 1)
-@example("a long line\nb", 2)
-@example("\xe9\U0001f600\ud800\n\udfff", 1)
-def test_lines_are_the_lines_of_stringio(text, chunk):
-    # Slices of a few characters put lines longer than a slice, "\r\n", a
-    # bare "\r" and lone surrogates across the cuts.
+@example("", 0, 0)
+@example("a,b\nc", 0, 0)
+@example("a\rb\r", 0, 0)
+@example("a\r\nb\r\n", 1, 1)
+@example("a long line\nb", 2, 3)
+@example("\xe9\U0001f600\ud800\n\udfff", 1, 0)
+@example("ab\ncd\n\nefgh\ni", 3, 4)
+def test_lines_are_the_lines_of_stringio(text, chunk, block):
+    # Slices of a few characters put lines longer than a slice or a block,
+    # "\r\n", a bare "\r" and lone surrogates across the cuts.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(results, "_CHUNK", chunk)
-        assert list(results._lines(results._pieces(text)[1])) == list(io.StringIO(text))
+        patch.setattr(results, "_CSV_BLOCK", block)
+        blocks = list(results._blocks(results._pieces(text)[1]))
+    assert "".join(blocks) == text
+    assert list(itertools.chain.from_iterable(map(io.StringIO, blocks))) == list(
+        io.StringIO(text)
+    )
+    # Each block ends just after a "\n", but the last, and is no longer than
+    # _CSV_BLOCK unless it is one line.
+    assert all(block.endswith("\n") for block in blocks[:-1]) and "" not in blocks
+    assert all(len(b) <= block or b.count("\n") <= 1 for b in blocks)
 
 
 def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
@@ -1178,7 +1342,9 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     # strings alone, 5.7x with the copy alone, 3.8x with a UTF-8 copy of the
     # text and a Python list per column, 1.5x read one slice at a time into
     # arrays in batches of 10,000 rows with labels interned; without
-    # interning, 2.4x in batches of 10,000 rows and 1.4x in batches of 2,000.
+    # interning, 2.4x in batches of 10,000 rows and 1.4x in batches of 2,000;
+    # 1.55x with pieces split into lines by StringIO for the row parser, and
+    # 1.38x with blocks of 50k characters read as columns.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
@@ -1190,6 +1356,9 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * len(text)
+    # Over 10 blocks, each read as columns.
+    parsed = [by_rows for _, by_rows in results._read_csv(results._pieces(text)[1])]
+    assert len(parsed) > 10 and not any(parsed)
 
 
 @pytest.mark.parametrize("ok_status", ["ok", "OK"])
