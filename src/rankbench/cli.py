@@ -81,11 +81,12 @@ _WRITE_BATCH = 256
 class _TextFile:
     """An input file's text, in pieces, read a block at a time straight from disk.
 
-    A block is :data:`results._CHUNK` bytes. Each one updates the sha256
-    and goes through one incremental ``utf-8-sig`` decoder (so that a
-    byte-order mark fails neither the exact CSV header check nor
-    ``json.loads``), and the text it completes is yielded, so neither the
-    bytes nor the whole text is ever held. An iteration that reaches the
+    A block is :data:`results._CHUNK` (50k) bytes, the one size that
+    ingest's cutter also cuts CSV blocks and JSON chunks by. Each block
+    updates the sha256 and goes through one incremental ``utf-8-sig``
+    decoder (so that a byte-order mark fails neither the exact CSV header
+    check nor ``json.loads``), and the text it completes is yielded, so
+    neither the bytes nor the whole text is ever held. An iteration that reaches the
     end of the file sets :attr:`digest` to the sha256 of the bytes it
     read. Text that is not UTF-8 is a validation error naming the file,
     worded from the block that holds the fault: its byte position counts

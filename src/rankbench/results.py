@@ -8,12 +8,14 @@ may have no score (NaN in the cube) until :func:`resolve_failures` gives
 them their metric's worst bound, or -inf/+inf for an unbounded metric,
 so that failures rank below every OK run and tie with each other.
 
-Ingest reads text once, one piece at a time, from a ``str`` cut into
-slices or from any iterable of pieces, such as the CLI reads straight
-from a file, and both go one way. Two generators read them:
-:func:`_read_csv` cuts the pieces into blocks of whole lines of about
-50k characters, and :func:`_read_json` into chunks of about 250k
-characters of JSON. Each yields a chunk's six record columns, from
+Ingest reads text once, one piece at a time, from a ``str``, which is
+one piece, or from any iterable of pieces, such as the CLI reads straight
+from a file in blocks of 50k bytes, and both go one way. One cutter and
+one 50k size serve both formats: :func:`_cuts` cuts the pieces at the
+first separator at least :data:`_CHUNK` (50k) characters past the last
+cut. Two generators read the cuts: :func:`_read_csv` cuts at ``"\\n"``,
+into blocks of whole lines, and :func:`_read_json` at ``"},"``, into
+chunks of JSON. Each yields a chunk's six record columns, from
 :func:`_csv_columns` for a block of canonical CSV lines, which C-level
 string operations split into columns, or from :func:`_json_columns` for
 a chunk of canonical JSON items, and otherwise from the row parser
@@ -464,17 +466,17 @@ def parse_registry(text: str) -> dict[str, MetricSpec]:
     }
 
 
-# Text is read one piece of about _CHUNK characters at a time (a str in
-# slices, a file in blocks of _CHUNK bytes). CSV is cut from the pieces into
-# blocks of whole lines of about _CSV_BLOCK characters, and JSON into chunks
-# of about _CHUNK characters (between the "}" and "," of a "},"), so only
-# one block or chunk is split or held as JSON items at a time. A canonical
-# CSV block is read as columns at once; from the first block that is not,
-# the row parser reads _CSV_BATCH rows at a time. A block's or a batch's
-# fields are the only label strings held beyond the code dicts, so small
-# blocks and batches keep CSV ingest's peak near the text's size.
-_CHUNK = 250_000
-_CSV_BLOCK = 50_000
+# One size and one cutter for all of ingest: a file is read in blocks of
+# _CHUNK bytes, and _cuts cuts the pieces of any text (a str is one piece)
+# at the first separator at least _CHUNK characters past the last cut: CSV
+# at a "\n", into blocks of whole lines, and JSON between the "}" and ","
+# of a "},". So only one block or chunk is split or held as JSON items at a
+# time. A canonical CSV block is read as columns at once; from the first
+# block that is not, the row parser reads _CSV_BATCH rows at a time. A
+# block's or a batch's fields are the only label strings held beyond the
+# code dicts, so small blocks and batches keep CSV ingest's peak near the
+# text's size.
+_CHUNK = 50_000
 _CSV_BATCH = 2_000
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 # The bytes that _csv_columns deletes from a block's UTF-8 to see its shape.
@@ -482,20 +484,15 @@ _NOT_CSV_SHAPE = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
-    """Whether ``text`` is JSON, and its pieces: a ``str`` in slices of :data:`_CHUNK` characters.
+    """Whether ``text`` is JSON, and its pieces: a ``str`` is one piece, which :func:`_cuts` cuts.
 
     JSON's first non-whitespace character is ``[`` or ``{``, in whichever
     piece it falls; only the pieces up to that one are read ahead. A ``{``
     opens an object, never an array of objects, so it is the error at once.
     """
-    step = _CHUNK or 1
     # Empty pieces, as a decoder gives for part of a character, are dropped,
     # so "" below means the pieces have run out.
-    pieces = filter(None, (
-        (text[start : start + step] for start in range(0, len(text), step))
-        if isinstance(text, str)
-        else text
-    ))
+    pieces = filter(None, (text,) if isinstance(text, str) else text)
     head = next(pieces, "")
     while head.isspace() and (piece := next(pieces, "")):
         head += piece
@@ -506,28 +503,25 @@ def _pieces(text: str | Iterable[str]) -> tuple[bool, Iterator[str]]:
     return opener == "[", itertools.chain(iter([head]), pieces)
 
 
-def _blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces`` in blocks of whole lines, each cut just after a ``"\\n"``.
+def _cuts(pieces: Iterable[str], sep: str) -> Iterator[tuple[str, bool]]:
+    """The text of ``pieces`` in cuts: each one's text, and whether it is the last.
 
-    A block ends at the last ``"\\n"`` within its first :data:`_CSV_BLOCK`
-    characters, or at its first ``"\\n"`` if its first line is longer; what
-    follows the text's last ``"\\n"``, if anything, is the last block. So
-    the lines of the blocks are the lines ``io.StringIO`` gives of the text.
+    A cut falls just after the first character of the first ``sep`` that
+    starts at least :data:`_CHUNK` characters past the last cut, and the
+    text after the last cut, possibly empty, comes last. Cut at ``"\\n"``,
+    the lines of the cuts are the lines ``io.StringIO`` gives of the text.
     """
     rest = ""
     for piece in pieces:
-        start, seen = 0, len(rest)  # rest holds no "\n" past start + _CSV_BLOCK
+        # rest holds no sep past start + _CHUNK, but one may begin in its last characters.
+        start, seen = 0, len(rest) - len(sep) + 1
         rest += piece
-        del piece  # rest holds its text, so the next += extends it in place
-        while len(rest) - start > _CSV_BLOCK and (
-            cut := rest.rfind("\n", start, start + _CSV_BLOCK) + 1
-            or rest.find("\n", max(start + _CSV_BLOCK, seen)) + 1
-        ):
-            yield rest[start:cut]
+        del piece  # rest holds its text: one copy of it while the cuts are read
+        while cut := rest.find(sep, max(start + _CHUNK, seen)) + 1:
+            yield rest[start:cut], False
             start = cut
         rest = rest[start:]
-    if rest:
-        yield rest
+    yield rest, True
 
 
 def _csv_rows(lines: Iterable[str], start: int = 2) -> Iterator[list[str]]:
@@ -597,16 +591,17 @@ def _csv_columns(block: str) -> tuple[list, ...] | None:
 def _read_csv(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
     """The record columns of CSV text, a chunk at a time, and whether the row parser made them.
 
-    Under the exact header line, the text is cut by :func:`_blocks`, and
-    each canonical block (see :func:`_csv_columns`) is a chunk of its own.
-    The first block that is not canonical, or the whole text if its first
-    line is not the exact header, and every block after it go to one
-    ``csv.reader`` and the row parser, :data:`_CSV_BATCH` rows a chunk, so
-    a quoted field may span blocks. Rows are numbered across chunks; text
-    without rows is one empty chunk of the row parser.
+    Under the exact header line, the text is cut at ``"\\n"`` by
+    :func:`_cuts` into blocks of whole lines of about :data:`_CHUNK`
+    characters, and each canonical block (see :func:`_csv_columns`) is a
+    chunk of its own. The first block that is not canonical, or the whole
+    text if its first line is not the exact header, and every block after
+    it go to one ``csv.reader`` and the row parser, :data:`_CSV_BATCH`
+    rows a chunk, so a quoted field may span blocks. Rows are numbered
+    across chunks; text without rows is one empty chunk of the row parser.
     """
-    blocks = _blocks(pieces)
-    head = next(blocks, "")
+    blocks = (block for block, _ in _cuts(pieces, "\n"))
+    head = next(blocks)
     start = 2  # the number of the next chunk's first row
     if head.startswith(_CSV_HEADER):
         # A list iterator lets go of the first block once it is read.
@@ -681,48 +676,32 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     return columns if all(map(_is_label, labels)) else None
 
 
-def _json_chunks(pieces: Iterable[str]) -> Iterator[tuple[str, bool]]:
-    """JSON text in parts: each one's text, and whether it is the last.
-
-    A cut falls between the ``}`` and the ``,`` of the first ``},`` at
-    least :data:`_CHUNK` characters past the last cut, and the text after
-    it is carried into the next piece.
-    """
-    rest = ""
-    for piece in pieces:
-        start, seen = 0, len(rest) - 1  # a "}," may begin at the last character carried
-        rest += piece
-        del piece  # rest holds its text: one copy of it while chunks are parsed
-        while cut := rest.find("},", max(start + _CHUNK, seen)) + 1:  # the comma's index
-            yield rest[start:cut], False
-            start = cut
-        rest = rest[start:]
-    yield rest, True
-
-
 def _read_json(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
     """The record columns of JSON text, a chunk at a time, and whether the row parser made them.
 
-    Each part that :func:`_json_chunks` cuts is parsed as an array of its
-    own: a ``]`` closes every part but the last, and ``[0`` opens every
-    part but the first, which begins at its comma, so ``json.loads`` words
-    a fault such as a trailing ``},]`` itself. A canonical chunk (see
+    Each part that :func:`_cuts` cuts at ``"},"``, about :data:`_CHUNK`
+    (50k) characters apart, is parsed as an array of its own: a ``]``
+    closes every part but the last, and ``[0`` opens every part but the
+    first, which begins at its comma, so ``json.loads`` words a fault such
+    as a trailing ``},]`` itself. A canonical chunk (see
     :func:`_json_columns`) gives its columns straight from its items; any
     other goes through the row parser, with items and rows numbered across
     chunks. A chunk that fails only where it was cut (a string left
     unterminated, or a fault at the ``]`` the cut added) is joined with the
     parts that follow until its text is twice as long, and parsed again, so
     a text that is not an array of flat objects is still parsed a bounded
-    number of times. Any other fault, or any in the last part, is the
-    error: in one chunk a syntax error comes before a row error, and a bad
-    JSON message counts its line, column and character from the start of
-    the text, as reading it whole does.
+    number of times; but when the first item opens an array, or an object
+    whose first key is no field and whose value opens one, that item's
+    shape is the error at once. Any other fault, or any in the last part,
+    is the error: in one chunk a syntax error comes before a row error,
+    and a bad JSON message counts its line, column and character from the
+    start of the text, as reading it whole does.
     """
     head, text, least, item = "", "", 0, 0  # item: the number of the chunk's first item
     # The characters and newlines of the text before the chunk, and the index
     # of the last of those newlines.
     start, lines, newline = 0, 0, -1
-    for part, last in _json_chunks(pieces):
+    for part, last in _cuts(pieces, "},"):
         text += part  # in place: a join costs the parts' length, not the text's
         del part  # text holds it
         if len(text) < least and not last:
@@ -733,6 +712,13 @@ def _read_json(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]
             items = json.loads(doc)
         except json.JSONDecodeError as exc:
             if not last and (exc.pos >= len(doc) - 1 or exc.msg.startswith("Unterminated string")):
+                # Item 0 opens an array, or an object whose first key is no
+                # field and whose value opens one: its shape is the first fault.
+                nested = not head and re.match(
+                    r'\s*\[\s*(?:\[|\{\s*"([^"\\]*)"\s*:\s*[\[{])', doc
+                )
+                if nested and nested[1] not in _FIELDS:
+                    raise ValidationError("JSON item 0: unexpected shape")
                 text, least = doc[len(head) : -1], 2 * len(doc)
                 continue
             # exc counts lines and columns in doc, whose head holds no newline.
@@ -789,16 +775,17 @@ def ingest(
 ) -> ResultTable:
     """Read a result table from CSV or JSON text; the text says which.
 
-    ``text`` is a ``str``, cut into pieces of :data:`_CHUNK` characters,
-    or any iterable of its pieces (a file reader, a ``StringIO``, a
-    generator), and either is read once. Text whose first non-whitespace
-    character is ``[`` or ``{`` is JSON, an array of objects with the
-    fields of :data:`CSV_COLUMNS`, so a ``{`` there is the error before
-    the pieces after it are read; any other text is CSV, which must begin
-    with the exact header ``algorithm,dataset,metric,seed,value,status``,
-    so the two never overlap. The reader for the format,
-    :func:`_read_csv` in blocks of whole lines or :func:`_read_json` in
-    chunks of about 250k characters, is a generator of record columns
+    ``text`` is a ``str``, one piece, or any iterable of its pieces (a
+    file reader, a ``StringIO``, a generator), and either is read once.
+    Text whose first non-whitespace character is ``[`` or ``{`` is JSON,
+    an array of objects with the fields of :data:`CSV_COLUMNS`, so a ``{``
+    there is the error before the pieces after it are read; any other text
+    is CSV, which must begin with the exact header
+    ``algorithm,dataset,metric,seed,value,status``, so the two never
+    overlap. One cutter, :func:`_cuts`, cuts either
+    format about :data:`_CHUNK` (50k) characters at a time, and the reader
+    for the format, :func:`_read_csv` in blocks of whole lines or
+    :func:`_read_json` in chunks of items, is a generator of record columns
     handed to :meth:`ResultTable._from_chunks`, which turns each chunk into
     arrays before the next chunk is read. The error is the first fault the
     pass meets: in a JSON chunk a syntax error comes before a row error.
@@ -863,9 +850,11 @@ def registry_to_text(registry: dict[str, MetricSpec]) -> Iterator[str]:
 def resolve_failures(table: ResultTable) -> ResultTable:
     """Give every failed cell its metric's :meth:`MetricSpec.worst_value`.
 
-    That is the worst bound of a bounded metric, so an OK score exactly
-    at that bound ties with the failures, and -inf or +inf for an
-    unbounded one, which ranks strictly below every (finite) OK score.
+    That is the worst bound of a bounded metric, so an OK score at that
+    bound ties with the failures, and so does one within ``tie_epsilon``
+    of it when ranked, or chained to it by scores each within
+    ``tie_epsilon`` of the next; and -inf or +inf for an unbounded one,
+    which ranks strictly below every (finite) OK score.
     All failures on one test tie. Idempotent, and never changes OK values.
     """
     worst = np.array([table.registry[t.metric].worst_value() for t in table.suite], dtype=float)

@@ -1118,9 +1118,9 @@ def test_a_file_is_read_once_whatever_the_fault(
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_row_error_stops_the_pass_within_a_block_of_its_row(fmt, tmp_path, monkeypatch):
-    # Row 2 (item 0) is in the first block. A CSV row is parsed as soon as
-    # its line is read; a JSON chunk ends at the first "}," past _CHUNK
-    # characters, so it takes one more block.
+    # Row 2 (item 0) is in the first block. A CSV block and a JSON chunk
+    # both end at the first "\n" or "}," past _CHUNK characters, so each
+    # takes one more block.
     table, _, text = _grid_with_bad_row_2(fmt)
     path = tmp_path / f"grid.{fmt}"
     path.write_text(text)
@@ -1134,7 +1134,7 @@ def test_a_row_error_stops_the_pass_within_a_block_of_its_row(fmt, tmp_path, mon
     monkeypatch.setattr(cli._TextFile, "__iter__", counted)
     with pytest.raises(ValidationError, match="row [02]: bad seed 'x'"):
         cli._load_table(str(path), table.registry)
-    assert len(pieces) == (1 if fmt == "csv" else 2)
+    assert len(pieces) == 2
     assert path.stat().st_size > 7 * results._CHUNK
 
 

@@ -8,6 +8,7 @@ import logging
 import math
 import re
 import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -281,6 +282,16 @@ COLUMN_PATH_CASES = {
 }
 
 
+def _slices(text: str, size: int) -> Iterator[str]:
+    """``text`` in pieces of ``size`` characters (one at 0), as a one-shot iterable.
+
+    A ``str`` is one piece, so these put piece boundaries inside ``"},"``,
+    ``"\\r\\n"`` and a surrogate pair.
+    """
+    size = size or 1
+    return (text[start : start + size] for start in range(0, len(text), size))
+
+
 @pytest.mark.parametrize("items, outcome", ALL_JSON_CASES.values(), ids=ALL_JSON_CASES.keys())
 def test_json_ingest_outcomes_are_pinned(items, outcome):
     # json.dumps writes math.inf as Infinity; a 1e400 literal parses to the same float.
@@ -374,7 +385,7 @@ ROW_PARSER_STARTS_PER_ITEM = {
     "ok row with null value": [3],
     "blank algorithm": [0],
     "empty array": [0],
-    "nested array": [0],
+    "nested array": [],  # its first item opens an array: the error before any row
     "padded label": [1, 2],
     "upper-case status": [0],
     "padded failed status": [3],
@@ -420,7 +431,6 @@ def test_ingest_logs_which_path_parsed_the_rows(caplog, monkeypatch):
         ingest(MINIMAL_CSV, REGISTRY)
         monkeypatch.setattr(results, "_CHUNK", 0)
         ingest(seed_text, REGISTRY)
-        monkeypatch.setattr(results, "_CSV_BLOCK", 0)
         ingest(MINIMAL_CSV, REGISTRY)
         ingest(MINIMAL_CSV.replace("b,cora,f1,1", '"b",cora,f1,1'), REGISTRY)
         monkeypatch.setattr(results, "_CSV_BATCH", 3)
@@ -547,7 +557,7 @@ JSON_CHUNK_BATTERY = {
 )
 def test_chunked_json_ingest_matches_the_whole_text(text, canonical, chunk, monkeypatch):
     monkeypatch.setattr(results, "_CHUNK", chunk)
-    outcome = _outcome(lambda: ingest(text, BATTERY_REGISTRY))
+    outcome = _outcome(lambda: ingest(_slices(text, chunk), BATTERY_REGISTRY))
     assert outcome == _whole_text_outcome(text, BATTERY_REGISTRY)
     if canonical and outcome.startswith("algorithm,"):
         # Bit for bit the cubes the row parser's columns give.
@@ -585,7 +595,8 @@ def test_a_syntax_fault_anywhere_is_the_whole_text_error(data):
     for chunk in SMALL_CHUNKS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(results, "_CHUNK", chunk)
-            assert _outcome(lambda: ingest(text, BATTERY_REGISTRY)) == expected, chunk
+            outcome = _outcome(lambda: ingest(_slices(text, chunk), BATTERY_REGISTRY))
+            assert outcome == expected, chunk
 
 
 # Plain-labelled texts cut after every few items (12 chunks): whether each
@@ -653,18 +664,34 @@ def test_a_cut_inside_a_label_is_joined_with_the_parts_that_follow(monkeypatch):
         assert _chunk_records(chunks) == [tuple(map(item.get, CSV_COLUMNS[:5])) for item in items]
 
 
-def test_a_text_that_is_not_an_array_of_flat_objects_is_parsed_in_linear_time(monkeypatch):
-    # Every cut of an array wrapped in an object in an array leaves the object
-    # open at the "]" it added. Joined one part at a time, the text was parsed
-    # once per part: 70 s against 1.9 s for the CI step's 43 MB grid wrapped
-    # as {"results": ...}, a text that now fails at its "{".
-    text = json.dumps([{"results": PLAIN_ITEMS}])
+@pytest.mark.parametrize(
+    "text, first_chunk",
+    [
+        (json.dumps([{"results": PLAIN_ITEMS}]), True),
+        (json.dumps([PLAIN_ITEMS]), True),
+        # A field's value: the row parser reads it as text, so the item is read whole.
+        (json.dumps([{"algorithm": PLAIN_ITEMS}]), False),
+    ],
+    ids=["array in an object", "array in an array", "array as a field's value"],
+)
+def test_a_text_that_is_not_an_array_of_flat_objects_is_parsed_in_linear_time(
+    text, first_chunk, monkeypatch
+):
+    # Every cut of an array nested in the first item leaves it open at the
+    # "]" the cut added. Joined one part at a time, the text was parsed once
+    # per part: 70 s against 1.9 s for the CI step's 43 MB grid wrapped as
+    # {"results": ...}, a text that now fails at its "{". Joined until its
+    # text doubles, it is parsed in linear time; and a first item that opens
+    # an array, or an object whose first key is no field and whose value
+    # opens one, is the error at the first chunk.
+    expected = _whole_text_outcome(text, BATTERY_REGISTRY)
     parsed, loads = [], json.loads
-    monkeypatch.setattr(results, "_CHUNK", 50)
+    monkeypatch.setattr(results, "_CHUNK", 300)
     monkeypatch.setattr(json, "loads", lambda doc: parsed.append(len(doc)) or loads(doc))
-    assert _outcome(lambda: ingest(text, BATTERY_REGISTRY)) == "JSON item 0: unexpected shape"
-    assert len(text) > 50 * 50
-    assert sum(parsed) < 3 * len(text)
+    assert _outcome(lambda: ingest(text, BATTERY_REGISTRY)) == expected
+    assert expected.startswith("JSON item 0: unexpected shape" if first_chunk else "row 0: ")
+    assert len(text) > 10 * results._CHUNK
+    assert sum(parsed) < (2 * results._CHUNK if first_chunk else 3 * len(text))
 
 
 @pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, results._CHUNK])
@@ -1097,10 +1124,9 @@ CSV_CHUNK_BATTERY = {
 def test_chunked_csv_ingest_matches_one_chunk(text, drop_incomplete, chunk, batch, monkeypatch):
     registry = {**REGISTRY, **BATTERY_REGISTRY}
     whole = _outcome(lambda: ingest(text, registry, drop_incomplete))
-    monkeypatch.setattr(results, "_CHUNK", chunk)
-    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)  # a line a block at 0 and 1
+    monkeypatch.setattr(results, "_CHUNK", chunk)  # a line a block at 0 and 1
     monkeypatch.setattr(results, "_CSV_BATCH", batch)
-    assert _outcome(lambda: ingest(text, registry, drop_incomplete)) == whole
+    assert _outcome(lambda: ingest(_slices(text, chunk), registry, drop_incomplete)) == whole
 
 
 def _row_parser_outcome(text: str, registry=REGISTRY) -> str:
@@ -1152,9 +1178,9 @@ CSV_PATH_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [results._CSV_BLOCK, 0])
+@pytest.mark.parametrize("chunk", [results._CHUNK, 0])
 @pytest.mark.parametrize("name", CSV_PATH_CASES)
-def test_only_non_canonical_csv_reaches_row_parser(name, block, monkeypatch):
+def test_only_non_canonical_csv_reaches_row_parser(name, chunk, monkeypatch):
     text, starts = CSV_PATH_CASES[name]
     expected = _row_parser_outcome(text)
     calls = []
@@ -1166,10 +1192,10 @@ def test_only_non_canonical_csv_reaches_row_parser(name, block, monkeypatch):
             raise AssertionError("canonical CSV reached the row parser")
         return parse_rows(rows, start)
 
-    monkeypatch.setattr(results, "_CSV_BLOCK", block)
+    monkeypatch.setattr(results, "_CHUNK", chunk)
     monkeypatch.setattr(results, "_parse_rows", row_parser)
     assert _outcome(lambda: ingest(text, REGISTRY)) == expected
-    assert calls == ([] if starts is None else starts[block == 0])
+    assert calls == ([] if starts is None else starts[chunk == 0])
 
 
 def test_a_field_over_the_csv_field_limit_is_the_row_parser_error():
@@ -1234,15 +1260,15 @@ def _mixed_csv_texts(draw) -> str:
 @example(_minimal_csv(3, "a,cora,f1,1,0.6,ok\r\n"), 7)
 @example(_minimal_csv(5, "b,cora,f1,1,,oom\n\n"), results._CHUNK)
 def test_csv_ingest_matches_row_parser_on_mixed_lines(text, chunk):
-    # Any CSV text gives the table or the error that csv.reader and the row
-    # parser alone give, whether its blocks are read as columns or not, at
-    # block sizes down to one line a block.
+    # Any CSV text, in pieces of chunk characters, gives the table or the
+    # error that csv.reader and the row parser alone give, whether its
+    # blocks are read as columns or not, at block sizes down to one line a
+    # block.
     expected = _row_parser_outcome(text)
-    for block in (0, 1, 40, results._CSV_BLOCK):
+    for block in (0, 1, 40, results._CHUNK):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(results, "_CHUNK", chunk)
-            patch.setattr(results, "_CSV_BLOCK", block)
-            assert _outcome(lambda: ingest(text, REGISTRY)) == expected, block
+            patch.setattr(results, "_CHUNK", block)
+            assert _outcome(lambda: ingest(_slices(text, chunk), REGISTRY)) == expected, block
 
 
 # Every battery text, with the registry and drop_incomplete flag it is read under.
@@ -1270,7 +1296,6 @@ def test_a_file_loads_as_its_text_does(
     path = tmp_path / "table"
     path.write_bytes(data)
     monkeypatch.setattr(results, "_CHUNK", chunk)
-    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)
 
     def load():
         table, digest = cli._load_table(str(path), registry, drop_incomplete)
@@ -1293,47 +1318,57 @@ def test_a_one_shot_iterable_reads_as_its_text_does(
     # A one-shot iterable (an open file, a generator) is read once, as a str is.
     expected = _outcome(lambda: ingest(text, registry, drop_incomplete))
     monkeypatch.setattr(results, "_CHUNK", chunk)
-    monkeypatch.setattr(results, "_CSV_BLOCK", chunk)
     assert _outcome(lambda: ingest(one_shot(text), registry, drop_incomplete)) == expected
 
 
-# Every line break str.splitlines knows, lone surrogates and non-ASCII:
-# only "\n" may end a line.
-LINE_PIECES = st.one_of(
+# Every line break str.splitlines knows, lone surrogates, non-ASCII and
+# "},": only "\n" may end a line.
+TEXT_PIECES = st.one_of(
     st.sampled_from(
         ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
     ),
     # The last piece is a surrogate pair as two code points, not one emoji.
-    st.sampled_from(["a", ",", '"', "\xe9", "\u20ac", "\U0001f600", "\ud83d\ude00"]),
+    st.sampled_from(["a", ",", '"', "}", "},", "\xe9", "\u20ac", "\U0001f600", "\ud83d\ude00"]),
     st.characters(categories=["Cs"]),
     st.characters(),
 )
 
 
-@given(st.lists(LINE_PIECES).map("".join), st.integers(0, 6), st.integers(0, 8))
-@settings(max_examples=300, deadline=None)
-@example("", 0, 0)
-@example("a,b\nc", 0, 0)
-@example("a\rb\r", 0, 0)
-@example("a\r\nb\r\n", 1, 1)
-@example("a long line\nb", 2, 3)
-@example("\xe9\U0001f600\ud800\n\udfff", 1, 0)
-@example("ab\ncd\n\nefgh\ni", 3, 4)
-def test_lines_are_the_lines_of_stringio(text, chunk, block):
-    # Slices of a few characters put lines longer than a slice or a block,
-    # "\r\n", a bare "\r" and lone surrogates across the cuts.
+@given(
+    st.lists(TEXT_PIECES).map("".join), st.sampled_from(["\n", "},"]), st.integers(0, 6),
+    st.integers(1, 8),
+)
+@settings(max_examples=500, deadline=None)
+@example("", "\n", 0, 1)
+@example("a,b\nc", "\n", 0, 1)
+@example("a\rb\r", "\n", 0, 1)
+@example("a\r\nb\r\n", "\n", 1, 1)
+@example("a long line\nb", "\n", 2, 3)
+@example("\xe9\U0001f600\ud800\n\udfff", "\n", 1, 1)
+@example("ab\ncd\n\nefgh\ni", "\n", 3, 4)
+@example("},},}}},", "},", 0, 1)
+@example("a}}, b}, c},", "},", 2, 3)
+def test_cuts_fall_just_after_the_first_sep_past_chunk(text, sep, chunk, size):
+    # Pieces of a few characters put lines longer than a piece or a cut,
+    # "\r\n", "}," and lone surrogates across the piece boundaries.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(results, "_CHUNK", chunk)
-        patch.setattr(results, "_CSV_BLOCK", block)
-        blocks = list(results._blocks(results._pieces(text)[1]))
-    assert "".join(blocks) == text
-    assert list(itertools.chain.from_iterable(map(io.StringIO, blocks))) == list(
-        io.StringIO(text)
-    )
-    # Each block ends just after a "\n", but the last, and is no longer than
-    # _CSV_BLOCK unless it is one line.
-    assert all(block.endswith("\n") for block in blocks[:-1]) and "" not in blocks
-    assert all(len(b) <= block or b.count("\n") <= 1 for b in blocks)
+        cuts = list(results._cuts(_slices(text, size), sep))
+    texts = [cut for cut, _ in cuts]
+    assert "".join(texts) == text
+    assert [last for _, last in cuts] == [False] * (len(cuts) - 1) + [True]
+    # Each cut but the last ends just after the first character of the
+    # first sep that starts at least chunk characters past the last cut;
+    # the last holds no such sep.
+    start = 0
+    for cut in texts[:-1]:
+        assert text.find(sep, start + chunk) == start + len(cut) - 1
+        start += len(cut)
+    assert text.find(sep, start + chunk) == -1
+    if sep == "\n":
+        assert list(itertools.chain.from_iterable(map(io.StringIO, texts))) == list(
+            io.StringIO(text)
+        )
 
 
 def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
@@ -1363,7 +1398,7 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
 
 @pytest.mark.parametrize("ok_status", ["ok", "OK"])
 def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
-    # The same 40k rows as JSON (4.8 MB, about 20 chunks), canonical or with
+    # The same 40k rows as JSON (4.8 MB, about 100 chunks), canonical or with
     # every ok status spelled "OK", which the row parser reads; peak over
     # text length: 5.5-6.1x with every item loaded as a dict at once,
     # 1.4x with one chunk of items at a time into Python lists, 0.7x into
