@@ -12,7 +12,11 @@ after it.
 
 Every output has its own destination: at most one goes to stdout, and
 no output path names another output's file or a file the command reads
-(compared after ``os.path.realpath``), a usage error otherwise.
+(compared after ``os.path.realpath``), a usage error otherwise. After
+every usage error, an output that cannot be opened because its path
+names a directory, or its directory is missing or no directory, fails
+with the error ``open(path, "w")`` gives, exit 1, before any input is
+read and before any output is written.
 
 Every input file, registry included, is read once, by :class:`_TextFile`,
 a block at a time straight from disk into text pieces. Ingest parses a
@@ -580,6 +584,13 @@ def _parse_args(argv: list[str] | None):
             args.parser.error("fcr needs at least two --framework")
         if len(dict(args.framework)) < len(args.framework):
             args.parser.error("framework labels must be unique")
+    if args.command == "synth":
+        try:
+            args.config = SynthConfig(
+                **{f.name: getattr(args, f.name.removeprefix("n_")) for f in fields(SynthConfig)}
+            )
+        except ValueError as exc:
+            args.parser.error(str(exc))
     if hasattr(args, "output"):
         # Every output gets its own destination: outputs on one stdout would run
         # together, and an output on a file the command reads, or on another
@@ -601,13 +612,14 @@ def _parse_args(argv: list[str] | None):
                 if (real := os.path.realpath(path)) in taken:
                     args.parser.error(f"{flag} {path} would overwrite {taken[real]}")
                 taken[real] = flag
-    if args.command == "synth":
-        try:
-            args.config = SynthConfig(
-                **{f.name: getattr(args, f.name.removeprefix("n_")) for f in fields(SynthConfig)}
-            )
-        except ValueError as exc:
-            args.parser.error(str(exc))
+        # After every usage error, and before any input is read: on a directory,
+        # or where the path's directory is missing or no directory, open(path,
+        # "w") fails and writes nothing, so it is called now to raise its error.
+        for path in paths.values():
+            if path and path != "-" and (
+                os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.realpath(path)))
+            ):
+                open(path, "w").close()
     return args
 
 

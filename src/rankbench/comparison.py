@@ -80,7 +80,7 @@ def fcr(
     ranks = rank_cube(np.stack(means, axis=-1), higher_better)
     ranks = ranks.reshape(-1, len(frameworks))
     mean_ranks = ranks.sum(axis=0) / len(ranks)
-    seeds = {label: t.n_seeds for label, t in zip(frameworks, tables)}
+    seeds = {label: len(t.seeds) for label, t in zip(frameworks, tables)}
     warnings = ()
     if len({t.seeds for t in tables}) > 1:
         warnings = (

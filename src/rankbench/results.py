@@ -20,10 +20,14 @@ chunks of JSON. Each yields a chunk's six record columns, from
 string operations split into columns, or from :func:`_json_columns` for
 a chunk of canonical JSON items, and otherwise from the row parser
 :func:`_parse_rows`, which owns every row-level error message, and
-whether the row parser made them. CSV goes to ``csv.reader`` and the row
-parser, 2,000 rows at a time, from its first block that is not canonical
-on. :meth:`ResultTable._from_chunks` is the
-one validating core, and it owns the chunks from there: it turns each
+whether the row parser made them. One rule, :func:`_canonical`, makes
+records canonical in both formats: every status exactly one of the
+:data:`STATUSES` texts, a value on every ok record, and every label a
+non-empty ``str`` without surrounding whitespace; each reader adds only
+its format's own shape and type conditions. CSV goes to ``csv.reader``
+and the row parser, 2,000 rows at a time, from its first block that is
+not canonical on. :meth:`ResultTable._from_chunks` is the one
+validating core, and it owns the chunks from there: it turns each
 into arrays before the next is read (int32 codes for the labels and
 seeds through one first-seen code dict per field, float64 values,
 has-value flags and int8 statuses), counts them for its one log line,
@@ -158,14 +162,6 @@ class ResultTable:
     dropped: tuple[TestId, ...] = ()
 
     @property
-    def n_algorithms(self) -> int:
-        return len(self.algorithms)
-
-    @property
-    def n_seeds(self) -> int:
-        return len(self.seeds)
-
-    @property
     def higher_better(self) -> np.ndarray:
         """Per test, whether its metric ranks higher values first."""
         return np.array(
@@ -287,15 +283,17 @@ class ResultTable:
 
         specs = [registry.get(m) for m in metrics]
         known = np.array([spec is not None for spec in specs])[metric]
-        lo = np.array([spec.bounds[0] if spec and spec.bounds else -np.inf for spec in specs])
-        hi = np.array([spec.bounds[1] if spec and spec.bounds else np.inf for spec in specs])
+        lo, hi = np.array(
+            [spec.bounds if spec and spec.bounds else (-np.inf, np.inf) for spec in specs]
+        ).T
         bounded = np.array([bool(spec and spec.bounds) for spec in specs])[metric]
         with np.errstate(invalid="ignore"):
             in_bounds = (lo[metric] <= values) & (values <= hi[metric])
 
         # Each record's test code, then its cell.
         cell = dataset.astype(np.int64) * len(metrics) + metric
-        # With return_counts, np.unique sorts; its hash path imports numpy.ma (0.1 s).
+        # With return_counts, np.unique sorts; its hash path imports numpy.ma
+        # (9-17 ms after numpy).
         test_codes = np.unique(cell, return_counts=True)[0]
         t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
         cell = (np.searchsorted(test_codes, cell) * s_n + seed) * a_n + alg
@@ -551,14 +549,34 @@ def _csv_rows(lines: Iterable[str], start: int = 2) -> Iterator[list[str]]:
         raise ValidationError(f"row {rowno + 1}: {message}") from None
 
 
+def _canonical(algorithms, datasets, metrics, seeds, values, statuses) -> tuple[list, ...] | None:
+    """The six record columns, each status text as its code; None if a record is not canonical.
+
+    The one canonical-record rule of both formats, given seeds and values
+    already of their types: every status exactly one of the
+    :data:`STATUSES` texts, a value on every ok record, and every label a
+    non-empty ``str`` without surrounding whitespace. A status or label
+    that cannot be hashed is not canonical either.
+    """
+    try:
+        statuses = list(map(_STATUS_TEXT_CODE.__getitem__, statuses))
+        labels = set(algorithms).union(datasets, metrics)
+    except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable status or label
+        return None
+    if not all(map(_is_label, labels)) or OK in itertools.compress(
+        statuses, map(operator.is_, values, itertools.repeat(None))
+    ):
+        return None  # a label that is not canonical, or an ok record without a value
+    return algorithms, datasets, metrics, seeds, values, statuses
+
+
 def _csv_columns(block: str) -> tuple[list, ...] | None:
     """The six record columns of a block of canonical CSV lines, or None if any line is not.
 
     Canonical: no longer than ``csv.field_size_limit()``; no ``"``,
-    carriage return, NUL or blank line; five commas on every line; every
-    label a non-empty ``str`` without surrounding whitespace; status
-    exactly one of the :data:`STATUSES` texts; a seed that ``int`` reads;
-    a value that ``float`` reads, or none on a failed row. ``csv.reader``
+    carriage return, NUL or blank line; five commas on every line; a seed
+    that ``int`` reads; a value that ``float`` reads, or none; and the
+    records so read meet the rule of :func:`_canonical`. ``csv.reader``
     and the row parser read such lines to these same columns without an
     error, so the row parser stays the one definer of row-level meaning
     and of every row error: any other block goes to it.
@@ -576,16 +594,11 @@ def _csv_columns(block: str) -> tuple[list, ...] | None:
     algorithms, datasets, metrics, seeds, values, statuses = (fields[i::6] for i in range(6))
     del fields
     try:
-        statuses = list(map(_STATUS_TEXT_CODE.__getitem__, statuses))
         seeds = list(map(int, seeds))
-        if OK in itertools.compress(statuses, map(operator.not_, values)):
-            return None  # an ok row without a value
         values = [float(value) if value else None for value in values]
-    except (KeyError, ValueError):
+    except ValueError:
         return None
-    if not all(map(_is_label, set(algorithms).union(datasets, metrics))):
-        return None
-    return algorithms, datasets, metrics, seeds, values, statuses
+    return _canonical(algorithms, datasets, metrics, seeds, values, statuses)
 
 
 def _read_csv(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:
@@ -644,36 +657,23 @@ def _json_columns(items: list) -> tuple[list, ...] | None:
     """The six record columns of canonical JSON items, or None if any item is not canonical.
 
     Canonical: every item is a dict whose keys are among :data:`CSV_COLUMNS`;
-    every label is a non-empty ``str`` without surrounding whitespace;
-    status is exactly one of the :data:`STATUSES` texts; seed is an
-    ``int`` (not a ``bool``); value is a float, or None on a failed row.
-    The row parser reads such items to these same columns, so it stays
-    the one definer of row-level meaning and of every row error: any
-    other input goes to it instead. The statuses are checked first and
-    the labels last, so most items that are not canonical are told apart
-    before the label columns are built.
+    seed is an ``int`` (not a ``bool``); value is a float or None; and the
+    records meet the rule of :func:`_canonical`. The row parser reads such
+    items to these same columns, so it stays the one definer of row-level
+    meaning and of every row error: any other input goes to it instead.
+    The item shapes are checked first, then the seed and value types, and
+    the shared rule last.
     """
     if set(map(type, items)) != {dict} or not _FIELDS.issuperset(
         itertools.chain.from_iterable(items)
     ):
         return None
-    try:
-        statuses = [_STATUS_TEXT_CODE[item.get("status")] for item in items]
-        seeds, values = ([item.get(key) for item in items] for key in ("seed", "value"))
-        if not (
-            set(map(type, seeds)) == {int}
-            and set(map(type, values)) <= {float, type(None)}
-            and not any(value is None and code == OK for value, code in zip(values, statuses))
-        ):
-            return None
-        algorithms, datasets, metrics = (
-            [item.get(key) for item in items] for key in CSV_COLUMNS[:3]
-        )
-        labels = set(algorithms).union(datasets, metrics)
-    except (KeyError, TypeError):  # a status outside STATUSES, or an unhashable status or label
+    columns = [[item.get(key) for item in items] for key in CSV_COLUMNS]
+    if not (  # int seeds, not bools, and float or None values
+        set(map(type, columns[3])) == {int} and set(map(type, columns[4])) <= {float, type(None)}
+    ):
         return None
-    columns = algorithms, datasets, metrics, seeds, values, statuses
-    return columns if all(map(_is_label, labels)) else None
+    return _canonical(*columns)
 
 
 def _read_json(pieces: Iterable[str]) -> Iterator[tuple[tuple[list, ...], bool]]:

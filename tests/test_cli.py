@@ -565,6 +565,48 @@ def test_two_outputs_on_stdout_exit_2_before_reading_input(
     assert message.format(d=tmp_path, registry=registry, table=table) in err
 
 
+# Every output flag of every command, with {out} where the output that
+# cannot be opened goes; the other outputs go to files of their own.
+UNOPENABLE_OUTPUTS = {
+    "rank --output": ["rank", "--registry", "{registry}", "--output", "{out}", "{table}"],
+    "coeff --output": ["coeff", "--registry", "{registry}", "--output", "{out}", "{table}"],
+    "fcr --output": ["fcr", "--registry", "{registry}", "--framework", "p={table}",
+                     "--framework", "q={table}", "--output", "{out}"],
+    **{
+        f"converge {flag}": [
+            "converge", "--registry", "{registry}",
+            *itertools.chain.from_iterable(
+                (f, "{out}" if f == flag else f"{{d}}/{f[2:]}")
+                for f in ("--output", "--plot-out", "--summary-out", "--svg-out")
+            ),
+            "{table}",
+        ]
+        for flag in ("--output", "--plot-out", "--summary-out", "--svg-out")
+    },
+    "synth --output": ["synth", "--output", "{out}", "--registry-out", "{d}/reg.txt"],
+    "synth --registry-out": ["synth", "--output", "{d}/g.csv", "--registry-out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("out", ["{d}", "{d}/missing/out"], ids=["directory", "missing directory"])
+@pytest.mark.parametrize("argv", UNOPENABLE_OUTPUTS.values(), ids=UNOPENABLE_OUTPUTS.keys())
+def test_an_output_that_cannot_be_opened_exits_1_before_reading_input(
+    argv, out, registry, table, tmp_path, monkeypatch, capsys
+):
+    def fail(*args):
+        raise AssertionError("input read or generated")
+
+    monkeypatch.setattr(cli._TextFile, "__iter__", fail)
+    monkeypatch.setattr(cli, "generate", fail)
+    out = out.format(d=tmp_path)
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    argv = [a.format(d=tmp_path, registry=registry, table=table, out=out) for a in argv]
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr() == ("", f"i/o error: {opened.value}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.txt", "results.csv"]
+
+
 @pytest.mark.parametrize("flag", ["--output", "--plot-out", "--summary-out", "--svg-out"])
 def test_one_output_on_stdout_is_the_file_it_would_write(flag, registry, table, tmp_path, capsys):
     outputs = {f: str(tmp_path / f[2:]) for f in ("--output", "--plot-out", "--summary-out", "--svg-out")}
@@ -1399,6 +1441,49 @@ def _run_cli(argv, cwd, level=None, timeout=120):
     )
 
 
+# Every command on a small grid with failures, CSV and JSON, every output written.
+EVERY_COMMAND = """
+import csv, json, sys
+from rankbench.cli import main
+
+synth = ["synth", "--algorithms", "3", "--datasets", "3", "--metrics", "2", "--seeds", "4",
+         "--fail-prob", "0.2", "--tie-prob", "0.2"]
+assert main([*synth, "--output", "g.csv", "--registry-out", "r.txt"]) == 0
+assert main([*synth, "--rng-seed", "1", "--output", "h.csv"]) == 0
+with open("h.csv", encoding="utf-8") as f:
+    items = [
+        {**row, "seed": int(row["seed"]), "value": float(row["value"]) if row["value"] else None}
+        for row in csv.DictReader(f)
+    ]
+with open("h.json", "w", encoding="utf-8") as f:
+    json.dump(items, f)
+reg = ["--registry", "r.txt"]
+for argv in (
+    ["validate", *reg, "h.json"],
+    ["rank", *reg, "--output", "ranks.csv", "g.csv"],
+    ["coeff", *reg, "--output", "coeff.json", "g.csv"],
+    ["coeff", *reg, "--format", "csv", "--output", "coeff.csv", "h.json"],
+    ["converge", *reg, "--repeats", "3", "--output", "converge.json", "--plot-out", "plot.csv",
+     "--summary-out", "summary.csv", "--svg-out", "chart.svg", "g.csv"],
+    ["fcr", *reg, "--framework", "g=g.csv", "--framework", "h=h.json", "--output", "fcr.json"],
+):
+    assert main(argv) == 0, argv
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # A plain np.unique imports numpy.ma, 9-17 ms after numpy on every run.
+    env = {k: v for k, v in os.environ.items() if k != "RANKBENCH_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy.ma imported: False"
+
+
 def test_info_logging_reports_stages_and_counts(registry, tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text(INCOMPLETE_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,timeout"))
@@ -1450,7 +1535,7 @@ def test_info_log_lines_match_the_table(tmp_path, caplog):
     n_ties = count_ties(rank_table(table))
     assert n_ok < table.status.size and n_ties > 0  # the counts below are not all zero
     failed = ", ".join(f"{status.value}={n}" for status, n in counts.items())
-    rows = len(table.suite) * table.n_seeds
+    rows = len(table.suite) * len(table.seeds)
     for line in (
         f"0 of 1 chunks by the row parser: parsed {table.values.size} rows",
         f"resolved {table.status.size - n_ok} failed cells: {failed}",

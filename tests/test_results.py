@@ -52,8 +52,8 @@ b,cora,f1,1,0.3,ok
 
 def test_ingest_minimal_grid():
     table = ingest(MINIMAL_CSV, REGISTRY)
-    assert table.n_algorithms == 2
-    assert table.n_seeds == 2
+    assert len(table.algorithms) == 2
+    assert len(table.seeds) == 2
     assert len(table.suite) == 1
     assert table.algorithms == ("a", "b")
 
@@ -1013,7 +1013,7 @@ def test_paper_shaped_suite_size():
     ]
     table = table_of(rows, registry)
     assert len(table.suite) == 44
-    assert table.n_seeds == 10
+    assert len(table.seeds) == 10
 
 
 def test_round_trip_stability():

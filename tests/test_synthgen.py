@@ -26,8 +26,8 @@ def test_deterministic_given_seed():
 
 def test_grid_shape():
     table = generate(SynthConfig(n_algorithms=3, n_datasets=2, n_metrics=2, n_seeds=4))
-    assert table.n_algorithms == 3
-    assert table.n_seeds == 4
+    assert len(table.algorithms) == 3
+    assert len(table.seeds) == 4
     assert len(table.suite) == 4
     assert table.values.shape == table.status.shape == (2 * 2, 4, 3)
 
