@@ -1,9 +1,10 @@
 """Seed-randomness coefficients, all served by one table.
 
 Every coefficient is one minus the suite mean of a per-test agreement
-term. A kernel maps the whole rank cube (tests by seeds by algorithms)
-to the array of per-test terms plus a warning per flagged test, keyed by
-test index. Agreement 1 means seed choice never changes the ranking.
+term. A kernel maps a rank cube (tests by seeds by algorithms) to the
+array of per-test terms plus a warning per flagged test, keyed by test
+index; :func:`randomness` hands it the cube a block of whole tests at a
+time. Agreement 1 means seed choice never changes the ranking.
 
 - ``w``: Kendall's W, 12S / (n^2 (a^3 - a)).
 - ``w_tied``: W_t = S / (n SS), W's S over the ranks' own spread SS.
@@ -20,12 +21,12 @@ gives the default set for a tie policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ranking import RankCube, TiePolicy
+from .ranking import _BLOCK, RankCube, TiePolicy
 from .wasserstein import wasserstein_w
 
 
@@ -102,8 +103,11 @@ class CoefficientResult:
 def randomness(cube: RankCube, name: str) -> CoefficientResult:
     """Coefficient ``name``: 1 - mean per-test agreement over the suite.
 
-    Kernel warnings (values outside their range, conventions applied)
-    are collected per test, never clamped away.
+    The kernel is called on sub-cubes of whole tests, about
+    :data:`ranking._BLOCK` ranks each, so its temporaries stay a block's
+    size whatever the size of the cube; each test's term is the same as
+    on the whole cube. Kernel warnings (values outside their range,
+    conventions applied) are collected per test, never clamped away.
     """
     if name not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {name!r}")
@@ -114,7 +118,16 @@ def randomness(cube: RankCube, name: str) -> CoefficientResult:
     kernel, needs_mean_ranks = COEFFICIENTS[name]
     if needs_mean_ranks and cube.policy is not TiePolicy.MEAN_OF_TIED:
         raise ValueError(f"{name} requires mean-of-tied ranks")
-    terms, warnings = kernel(cube)
+    step = max(1, _BLOCK // cube.ranks[0].size)
+    starts = range(0, len(cube.suite), step)
+    blocks = [
+        kernel(replace(cube, suite=cube.suite[t : t + step], ranks=cube.ranks[t : t + step]))
+        for t in starts
+    ]
+    terms = np.concatenate([block_terms for block_terms, _ in blocks])
+    warnings = {
+        start + t: text for start, (_, block) in zip(starts, blocks) for t, text in block.items()
+    }
     return CoefficientResult(
         coefficient=name,
         value=1.0 - float(np.mean(terms)),

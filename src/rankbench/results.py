@@ -29,16 +29,20 @@ and the row parser, 2,000 rows at a time, from its first block that is
 not canonical on. :meth:`ResultTable._from_chunks` is the one
 validating core, and it owns the chunks from there: it turns each
 into arrays before the next is read (int32 codes for the labels and
-seeds through one first-seen code dict per field, float64 values,
-has-value flags and int8 statuses), counts them for its one log line,
-joins them, sorts the labels once and checks every record over the
-arrays. So only one chunk is ever held as Python objects, and a text is
-never held whole. The error is the first fault the pass meets, and no
-piece past the chunk that holds it is read; a JSON syntax error is worded
-with its line, column and character in the whole text, as ``json.loads``
-of the whole text words it. :meth:`ResultTable.from_columns` type-checks
-plain columns and hands them to the core as one chunk.
-``synthgen.generate`` builds its table from cubes it fills directly,
+seeds through one first-seen code dict per field, float64 values and
+int8 statuses), checks each of its records on its own at once (ok
+without a value, unknown metric, value out of bounds, non-finite ok
+value), keeps only the first fault, and counts the chunks for its one
+log line. After the last chunk it sorts the labels once, builds each
+record's cell a chunk at a time, finds duplicate and missing cells from
+one bool array of filled cells, and scatters each chunk into the cubes.
+So only one chunk is ever held as Python objects, a text is never held
+whole, and the chunks' arrays are never joined. The error is the first
+fault the pass meets, and no piece past the chunk that holds it is read;
+a JSON syntax error is worded with its line, column and character in the
+whole text, as ``json.loads`` of the whole text words it.
+:meth:`ResultTable.from_columns` type-checks plain columns and hands them
+to the core as one chunk. ``synthgen.generate`` builds its table from cubes it fills directly,
 valid by construction, and :func:`resolve_failures` copies a table with
 new values. Per-cell :class:`ResultRecord` objects
 exist only in :attr:`ResultTable.records`, which the pipeline never reads.
@@ -247,94 +251,135 @@ class ResultTable:
         them, and whether the row parser made them; there is at least one.
         Each becomes arrays before the next is read: int32 codes for the
         labels and seeds through one first-seen :class:`_Codes` per field,
-        float64 values (NaN for none), has-value flags and int8 statuses.
-        The log line says how many chunks the row parser made, of how many.
-        Record-level errors name the first offending record in input order,
-        with the same check order as a record-by-record scan: status ok
-        without a value, unknown metric, value outside bounds, non-finite
-        ok value, duplicate key. With ``drop_incomplete`` every test with
-        any missing cell is dropped (never imputed); otherwise an
-        incomplete grid is an error listing every missing cell.
+        float64 values (NaN for none) and int8 statuses. Its records are
+        checked at once, each on its own, in this order: status ok without
+        a value, unknown metric, value outside bounds, non-finite ok value.
+        Whether a metric is known, bounded and its
+        bounds come from small tables by metric code, grown as metrics are
+        first seen. Only the first fault is kept, its index and what its
+        message needs, and it is not raised in the loop, so a row-parser,
+        JSON or UTF-8 error in a later chunk still wins. The log line says
+        how many chunks the row parser made, of how many.
+
+        After the last chunk each record's int64 cell is built in label
+        order, a chunk at a time, and one bool array marks the filled
+        cells. Fewer filled cells than records means a duplicate key, and
+        only then is the first repeated record found. The error is the
+        earlier of the first fault and the first duplicate, the fault when
+        they are one record, so it names the first offending record in
+        input order with the check order of a record-by-record scan. With
+        ``drop_incomplete`` every test with any missing cell is dropped
+        (never imputed); otherwise an incomplete grid is an error listing
+        every missing cell. Each chunk's values and statuses are then
+        scattered into the cubes, so no record-sized array is held but
+        the chunks' and the cells.
         """
-        codes, arrays, by_rows = (_Codes(), _Codes(), _Codes(), _Codes()), [], 0
+        # A record's faults in the order they are checked, each a message template
+        # of its key, value and metric spec; a duplicate key is checked last.
+        faults = (
+            "record {key}: status ok but no value",
+            "unknown metric {key[2]!r} (record {key})",
+            "record {key}: value {value} outside bounds [{spec.bounds[0]}, {spec.bounds[1]}]",
+            "record {key}: non-finite value {value!r}",
+        )
+        codes = _Codes(), _Codes(), _Codes(), _Codes()
+        parts = [], [], [], [], [], []  # per field, one array per chunk
+        # Per metric code, in first-seen order: whether it is known and
+        # bounded, and its bounds (±inf if none).
+        known = bounded = np.zeros(0, dtype=bool)
+        lo = hi = np.zeros(0)
+        fault = None  # the first faulty record's index, message, key and value
+        starts, n, by_rows = [], 0, 0  # each chunk's first record, and the records so far
         for (*keys, values, statuses), parsed in chunks:
-            arrays.append((
+            *fields, value, status = arrays = (
                 *(np.fromiter(map(c.__getitem__, key), np.int32, len(key))
                   for c, key in zip(codes, keys)),
                 np.array(values, dtype=float),  # None becomes NaN
-                np.array([value is not None for value in values], dtype=bool),
                 np.array(statuses, dtype=np.int8),
-            ))
+            )
+            for field_parts, array in zip(parts, arrays):
+                field_parts.append(array)
+            if len(codes[2]) > len(known):  # a metric first seen in this chunk
+                specs = list(map(registry.get, codes[2]))
+                known, bounded = np.array([(s is not None, bool(s and s.bounds)) for s in specs]).T
+                lo, hi = np.array(
+                    [s.bounds if s and s.bounds else (-np.inf, np.inf) for s in specs]
+                ).T
+            if fault is None:
+                # A NaN is no value (None) or a NaN value; only there are the records read.
+                nan = np.isnan(value)
+                has_value = ~nan
+                has_value[nan] = [values[i] is not None for i in np.flatnonzero(nan).tolist()]
+                metric, ok = fields[2], status == OK
+                in_bounds = (lo.take(metric) <= value) & (value <= hi.take(metric))
+                no_value, unknown, out_of_bounds, non_finite = checks = (  # as in faults
+                    ok & ~has_value,
+                    ~known.take(metric),
+                    has_value & bounded.take(metric) & ~in_bounds,
+                    ok & ~np.isfinite(value),
+                )
+                if (faulty := no_value | unknown | out_of_bounds | non_finite).any():
+                    i = int(np.argmax(faulty))
+                    kind = next(k for k, check in enumerate(checks) if check[i])
+                    fault = n + i, faults[kind], tuple(f[i] for f in keys), value[i].item()
+            starts.append(n)
+            n += len(status)
             by_rows += parsed
             del keys, values, statuses  # before the next chunk is read
-        alg, dataset, metric, seed, values, has_value, status = map(np.concatenate, zip(*arrays))
-        log.info(
-            "%d of %d chunks by the row parser: parsed %d rows", by_rows, len(arrays), len(alg)
-        )
-        del arrays
-        if not len(alg):
+        log.info("%d of %d chunks by the row parser: parsed %d rows", by_rows, len(starts), n)
+        if not n:
             raise ValidationError("no records")
         algorithms, datasets, metrics, seeds = labels = [tuple(sorted(field)) for field in codes]
-        # Codes count in first-seen order; renumber each field's in label order, in place.
-        for field, field_labels, column in zip(codes, labels, (alg, dataset, metric, seed)):
-            rank = {label: code for code, label in enumerate(field_labels)}
-            remap = np.fromiter(map(rank.__getitem__, field), np.int32, len(rank))
-            np.take(remap, column, out=column)
-
-        specs = [registry.get(m) for m in metrics]
-        known = np.array([spec is not None for spec in specs])[metric]
-        lo, hi = np.array(
-            [spec.bounds if spec and spec.bounds else (-np.inf, np.inf) for spec in specs]
-        ).T
-        bounded = np.array([bool(spec and spec.bounds) for spec in specs])[metric]
-        with np.errstate(invalid="ignore"):
-            in_bounds = (lo[metric] <= values) & (values <= hi[metric])
-
-        # Each record's test code, then its cell.
-        cell = dataset.astype(np.int64) * len(metrics) + metric
-        # With return_counts, np.unique sorts; its hash path imports numpy.ma
-        # (9-17 ms after numpy).
-        test_codes = np.unique(cell, return_counts=True)[0]
-        t_n, s_n, a_n = len(test_codes), len(seeds), len(algorithms)
-        cell = (np.searchsorted(test_codes, cell) * s_n + seed) * a_n + alg
-        counts = np.bincount(cell, minlength=t_n * s_n * a_n)
-        repeated = np.zeros(len(cell), dtype=bool)
-        if counts.max() > 1:
-            repeated[:] = True
+        # Each field's first-seen codes renumbered in label order.
+        alg_of, dataset_of, metric_of, seed_of = (
+            np.fromiter(
+                map({label: code for code, label in enumerate(field_labels)}.__getitem__, field),
+                np.int64, len(field),
+            )
+            for field, field_labels in zip(codes, labels)
+        )
+        # Each record's cell, built in place a chunk at a time: first its
+        # test's code over datasets × metrics, then its test's index.
+        cell = np.empty(n, dtype=np.int64)
+        for start, dataset, metric in zip(starts, parts[1], parts[2]):
+            cell[start : start + len(dataset)] = (
+                dataset_of.take(dataset) * len(metrics) + metric_of.take(metric)
+            )
+        tested = np.zeros(len(datasets) * len(metrics), dtype=bool)
+        tested[cell] = True
+        suite = tuple(
+            TestId(datasets[c // len(metrics)], metrics[c % len(metrics)])
+            for c in np.flatnonzero(tested).tolist()
+        )
+        t_n, s_n, a_n = len(suite), len(seeds), len(algorithms)
+        # A cell is (test * s_n + seed) * a_n + algorithm; scale the lookups once.
+        test_of = (np.cumsum(tested) - 1) * (s_n * a_n)
+        seed_of *= a_n
+        for start, seed, alg in zip(starts, parts[3], parts[0]):
+            chunk = cell[start : start + len(seed)]
+            chunk[:] = test_of.take(chunk) + seed_of.take(seed) + alg_of.take(alg)
+        for field_parts in parts[:4]:  # the chunks' codes
+            field_parts.clear()
+        filled = np.zeros(t_n * s_n * a_n, dtype=bool)
+        filled[cell] = True
+        if np.count_nonzero(filled) < n:  # a cell holds two records
+            repeated = np.ones(n, dtype=bool)
             repeated[np.unique(cell, return_index=True)[1]] = False
-
-        ok = status == OK
-        no_value = ~has_value & ok
-        out_of_bounds = has_value & bounded & ~in_bounds
-        non_finite = ok & ~np.isfinite(values)
-        invalid = no_value | ~known | out_of_bounds | non_finite | repeated
-        if invalid.any():
-            i = int(np.argmax(invalid))
-            key = (algorithms[alg[i]], datasets[dataset[i]], metrics[metric[i]], seeds[seed[i]])
-            if no_value[i]:
-                raise ValidationError(f"record {key}: status ok but no value")
-            if not known[i]:
-                raise ValidationError(f"unknown metric {key[2]!r} (record {key})")
-            if out_of_bounds[i]:
-                lo_i, hi_i = specs[metric[i]].bounds
-                raise ValidationError(
-                    f"record {key}: value {values[i].item()} outside bounds [{lo_i}, {hi_i}]"
-                )
-            if non_finite[i]:
-                raise ValidationError(f"record {key}: non-finite value {values[i].item()!r}")
-            raise ValidationError(f"duplicate record for {key}")
+            i = int(np.argmax(repeated))
+            if fault is None or i < fault[0]:
+                t, s, a = np.unravel_index(cell[i], (t_n, s_n, a_n))
+                fault = i, "duplicate record for {key}", (algorithms[a], *suite[t], seeds[s]), None
+        if fault:
+            _, message, key, value = fault
+            raise ValidationError(message.format(key=key, value=value, spec=registry.get(key[2])))
 
         if len(algorithms) < 2:
             raise ValidationError("need at least 2 algorithms")
 
-        suite = tuple(
-            TestId(datasets[c // len(metrics)], metrics[c % len(metrics)])
-            for c in test_codes.tolist()
-        )
-        missing = (counts == 0).reshape(t_n, s_n, a_n)
         dropped: tuple[TestId, ...] = ()
         keep = slice(None)
-        if missing.any():
+        if n < filled.size:  # some cell is missing
+            missing = ~filled.reshape(t_n, s_n, a_n)
             if not drop_incomplete:
                 cells = ", ".join(
                     f"(algorithm={algorithms[a]}, dataset={suite[t].dataset}, "
@@ -353,11 +398,14 @@ class ResultTable:
                 len(dropped),
                 ", ".join(f"{t.dataset}/{t.metric}" for t in dropped),
             )
+        del filled  # before the cubes are made
 
         value_cube = np.full(t_n * s_n * a_n, np.nan)
-        value_cube[cell] = values
         status_cube = np.zeros(t_n * s_n * a_n, dtype=np.int8)
-        status_cube[cell] = status
+        for start, value, status in zip(starts, parts[4], parts[5]):
+            chunk = cell[start : start + len(value)]
+            value_cube[chunk] = value
+            status_cube[chunk] = status
         return cls(
             suite=suite,
             seeds=seeds,
@@ -792,9 +840,10 @@ def ingest(
     Canonical CSV blocks and JSON chunks are read as columns; CSV from its
     first block that is not canonical on, and each JSON chunk that is not
     canonical, goes through the row parser, which gives every row-level
-    error message, first error first; the core then checks the records
-    once, over the arrays. Its log line says how many chunks the row
-    parser read, so a run shows whether the slow parser ran.
+    error message, first error first; the core checks each chunk's records
+    as the chunk arrives and keeps the first fault. Its log line says how
+    many chunks the row parser read, so a run shows whether the slow
+    parser ran.
     """
     is_json, pieces = _pieces(text)
     return ResultTable._from_chunks(

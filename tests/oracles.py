@@ -6,13 +6,14 @@ library code paths they check. One helper, :func:`table_of`, builds a
 library table from plain rows.
 """
 
+import math
 from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
 
 from rankbench.concordance import randomness
-from rankbench.results import STATUSES, ResultTable, Status
+from rankbench.results import OK, STATUSES, ResultTable, Status
 
 
 def table_of(rows, registry, drop_incomplete=False):
@@ -29,6 +30,49 @@ def table_of(rows, registry, drop_incomplete=False):
     return ResultTable.from_columns(
         algorithms, datasets, metrics, seeds, values, codes, registry, drop_incomplete
     )
+
+
+def scan_records(records, registry):
+    """The ingest error of records ``(algorithm, dataset, metric, seed, value, status code)``.
+
+    A plain scan in input order, one record at a time: status ok without a
+    value, unknown metric, value outside bounds, non-finite ok value and
+    duplicate key, in that order within a record; then fewer than 2
+    algorithms, then every missing cell by test, algorithm and seed. With
+    no error, returns each key's ``(value, status code)``.
+    """
+    if not records:
+        return "no records"
+    cells = {}
+    for algorithm, dataset, metric, seed, value, status in records:
+        key = (algorithm, dataset, metric, seed)
+        spec = registry.get(metric)
+        if status == OK and value is None:
+            return f"record {key}: status ok but no value"
+        if spec is None:
+            return f"unknown metric {metric!r} (record {key})"
+        if value is not None and spec.bounds and not spec.bounds[0] <= value <= spec.bounds[1]:
+            return f"record {key}: value {value} outside bounds [{spec.bounds[0]}, {spec.bounds[1]}]"
+        if status == OK and not math.isfinite(value):
+            return f"record {key}: non-finite value {value!r}"
+        if key in cells:
+            return f"duplicate record for {key}"
+        cells[key] = (value, status)
+    algorithms = sorted({key[0] for key in cells})
+    if len(algorithms) < 2:
+        return "need at least 2 algorithms"
+    tests = sorted({key[1:3] for key in cells})
+    seeds = sorted({key[3] for key in cells})
+    missing = [
+        f"(algorithm={a}, dataset={d}, metric={m}, seed={s})"
+        for d, m in tests
+        for a in algorithms
+        for s in seeds
+        if (a, d, m, s) not in cells
+    ]
+    if missing:
+        return f"incomplete grid, missing cells: {', '.join(missing)}"
+    return cells
 
 
 def brute_force_w(rows):

@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import table_of
+from oracles import scan_records, table_of
 from rankbench import cli, results
 from rankbench.ranking import rank_table, ranks_to_csv
 from rankbench.results import (
     CSV_COLUMNS,
     STATUSES,
     Direction,
+    OK,
     MetricSpec,
     ResultRecord,
     ResultTable,
     Status,
+    TestId,
     ValidationError,
     csv_fields,
     ingest,
@@ -1001,6 +1003,69 @@ def test_from_columns_reports_ok_without_value_first(rows, message):
     assert str(exc.value) == message
 
 
+# Faults a record can carry, each applied to one record of a complete grid.
+RECORD_FAULTS = {
+    "missing": lambda records, i, record: records.pop(i),
+    "duplicate": lambda records, i, record: records.insert(i // 2, record),
+    "ok without a value": lambda records, i, record: records.__setitem__(
+        i, (*record[:4], None, OK)
+    ),
+    "unknown metric": lambda records, i, record: records.__setitem__(
+        i, (*record[:2], "nmi", *record[3:])
+    ),
+    "out of bounds": lambda records, i, record: records.__setitem__(i, (*record[:4], 1.5, OK)),
+    "nan on ok": lambda records, i, record: records.__setitem__(i, (*record[:4], math.nan, OK)),
+    "inf on ok": lambda records, i, record: records.__setitem__(i, (*record[:4], -math.inf, OK)),
+    "nan on a failed run": lambda records, i, record: records.__setitem__(
+        i, (*record[:4], math.nan, STATUSES.index(Status.OUT_OF_MEMORY))
+    ),
+}
+
+
+@given(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(["cora", "dblp"]), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from(["f1", "loss"]), min_size=1, max_size=2, unique=True),
+    st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
+    st.lists(st.tuples(st.sampled_from(list(RECORD_FAULTS)), st.integers(0, 99)), max_size=4),
+    st.data(),
+)
+@settings(max_examples=500, deadline=None)
+def test_the_error_is_a_record_by_record_scans(
+    algorithms, datasets, metrics, seeds, faults, data
+):
+    # A complete grid, given faults, shuffled and read in chunks cut at
+    # random: the core gives the message of a plain scan in input order.
+    failed = st.sampled_from(range(1, len(STATUSES)))
+    records = [
+        (a, d, m, s, *data.draw(st.sampled_from([(0.0, OK), (1.0, OK), (0.25, OK)]) | st.tuples(
+            st.sampled_from([None, 0.5]), failed
+        )))
+        for a in algorithms for d in datasets for m in metrics for s in seeds
+    ]
+    for fault, i in faults:
+        if records:
+            RECORD_FAULTS[fault](records, i % len(records), records[i % len(records)])
+    records = data.draw(st.permutations(records))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    chunks = [
+        (tuple(map(list, zip(*records[start:end]))) or ([],) * 6, data.draw(st.booleans()))
+        for start, end in zip([0, *cuts], [*cuts, len(records)])
+    ]
+    expected = scan_records(records, REGISTRY)
+    try:
+        table = ResultTable._from_chunks(chunks, REGISTRY, False)
+    except ValidationError as exc:
+        assert str(exc) == expected
+        return
+    assert isinstance(expected, dict)
+    assert len(expected) == table.values.size
+    for (a, d, m, s), (value, status) in expected.items():
+        cell = table.suite.index(TestId(d, m)), table.seeds.index(s), table.algorithms.index(a)
+        assert table.status[cell] == status
+        assert np.array_equal(table.values[cell], np.nan if value is None else value, equal_nan=True)
+
+
 def test_paper_shaped_suite_size():
     # 10 algorithms x 11 datasets x 4 metrics x 10 seeds -> 44 tests
     registry = {f"m{i}": MetricSpec(f"m{i}", Direction.HIGHER_BETTER) for i in range(4)}
@@ -1378,8 +1443,10 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
     # text and a Python list per column, 1.5x read one slice at a time into
     # arrays in batches of 10,000 rows with labels interned; without
     # interning, 2.4x in batches of 10,000 rows and 1.4x in batches of 2,000;
-    # 1.55x with pieces split into lines by StringIO for the row parser, and
-    # 1.38x with blocks of 50k characters read as columns.
+    # 1.55x with pieces split into lines by StringIO for the row parser,
+    # 1.38x with blocks of 50k characters read as columns, and 0.86x with
+    # each chunk's records checked as it arrives and the chunks' arrays
+    # never joined.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
@@ -1390,7 +1457,7 @@ def test_csv_ingest_peak_memory_is_a_small_multiple_of_the_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * len(text)
+    assert peak < 1.05 * len(text)
     # Over 10 blocks, each read as columns.
     parsed = [by_rows for _, by_rows in results._read_csv(results._pieces(text)[1])]
     assert len(parsed) > 10 and not any(parsed)
@@ -1402,7 +1469,8 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
     # every ok status spelled "OK", which the row parser reads; peak over
     # text length: 5.5-6.1x with every item loaded as a dict at once,
     # 1.4x with one chunk of items at a time into Python lists, 0.7x into
-    # arrays.
+    # arrays, later 0.51x, and 0.29x with each chunk's records checked as it
+    # arrives and the chunks' arrays never joined.
     table = generate(
         SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
     )
@@ -1417,7 +1485,7 @@ def test_json_ingest_peak_memory_is_a_small_multiple_of_the_text(ok_status):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * len(text)
+    assert peak < 0.36 * len(text)
     # Over 10 chunks, whose labels together are the table's.
     assert len(text) > 10 * results._CHUNK
     chunks = _read_json(text)
