@@ -138,11 +138,16 @@ def _load_registry(path: str) -> dict:
 
 
 @contextmanager
-def _stage(name: str):
-    """Log the wall time of the enclosed pipeline stage at INFO."""
+def _stage(name: str, less: Iterable[float] = ()):
+    """Log the wall time of the enclosed pipeline stage at INFO.
+
+    ``less`` holds the seconds of the stages the enclosed code ran that
+    log their own lines, read at the end and left out, so no two stage
+    lines time the same work.
+    """
     start = time.perf_counter()
     yield
-    log.info("%s: %.3f s", name, time.perf_counter() - start)
+    log.info("%s: %.3f s", name, time.perf_counter() - start - sum(less))
 
 
 def _load_table(path: str, registry: dict, drop_incomplete: bool = False):
@@ -324,12 +329,21 @@ def cmd_coeff(args) -> int:
 
 def cmd_fcr(args) -> int:
     registry = _load_registry(args.registry)
-    frameworks = {}
     inputs = {}
-    for label, path in args.framework:
-        frameworks[label], inputs[path] = _load_table(path, registry)
-    with _stage("fcr"):
-        result = fcr(frameworks, Granularity(args.granularity))
+    ingest_s = []  # each ingest's seconds, logged on its own stage line
+
+    def load(path):
+        start = time.perf_counter()
+        table, inputs[path] = _load_table(path, registry)
+        ingest_s.append(time.perf_counter() - start)
+        return table
+
+    # fcr pulls each framework's table only when it has reduced the one
+    # before, and nothing here holds a table, so one is alive at a time.
+    with _stage("fcr", less=ingest_s):
+        result = fcr(
+            ((label, load(path)) for label, path in args.framework), Granularity(args.granularity)
+        )
     _emit_report(
         args,
         registry,

@@ -28,14 +28,15 @@ its format's own shape and type conditions. CSV goes to ``csv.reader``
 and the row parser, 2,000 rows at a time, from its first block that is
 not canonical on. :meth:`ResultTable._from_chunks` is the one
 validating core, and it owns the chunks from there: it turns each
-into arrays before the next is read (int32 codes for the labels and
-seeds through one first-seen code dict per field, float64 values and
-int8 statuses), checks each of its records on its own at once (ok
-without a value, unknown metric, value out of bounds, non-finite ok
-value), keeps only the first fault, and counts the chunks for its one
-log line. After the last chunk it sorts the labels once, builds each
-record's cell a chunk at a time, finds duplicate and missing cells from
-one bool array of filled cells, and scatters each chunk into the cubes.
+into arrays before the next is read (int16 codes for the labels and
+seeds through one first-seen code dict per field, int32 once a field's
+codes could pass 2**15, float64 values and int8 statuses), checks each
+of its records on its own at once (ok without a value, unknown metric,
+value out of bounds, non-finite ok value), keeps only the first fault,
+and counts the chunks for its one log line. After the last chunk it
+sorts the labels once, builds each record's cell a chunk at a time,
+finds duplicate and missing cells from one bool array of filled cells,
+and scatters each chunk into the cubes.
 So only one chunk is ever held as Python objects, a text is never held
 whole, and the chunks' arrays are never joined. The error is the first
 fault the pass meets, and no piece past the chunk that holds it is read;
@@ -249,8 +250,10 @@ class ResultTable:
 
         Each chunk is six record columns, as :meth:`from_columns` takes
         them, and whether the row parser made them; there is at least one.
-        Each becomes arrays before the next is read: int32 codes for the
-        labels and seeds through one first-seen :class:`_Codes` per field,
+        Each becomes arrays before the next is read: codes for the labels
+        and seeds through one first-seen :class:`_Codes` per field, in the
+        dtype :func:`_code_dtype` picks (int16 while the field's codes so
+        far and the chunk's records are at most 2**15, else int32),
         float64 values (NaN for none) and int8 statuses. Its records are
         checked at once, each on its own, in this order: status ok without
         a value, unknown metric, value outside bounds, non-finite ok value.
@@ -292,7 +295,7 @@ class ResultTable:
         starts, n, by_rows = [], 0, 0  # each chunk's first record, and the records so far
         for (*keys, values, statuses), parsed in chunks:
             *fields, value, status = arrays = (
-                *(np.fromiter(map(c.__getitem__, key), np.int32, len(key))
+                *(np.fromiter(map(c.__getitem__, key), _code_dtype(len(c), len(key)), len(key))
                   for c, key in zip(codes, keys)),
                 np.array(values, dtype=float),  # None becomes NaN
                 np.array(statuses, dtype=np.int8),
@@ -420,6 +423,15 @@ class ResultTable:
 def _is_label(x) -> bool:
     """Whether ``x`` is a label as ingest gives it: non-empty ``str``, no surrounding whitespace."""
     return type(x) is str and x != "" and x.strip() == x
+
+
+def _code_dtype(n_codes: int, n_records: int) -> type:
+    """The dtype of a chunk's codes for one field: int16 while it cannot overflow.
+
+    A field with ``n_codes`` codes so far gains at most one per record of
+    the chunk, so int16 holds every code while the sum is at most 2**15.
+    """
+    return np.int16 if n_codes + n_records <= 2**15 else np.int32
 
 
 class _Codes(dict):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -842,6 +843,64 @@ def test_fcr_warns_when_seed_sets_differ(registry, tmp_path):
     assert "own seeds" in report["warnings"][0]
 
 
+@pytest.mark.parametrize(
+    "third, error",
+    [
+        (
+            GOOD_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,1.5,ok"),
+            "record ('b', 'cora', 'f1', 1): value 1.5 outside bounds [0.0, 1.0]",
+        ),
+        (GOOD_CSV, "framework 'q' grid does not match 'p'"),
+    ],
+    ids=["third invalid", "third valid"],
+)
+def test_fcr_reports_a_later_files_error_before_an_earlier_mismatch(
+    third, error, registry, tmp_path, capsys
+):
+    # Every table is read before the grids are compared, so the second
+    # framework's mismatch is the error only when the third file is valid.
+    paths = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    for path, text in zip(paths, (GOOD_CSV, GOOD_CSV.replace("b,", "c,"), third)):
+        path.write_text(text)
+    frameworks = [arg for path in paths for arg in ("--framework", f"{path.stem}={path}")]
+    argv = ["fcr", "--registry", registry, *frameworks, "--output", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {error}\n"
+
+
+def test_fcr_peak_memory_does_not_grow_with_the_frameworks(tmp_path):
+    # The 40k-cell grid of the ingest memory tests, as CSV. fcr reduces each
+    # table to its seed means before it reads the next, so its peak is one
+    # ingest's, whatever the number of frameworks. With every table loaded
+    # before fcr, and all of them resolved at once, four copies peaked at
+    # 1.5x two.
+    table = generate(
+        SynthConfig(n_algorithms=10, n_datasets=20, n_metrics=2, n_seeds=100, noise_scale=0.3)
+    )
+    registry = tmp_path / "reg.txt"
+    registry.write_text("".join(registry_to_text(table.registry)))
+    text = "".join(to_csv(table))
+    del table
+    paths = [tmp_path / f"grid{i}.csv" for i in range(4)]
+    for path in paths:
+        path.write_text(text)
+    del text
+
+    def peak(n):
+        frameworks = [
+            arg for i, path in enumerate(paths[:n]) for arg in ("--framework", f"f{i}={path}")
+        ]
+        argv = ["fcr", "--registry", str(registry), *frameworks, "--output", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) < 1.2 * peak(2)
+
+
 def test_cli_pipeline_builds_no_per_cell_records(registry, tmp_path, monkeypatch):
     """coeff, converge, fcr and rank work on the cubes alone."""
 
@@ -1508,6 +1567,36 @@ def test_info_logging_reports_stages_and_counts(registry, tmp_path):
     for stage in ("ingest", "rank", "coefficients", "write report"):
         assert any(re.search(rf": {stage}\b.*: \d+\.\d{{3}} s$", line) for line in lines), stage
     assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+
+
+def test_info_logging_reports_fcr_stages_without_nesting(registry, tmp_path, monkeypatch, caplog):
+    # Each ingest takes at least 0.25 s here. fcr pulls the ingests, and its
+    # stage line leaves them out, so it times only fcr's own work.
+    def slow(*args):
+        time.sleep(0.25)
+        return ingest(*args)
+
+    monkeypatch.setattr(cli, "ingest", slow)
+    paths = tmp_path / "p.csv", tmp_path / "q.csv"
+    paths[0].write_text(GOOD_CSV)
+    paths[1].write_text(GOOD_CSV.replace("b,cora,f1,1,0.3,ok", "b,cora,f1,1,,timeout"))
+    frameworks = [arg for path in paths for arg in ("--framework", f"{path.stem}={path}")]
+    argv = ["fcr", "--registry", registry, *frameworks, "--output", str(tmp_path / "out")]
+    with caplog.at_level(logging.INFO, logger="rankbench"):
+        assert main(argv) == EXIT_OK
+    stage = re.compile(r"(.*): (\d+\.\d{3}) s")
+    stages = [m.groups() for m in map(stage.fullmatch, caplog.messages) if m]
+    assert [name for name, _ in stages] == [f"ingest {paths[0]}", f"ingest {paths[1]}", "fcr",
+                                            "write report"]
+    seconds = dict(stages)
+    assert float(seconds[f"ingest {paths[0]}"]) >= 0.25
+    assert float(seconds[f"ingest {paths[1]}"]) >= 0.25
+    assert float(seconds["fcr"]) < 0.25
+    resolved = [m for m in caplog.messages if m.startswith("resolved ")]
+    assert resolved == [
+        "resolved 0 failed cells: oom=0, timeout=0, error=0",
+        "resolved 1 failed cells: oom=0, timeout=1, error=0",
+    ]
 
 
 @pytest.mark.parametrize("level", ["verbose", "", "10"])

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import table_of
+from rankbench import comparison
 from rankbench.comparison import Granularity, fcr
 from rankbench.results import (
     Direction,
@@ -143,9 +145,12 @@ def test_empty_suite_rejected():
         fcr({"p": empty, "q": empty})
 
 
-def test_fewer_than_two_frameworks_rejected():
-    with pytest.raises(ValueError):
-        fcr({"p": table_from_grid(BASE)})
+@pytest.mark.parametrize("kind", ["mapping", "no pair", "one pair"])
+def test_fewer_than_two_frameworks_rejected(kind):
+    t = table_from_grid(BASE)
+    frameworks = {"mapping": {"p": t}, "no pair": iter([]), "one pair": iter([("p", t)])}[kind]
+    with pytest.raises(ValueError, match="^need at least 2 frameworks$"):
+        fcr(frameworks)
 
 
 @given(st.integers(2, 4), st.data())
@@ -169,3 +174,69 @@ def test_rank_sum_conservation(f, data):
     for granularity in Granularity:
         result = fcr(frameworks, granularity)
         assert sum(result.ranks.values()) == pytest.approx(f * (f + 1) / 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+def test_pairs_give_what_the_mapping_gives(granularity):
+    frameworks = {
+        "tuned": table_from_grid(shifted(BASE, 0.1)),
+        "default": table_from_grid(BASE),
+        "other": table_from_grid(shifted(BASE, -0.3)),
+    }
+    expected = fcr(frameworks, granularity)
+    assert fcr((pair for pair in frameworks.items()), granularity) == expected
+    assert fcr(list(frameworks.items()), granularity) == expected
+
+
+def test_repeated_label_in_pairs_rejected():
+    t = table_from_grid(BASE)
+    with pytest.raises(ValueError, match="framework label 'p' repeated"):
+        fcr(iter([("p", t), ("q", t), ("p", t)]))
+
+
+def test_each_table_is_released_before_the_next_is_made():
+    # fcr keeps no reference to a table once it has its seed means, so a
+    # generator's tables are alive one at a time.
+    alive = []
+
+    def pairs():
+        for label, delta in (("p", 0.0), ("q", 0.1), ("r", 0.2)):
+            assert not any(ref() is not None for ref in alive), label
+            table = table_from_grid(shifted(BASE, delta))
+            alive.append(weakref.ref(table))
+            yield label, table
+            del table
+
+    assert fcr(pairs()).ranks == {"p": 3.0, "q": 2.0, "r": 1.0}
+
+
+def test_a_later_error_wins_over_an_earlier_mismatch():
+    other = {k: v for k, v in BASE.items()}
+    other["c"] = other.pop("b")
+
+    def pairs(fault):
+        yield "p", table_from_grid(BASE)
+        yield "q", table_from_grid(other)
+        if fault:
+            raise ValidationError("bad third table")
+        yield "r", table_from_grid(BASE)
+
+    with pytest.raises(ValidationError, match="^bad third table$"):
+        fcr(pairs(fault=True))
+    with pytest.raises(ValidationError, match="^framework 'q' grid does not match 'p'$"):
+        fcr(pairs(fault=False))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, comparison._BLOCK])
+@pytest.mark.parametrize("granularity", list(Granularity))
+def test_seed_means_a_block_at_a_time_match_whole_cube_means(block, granularity, monkeypatch):
+    # 13 tests x 9 seeds x 4 algorithms: a block of whole tests never divides
+    # the tests evenly except at block 1, where each test is 36 cells.
+    values = np.random.default_rng(5).normal(size=(13, 9, 4)) * 1e3
+    values[2, 3, 1] = np.inf
+    if granularity is Granularity.PER_ALGORITHM_TEST:
+        whole = np.ascontiguousarray(values.transpose(0, 2, 1)).mean(axis=-1)
+    else:
+        whole = values.reshape(13, -1).mean(axis=-1)
+    monkeypatch.setattr(comparison, "_BLOCK", block)
+    assert comparison._seed_means(values, granularity).tobytes() == whole.tobytes()

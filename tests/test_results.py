@@ -1194,6 +1194,39 @@ def test_chunked_csv_ingest_matches_one_chunk(text, drop_incomplete, chunk, batc
     assert _outcome(lambda: ingest(_slices(text, chunk), registry, drop_incomplete)) == whole
 
 
+# 2 algorithms x 33,000 seeds on one test, algorithm by algorithm: the seed
+# field's codes pass 2**15 inside one chunk, whose codes must then be int32.
+_WIDE_ROWS = [
+    f"{alg},cora,f1,{seed},{seed % 97 / 100},ok\n" for alg in "ab" for seed in range(33_000)
+]
+_WIDE_CSV = {
+    "valid": "",
+    "duplicate last": "b,cora,f1,32999,0.5,ok\n",
+    "out of bounds past 2**15 seeds": "a,cora,f1,40000,1.5,ok\n",
+    "missing cell past 2**15 seeds": "a,cora,f1,33000,0.5,ok\n",
+}
+
+
+@pytest.mark.parametrize("tail", _WIDE_CSV.values(), ids=_WIDE_CSV.keys())
+def test_int16_codes_give_what_int32_codes_give(tail, monkeypatch):
+    text = "algorithm,dataset,metric,seed,value,status\n" + "".join(_WIDE_ROWS) + tail
+    monkeypatch.setattr(results, "_CHUNK", 20_000)  # about 900 rows a chunk
+    code_dtype, dtypes = results._code_dtype, []
+
+    def spied(n_codes, n_records):
+        dtypes.append((n_codes, n_records, code_dtype(n_codes, n_records)))
+        return dtypes[-1][2]
+
+    monkeypatch.setattr(results, "_code_dtype", spied)
+    narrow = _outcome(lambda: ingest(text, REGISTRY))
+    seeds = dtypes[3::4]  # the seed field's, chunk by chunk
+    assert {dtype for *_, dtype in seeds} == {np.int16, np.int32}
+    assert any(n < 2**15 < n + records for n, records, dtype in seeds if dtype is np.int32)
+    monkeypatch.setattr(results, "_code_dtype", lambda n_codes, n_records: np.int32)
+    assert narrow == _outcome(lambda: ingest(text, REGISTRY))
+    assert narrow.startswith("algorithm,") == (tail == "")
+
+
 def _row_parser_outcome(text: str, registry=REGISTRY) -> str:
     """What ``csv.reader`` and the row parser alone make of CSV text: a table or an error."""
     return _outcome(lambda: ResultTable.from_columns(
