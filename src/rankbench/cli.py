@@ -36,6 +36,12 @@ and summary CSVs come one piece per size, its SVG one piece per element,
 and every other CSV (synth's table and registry, rank's export, the
 ``--format csv`` reports) one line per piece. CSV output quotes labels
 by the one rule of :func:`results.csv_fields`.
+
+A command lets go of its table and its rank cube once no later stage
+reads them: ``coeff`` and ``converge`` drop the table right after
+ranking, once their report settings have read it, and ``converge``
+drops the cube once its study returns, so neither is alive while its
+outputs are written.
 """
 
 from __future__ import annotations
@@ -301,6 +307,8 @@ def cmd_coeff(args) -> int:
     registry = _load_registry(args.registry)
     table, digest = _load_table(args.input, registry, args.drop_incomplete)
     cube = _ranked(table, args)
+    settings = {**_ranked_settings(args, table), "coefficients": args.coefficients}
+    del table  # the settings were its last reader
     n_ties = count_ties(cube)
     with _stage("coefficients"):
         results = [randomness(cube, name) for name in args.coefficients]
@@ -308,7 +316,7 @@ def cmd_coeff(args) -> int:
         args,
         registry,
         {args.input: digest},
-        settings={**_ranked_settings(args, table), "coefficients": args.coefficients},
+        settings=settings,
         n_ties=n_ties,
         coefficients=[
             {
@@ -366,6 +374,8 @@ def cmd_converge(args) -> int:
     if args.sizes and (top := max(span[-1] for span in args.sizes)) > len(table.suite):
         args.parser.error(f"--sizes {top} exceeds the number of tests ({len(table.suite)})")
     cube = _ranked(table, args)
+    settings = {**_ranked_settings(args, table), "repeats": args.repeats, "rng_seed": args.rng_seed}
+    del table  # the settings were its last reader
     with _stage("convergence"):
         conv = subsample_convergence(
             cube,
@@ -374,15 +384,12 @@ def cmd_converge(args) -> int:
             repeats=args.repeats,
             rng_seed=args.rng_seed,
         )
+    del cube  # the outputs read only the study
     _emit_report(
         args,
         registry,
         {args.input: digest},
-        settings={
-            **_ranked_settings(args, table),
-            "repeats": args.repeats,
-            "rng_seed": args.rng_seed,
-        },
+        settings=settings,
         convergence={
             "sizes": list(conv.sizes),
             "repeats": conv.repeats,

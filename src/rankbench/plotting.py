@@ -62,14 +62,18 @@ def render_convergence_svg(report: ConvergenceReport) -> list[str]:
         f'text-anchor="end">{y_hi:.3f}</text>',
     ]
 
-    xs = [px(k) for k in sizes]
+    # Each size's x is formatted once, with the comma that ends it.
+    xs = [f"{px(k):.2f}," for k in sizes]
+
+    def points(x_texts: list[str], values: list[float]) -> str:
+        return " ".join([x + f"{py(v):.2f}" for x, v in zip(x_texts, values)])
+
     columns = zip(report.coefficients, lower.T.tolist(), mean.T.tolist(), upper.T.tolist())
     for idx, (coeff, lows, means, highs) in enumerate(columns):
         color = _COLORS[idx % len(_COLORS)]
-        upper_edge = [(x, py(v)) for x, v in zip(xs, highs)]
-        lower_edge = [(x, py(v)) for x, v in zip(xs, lows)][::-1]
-        band = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper_edge + lower_edge)
-        line = " ".join(f"{x:.2f},{py(v):.2f}" for x, v in zip(xs, means))
+        # The band runs along the upper edge, then back along the lower one.
+        band = points(xs, highs) + " " + points(xs[::-1], lows[::-1])
+        line = points(xs, means)
         parts.append(f'<polygon points="{band}" fill="{color}" opacity="0.2"/>')
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1382,6 +1383,61 @@ def test_converge_writes_its_report_without_holding_its_cells(tmp_path, monkeypa
         for c, v, m, sd in zip(study.coefficients, vs, ms, sds)
     ]
     assert peak - before < 1.0 * out.stat().st_size
+
+
+def _watch_tables_and_cubes(monkeypatch):
+    """Weak references to every table ``cli._load_table`` and every cube ``cli._ranked`` returns."""
+    tables, cubes = [], []
+    load_table, ranked = cli._load_table, cli._ranked
+
+    def loaded(*args):
+        table, digest = load_table(*args)
+        tables.append(weakref.ref(table))
+        return table, digest
+
+    def rank(*args):
+        cubes.append(weakref.ref(cube := ranked(*args)))
+        return cube
+
+    monkeypatch.setattr(cli, "_load_table", loaded)
+    monkeypatch.setattr(cli, "_ranked", rank)
+    return tables, cubes
+
+
+def test_converge_lets_go_of_its_table_before_the_study_and_its_cube_before_the_outputs(
+    registry, table, tmp_path, monkeypatch
+):
+    tables, cubes = _watch_tables_and_cubes(monkeypatch)
+    subsample, plot_data = cli.subsample_convergence, cli.plot_data_csv
+    gone = {}
+
+    def study(*args, **kwargs):
+        gone["table"] = tables[0]() is None
+        return subsample(*args, **kwargs)
+
+    def plot(report):
+        gone["cube"] = cubes[0]() is None
+        return plot_data(report)
+
+    monkeypatch.setattr(cli, "subsample_convergence", study)
+    monkeypatch.setattr(cli, "plot_data_csv", plot)
+    argv = ["converge", "--registry", registry, "--output", str(tmp_path / "report.json"),
+            "--plot-out", str(tmp_path / "plot.csv"), table]
+    assert main(argv) == EXIT_OK
+    assert gone == {"table": True, "cube": True}
+
+
+def test_coeff_lets_go_of_its_table_before_the_coefficients(registry, table, monkeypatch):
+    tables, _ = _watch_tables_and_cubes(monkeypatch)
+    coefficient, gone = cli.randomness, []
+
+    def randomness(cube, name):
+        gone.append(tables[0]() is None)
+        return coefficient(cube, name)
+
+    monkeypatch.setattr(cli, "randomness", randomness)
+    assert main(["coeff", "--registry", registry, "--output", "-", table]) == EXIT_OK
+    assert gone == [True] * len(coefficients_for(TiePolicy.MEAN_OF_TIED))
 
 
 @st.composite
